@@ -8,8 +8,10 @@ declared failure (payload still emitted), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -30,9 +32,16 @@ class UsageError(ValueError):
 def _parse_complex(text: str) -> complex:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        z = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise UsageError(f"expected complex as 're,im', got {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise UsageError(f"complex value must be finite, got {text!r}")
+    return z
+
+
+def _parse_end(a: str, b: str) -> EndParameter:
+    return EndParameter(_parse_complex(a), _parse_complex(b))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -89,7 +98,7 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
 
 
 def cmd_holonomy(args, cfg: RunConfig) -> int:
-    s = EndParameter(_parse_complex(args.a), _parse_complex(args.b))
+    s = _parse_end(args.a, args.b)
     m = torus_end.holonomy(s, args.m, args.n)
     payload = _mobius_payload(m)
     payload["classification"] = _class_payload(m, cfg.classify_tol)
@@ -98,12 +107,10 @@ def cmd_holonomy(args, cfg: RunConfig) -> int:
 
 
 def cmd_fill(args, cfg: RunConfig) -> int:
-    s = EndParameter(_parse_complex(args.a), _parse_complex(args.b))
+    s = _parse_end(args.a, args.b)
     payload = {"coordinates": torus_end.filling_coordinates(s).to_dict()}
     if args.classify:
-        tol = args.tol if args.tol is not None else cfg.rational_tol
-        max_den = args.max_den if args.max_den is not None else cfg.max_denominator
-        payload["completion"] = torus_end.classify_completion(s, tol, max_den).to_dict()
+        payload["completion"] = torus_end.classify_completion(s, cfg.rational_tol, cfg.max_denominator).to_dict()
     _emit_json(payload)
     return 0
 
@@ -122,7 +129,7 @@ def cmd_sequence(args, cfg: RunConfig) -> int:
                 "cusp_residual": filling_solver.cusp_distance(s, aligned=False),
             }
         )
-    _emit_rows(rows, ["n", "a_re", "a_im", "cusp_residual"], args.format or cfg.output)
+    _emit_rows(rows, ["n", "a_re", "a_im", "cusp_residual"], cfg.output)
     return 0
 
 
@@ -143,7 +150,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     w0 = _parse_complex(args.w0)
     try:
         report = filling_solver.solve_on_path(
-            path, args.x, args.y, w0, tol=args.tol or cfg.newton_tol, max_iter=args.max_iter or cfg.newton_max_iter
+            path, args.x, args.y, w0, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
         )
     except filling_solver.DomainExit as exc:
         _emit_json({"converged": False, "error": str(exc)})
@@ -153,7 +160,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
 
 def cmd_crosssection(args, cfg: RunConfig) -> int:
-    s = EndParameter(_parse_complex(args.a), _parse_complex(args.b))
+    s = _parse_end(args.a, args.b)
     if args.eps_grid:
         try:
             lo, hi, count = args.eps_grid.split(":")
@@ -164,7 +171,7 @@ def cmd_crosssection(args, cfg: RunConfig) -> int:
             {"eps": float(e), "length": torus_end.cross_section_length(s, args.x, args.y, float(e))}
             for e in np.linspace(lo, hi, count)
         ]
-        _emit_rows(rows, ["eps", "length"], args.format or cfg.output)
+        _emit_rows(rows, ["eps", "length"], cfg.output)
     else:
         if args.eps is None:
             raise UsageError("provide --eps or --eps-grid")
@@ -175,13 +182,11 @@ def cmd_crosssection(args, cfg: RunConfig) -> int:
 def cmd_schwarzian(args, cfg: RunConfig) -> int:
     f = parse_map(args.f)
     if args.depth:
-        grid = GridSpec.parse(args.grid or cfg.grid)
-        _emit_json({"injectivity_depth": schwarzian_end.injectivity_depth(f, grid)})
+        _emit_json({"injectivity_depth": schwarzian_end.injectivity_depth(f, GridSpec.parse(cfg.grid))})
         return 0
     if args.grid:
-        grid = GridSpec.parse(args.grid)
         rows = []
-        for z in grid.points():
+        for z in GridSpec.parse(cfg.grid).points():
             sc = schwarzian_end.schwarzian(f, z)
             rows.append(
                 {
@@ -192,7 +197,7 @@ def cmd_schwarzian(args, cfg: RunConfig) -> int:
                     "norm": z.imag ** 2 * abs(sc),
                 }
             )
-        _emit_rows(rows, ["z_re", "z_im", "sc_re", "sc_im", "norm"], args.format or cfg.output)
+        _emit_rows(rows, ["z_re", "z_im", "sc_re", "sc_im", "norm"], cfg.output)
         return 0
     if args.z is None:
         raise UsageError("provide --z or --grid")
@@ -209,7 +214,7 @@ def cmd_theta_check(args, cfg: RunConfig) -> int:
         point = schwarzian_end.H3Point(complex(float(u_s), float(v_s)), float(t_s))
     except ValueError as exc:
         raise UsageError(f"expected point 'u,v,t', got {args.point!r}") from exc
-    report = schwarzian_end.jacobian_check(f, point, h=args.h or cfg.fd_step, richardson=args.richardson)
+    report = schwarzian_end.jacobian_check(f, point, h=cfg.fd_step, richardson=args.richardson)
     _emit_json(report.to_dict())
     return 0
 
@@ -249,18 +254,16 @@ def cmd_cocycle(args, cfg: RunConfig) -> int:
 
 
 def cmd_bilipschitz(args, cfg: RunConfig) -> int:
-    s1 = EndParameter(_parse_complex(args.a1), _parse_complex(args.b1))
-    s2 = EndParameter(_parse_complex(args.a2), _parse_complex(args.b2))
+    s1 = _parse_end(args.a1, args.b1)
+    s2 = _parse_end(args.a2, args.b2)
     region = _parse_region(args.region)
-    value = torus_end.estimate_bilipschitz(
-        s1, s2, region, args.samples, seed=args.seed if args.seed is not None else cfg.seed,
-        chart=args.chart or cfg.chart,
-    )
+    value = torus_end.estimate_bilipschitz(s1, s2, region, args.samples, seed=cfg.seed, chart=cfg.chart)
     _emit_json({"khat": value})
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommand parser; each override flag stores into the RunConfig field of the same name."""
     parser = argparse.ArgumentParser(prog="dehnscope", description=__doc__)
     parser.add_argument("--config", help="path to a JSON run-config file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--classify", action="store_true")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-den", type=int)
+    p.add_argument("--tol", type=float, dest="rational_tol")
+    p.add_argument("--max-den", type=int, dest="max_denominator")
     p.set_defaults(func=cmd_fill)
 
     p = sub.add_parser("sequence", help="filling sequence toward the cusp")
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", required=True, help="inclusive range 'start..end' or list 'a,b,c'")
-    p.add_argument("--format", choices=("json", "csv"))
+    p.add_argument("--format", choices=("json", "csv"), dest="output")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("solve", help="Newton solve for coordinates along a path")
@@ -293,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--w0", required=True)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float, dest="newton_tol")
+    p.add_argument("--max-iter", type=int, dest="newton_max_iter")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("crosssection", help="tube cross-section length")
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--eps", type=float)
     p.add_argument("--eps-grid", help="'lo:hi:count' sweep")
-    p.add_argument("--format", choices=("json", "csv"))
+    p.add_argument("--format", choices=("json", "csv"), dest="output")
     p.set_defaults(func=cmd_crosssection)
 
     p = sub.add_parser("schwarzian", help="Schwarzian derivative, norm, injectivity depth")
@@ -312,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z")
     p.add_argument("--grid", help="'re0:re1:n,im0:im1:m'")
     p.add_argument("--depth", action="store_true", help="report arccosh of the norm sup over the grid")
-    p.add_argument("--format", choices=("json", "csv"))
+    p.add_argument("--format", choices=("json", "csv"), dest="output")
     p.set_defaults(func=cmd_schwarzian)
 
     p = sub.add_parser("theta-check", help="finite-difference Jacobian of the end extension map")
     p.add_argument("--f", required=True)
     p.add_argument("--point", required=True, help="'u,v,t' with v >= 0, t > 0")
-    p.add_argument("--h", type=float)
+    p.add_argument("--h", type=float, dest="fd_step")
     p.add_argument("--richardson", action="store_true")
     p.set_defaults(func=cmd_theta_check)
 
@@ -347,10 +350,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        return args.func(args, cfg)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_EXIT
+        # flag over config file over defaults; RunConfig validates the result
+        given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
+        return args.func(args, replace(cfg, **given))
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT

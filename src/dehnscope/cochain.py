@@ -121,19 +121,44 @@ def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = 1e-9):
     return worst <= tol, worst
 
 
+def _coboundary_matrix(rep: MarkedRepresentation) -> np.ndarray:
+    """The map v -> (v - Ad rho(g_i) v)_i as a (3k, 3) matrix.
+
+    Column alpha is Cocycle.coboundary(rep, e_alpha).coords().
+    """
+    blocks = [np.eye(3, dtype=complex) - adjoint_matrix(g) for g in rep.generators]
+    return np.vstack(blocks) if blocks else np.zeros((0, 3), dtype=complex)
+
+
+def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:
+    """The linearized relator map z -> (extend_cocycle(rep, z, w))_w by Fox calculus.
+
+    Walking each relator once, a letter g_i at prefix u adds Ad(u) to column
+    block i and a letter g_i^-1 adds -Ad(u g_i^-1).
+    """
+    jac = np.zeros((3 * len(rep.relators), 3 * len(rep.generators)), dtype=complex)
+    for r, word in enumerate(rep.relators):
+        rows = jac[3 * r : 3 * r + 3]
+        prefix = MobiusTransform.identity()
+        for letter in word:
+            block = slice(3 * abs(letter) - 3, 3 * abs(letter))
+            if letter > 0:
+                rows[:, block] += adjoint_matrix(prefix)
+            prefix = prefix @ rep.generator(letter)
+            if letter < 0:
+                rows[:, block] -= adjoint_matrix(prefix)
+    return jac
+
+
 def solve_coboundary(rep: MarkedRepresentation, c: Cocycle):
     """Least-squares v with v - Ad rho(g_i) v = z(g_i) for all generators.
 
     Returns (v, residual) where residual is the Euclidean norm of the stacked
     defect; a residual at roundoff scale certifies c as a coboundary.
     """
-    k = len(rep.generators)
-    if k == 0:
+    if not rep.generators:
         return SL2Vector.zero(), 0.0
-    rows = []
-    for g in rep.generators:
-        rows.append(np.eye(3, dtype=complex) - adjoint_matrix(g))
-    A = np.vstack(rows)
+    A = _coboundary_matrix(rep)
     rhs = c.coords()
     v_coords, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     residual = float(np.linalg.norm(A @ v_coords - rhs))
@@ -158,39 +183,14 @@ def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
     k = len(rep.generators)
     if k == 0:
         return 0, 0, 0
-    cols = []
-    for i in range(k):
-        for alpha in range(3):
-            vals = [SL2Vector.zero() for _ in range(k)]
-            e = np.zeros(3, dtype=complex)
-            e[alpha] = 1.0
-            vals[i] = SL2Vector.from_coords(e)
-            c = Cocycle(tuple(vals))
-            col = (
-                np.concatenate([extend_cocycle(rep, c, w).coords() for w in rep.relators])
-                if rep.relators
-                else np.zeros(0, dtype=complex)
-            )
-            cols.append(col)
-    relator_map = np.array(cols).T
-    dim_z = 3 * k - _numerical_rank(relator_map, rtol)
-    cob_cols = []
-    for alpha in range(3):
-        e = np.zeros(3, dtype=complex)
-        e[alpha] = 1.0
-        cob_cols.append(Cocycle.coboundary(rep, SL2Vector.from_coords(e)).coords())
-    dim_b = _numerical_rank(np.array(cob_cols).T, rtol)
+    dim_z = 3 * k - _numerical_rank(_relator_jacobian(rep), rtol)
+    dim_b = _numerical_rank(_coboundary_matrix(rep), rtol)
     return dim_z, dim_b, dim_z - dim_b
 
 
 def class_rank(rep: MarkedRepresentation, cocycles: Sequence[Cocycle], rtol: float = RANK_RTOL) -> int:
     """Rank of the given cocycles in H^1: rank([B-basis | cocycles]) - rank(B-basis)."""
-    cob_cols = []
-    for alpha in range(3):
-        e = np.zeros(3, dtype=complex)
-        e[alpha] = 1.0
-        cob_cols.append(Cocycle.coboundary(rep, SL2Vector.from_coords(e)).coords())
-    b_mat = np.array(cob_cols).T
+    b_mat = _coboundary_matrix(rep)
     z_mat = np.array([c.coords() for c in cocycles]).T
     joint = np.hstack([b_mat, z_mat])
     return _numerical_rank(joint, rtol) - _numerical_rank(b_mat, rtol)

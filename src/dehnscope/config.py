@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 # Tolerance for |tr^2 - 4| below which an element counts as parabolic (or the
@@ -55,10 +56,11 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("classify_tol", "newton_tol", "rank_rtol", "rational_tol", "fd_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.newton_max_iter < 1 or self.max_denominator < 1:
-            raise ValueError("iteration and denominator caps must be >= 1")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("newton_max_iter", "max_denominator"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.chart not in ("printed", "corrected"):
             raise ValueError(f"unknown chart variant {self.chart!r}")
         if self.output not in ("json", "csv"):

@@ -229,7 +229,8 @@ def filling_sequence(
     if basis is None:
         basis = unimodular_completion(p, q)
     basis = np.asarray(basis, dtype=int)
-    if abs(round(float(np.linalg.det(basis)))) != 1:
+    # exact integer determinant: a float det rounds near-unimodular large entries to 1
+    if abs(int(basis[0, 0]) * int(basis[1, 1]) - int(basis[0, 1]) * int(basis[1, 0])) != 1:
         raise ValueError("basis change must be unimodular")
     if basis[0, 0] != p or basis[1, 0] != q:
         raise ValueError("first basis column must be the declared meridian class")
@@ -298,7 +299,6 @@ def cusp_distance(s: EndParameter, aligned: bool = True) -> float:
         sigma = s.a / (cmath.exp(s.a) - 1.0)
         eps = s.a / (2.0 * sigma)
         dl = sigma ** -0.5
-        g = np.array([[dl, 0.0], [eps / dl, 1.0 / dl]], dtype=complex)
-        gi = np.linalg.inv(g)
-        mats = [MobiusTransform.from_matrix(g @ m.matrix() @ gi) for m in mats]
+        g = MobiusTransform(dl, 0.0, eps / dl, 1.0 / dl)
+        mats = [g @ m @ g.inverse() for m in mats]
     return max(m.distance(c) for m, c in zip(mats, cusp_gens))

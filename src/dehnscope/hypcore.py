@@ -111,9 +111,6 @@ class MobiusTransform:
             math.sqrt(float(np.sum(np.abs(s) ** 2))),
         )
 
-    def isclose(self, other: "MobiusTransform", tol: float = 1e-12) -> bool:
-        return self.distance(other) <= tol
-
     def __call__(self, z: ExtendedComplex) -> ExtendedComplex:
         return apply_boundary(self, z)
 

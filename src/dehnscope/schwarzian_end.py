@@ -195,41 +195,13 @@ class NumericMap(ConformalMap):
         ) / (8 * h ** 3)
 
 
-class PostMobius(ConformalMap):
-    """m o f with chain-rule jets; used to exercise Mobius invariance."""
+class Compose(ConformalMap):
+    """outer o inner with jets up to order 3 by the chain rule."""
 
-    def __init__(self, m: MobiusTransform, f: ConformalMap):
-        self.outer = MobiusMap(m)
-        self.inner = f
-        self.name = f"mobius*{f.name}"
-
-    def value(self, z):
-        return self.outer.value(self.inner.value(z))
-
-    def deriv(self, z):
-        return self.outer.deriv(self.inner.value(z)) * self.inner.deriv(z)
-
-    def deriv2(self, z):
-        fz, f1, f2 = self.inner.value(z), self.inner.deriv(z), self.inner.deriv2(z)
-        return self.outer.deriv2(fz) * f1 * f1 + self.outer.deriv(fz) * f2
-
-    def deriv3(self, z):
-        fz = self.inner.value(z)
-        f1, f2, f3 = self.inner.deriv(z), self.inner.deriv2(z), self.inner.deriv3(z)
-        return (
-            self.outer.deriv3(fz) * f1 ** 3
-            + 3.0 * self.outer.deriv2(fz) * f1 * f2
-            + self.outer.deriv(fz) * f3
-        )
-
-
-class PreMobius(ConformalMap):
-    """f o m with chain-rule jets; used to exercise norm invariance."""
-
-    def __init__(self, f: ConformalMap, m: MobiusTransform):
-        self.inner = MobiusMap(m)
-        self.outer = f
-        self.name = f"{f.name}*mobius"
+    def __init__(self, outer: ConformalMap, inner: ConformalMap):
+        self.outer = outer
+        self.inner = inner
+        self.name = f"{outer.name}*{inner.name}"
 
     def value(self, z):
         return self.outer.value(self.inner.value(z))
@@ -249,6 +221,16 @@ class PreMobius(ConformalMap):
             + 3.0 * self.outer.deriv2(gz) * g1 * g2
             + self.outer.deriv(gz) * g3
         )
+
+
+def PostMobius(m: MobiusTransform, f: ConformalMap) -> Compose:
+    """m o f; used to exercise Mobius invariance."""
+    return Compose(MobiusMap(m), f)
+
+
+def PreMobius(f: ConformalMap, m: MobiusTransform) -> Compose:
+    """f o m; used to exercise norm invariance."""
+    return Compose(f, MobiusMap(m))
 
 
 def parse_map(spec: str) -> ConformalMap:

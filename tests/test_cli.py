@@ -39,6 +39,15 @@ class TestHolonomyCommand:
     def test_bad_complex_exits_2(self, capsys):
         code, _ = run(capsys, "holonomy", "--a", "zap", "--b", "0,1", "--m", "1", "--n", "0")
         assert code == 2
+        for argv in (
+            ["fill", "--a", "nan,0", "--b", "0,1"],
+            ["fill", "--a", "nan,0", "--b", "0,1", "--classify"],
+            ["holonomy", "--a", "0,0", "--b", "0,inf", "--m", "1", "--n", "0"],
+            ["schwarzian", "--f", "log", "--z", "nan,1"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "must be finite" in captured.err
 
 
 class TestFillCommand:
@@ -274,6 +283,40 @@ class TestConfig:
         )
         assert code == 0
         assert out.splitlines()[0] == "n,a_re,a_im,cusp_residual"
+        # a flag wins over the config file
+        code, out = run(
+            capsys, "--config", str(cfg), "sequence", "--b", "0,1", "--p", "1", "--q", "0",
+            "--n", "1..2", "--format", "json",
+        )
+        assert code == 0 and len(json.loads(out)) == 2
+        bilip = ["bilipschitz", "--a1", "0.1,0.6", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
+                 "--region", "0:1,0:1,1:2", "--samples", "64"]
+        _, from_file = run(capsys, "--config", str(cfg), *bilip)
+        _, from_flag = run(capsys, *bilip, "--seed", "5")
+        _, flag_over_file = run(capsys, "--config", str(cfg), *bilip, "--seed", "0")
+        _, default = run(capsys, *bilip)
+        assert from_file == from_flag != default
+        assert flag_over_file == default
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3", "--tol", "0"],
+             "newton_tol must be positive"),
+            (["solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3", "--max-iter", "0"],
+             "newton_max_iter must be >= 1"),
+            (["theta-check", "--f", "square", "--point", "0.3,0.7,0.5", "--h", "0"],
+             "fd_step must be positive"),
+            (["fill", "--a", "1,1", "--b", "0,1", "--classify", "--tol", "nan"], "rational_tol must be positive"),
+            (["solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3", "--tol", "inf"],
+             "newton_tol must be positive and finite"),
+        ],
+        ids=["solve-tol", "solve-max-iter", "theta-check-h", "fill-tol-nan", "solve-tol-inf"],
+    )
+    def test_out_of_range_flag_exits_2_naming_field(self, capsys, argv, field):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehnscope.cochain import (
     BadWord,
@@ -18,8 +20,9 @@ from dehnscope.cochain import (
     solve_coboundary,
     strain,
     tangent_cocycle,
+    _relator_jacobian,
 )
-from dehnscope.hypcore import MobiusTransform, SL2Vector, adjoint
+from dehnscope.hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix
 from dehnscope.torus_end import EndParameter, holonomy_representation, z0_of
 
 Z2_RELATOR = ((1, 2, -1, -2),)
@@ -158,6 +161,37 @@ class TestH1Dimension:
             gens = tuple(g @ h @ g.inverse() for h in rep.generators)
             conj = MarkedRepresentation(gens, Z2_RELATOR)
             assert h1_dimension(conj) == base
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=st.complex_numbers(max_magnitude=1.5),
+        b=st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.3, 2.0)),
+        relators=st.lists(
+            # a commuting pair satisfies every word with zero exponent sum per generator
+            st.lists(st.sampled_from([1, 2, -1, -2]), min_size=1, max_size=5).flatmap(
+                lambda w: st.permutations([-x for x in w]).map(lambda inv: tuple(w) + tuple(inv))
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_relator_jacobian_matches_extend_cocycle(self, a, b, relators):
+        rep = MarkedRepresentation(holonomy_representation(EndParameter(a, b)), relators)
+        cols = []
+        for i in range(2):
+            for alpha in range(3):
+                vals = [SL2Vector.zero(), SL2Vector.zero()]
+                vals[i] = SL2Vector.from_coords(np.eye(3, dtype=complex)[alpha])
+                c = Cocycle(tuple(vals))
+                cols.append(np.concatenate([extend_cocycle(rep, c, w).coords() for w in relators]))
+        reference = np.array(cols).T
+        got = _relator_jacobian(rep)
+        assert got.shape == reference.shape
+        # relative to the size of the summed Fox terms: a cancelling word sums to 0 up to roundoff
+        scale = sum(
+            np.linalg.norm(adjoint_matrix(rep.evaluate_word(w[:j]))) for w in relators for j in range(len(w))
+        )
+        assert np.linalg.norm(got - reference) <= 1e-12 * scale
 
     def test_relator_validation(self):
         rng = np.random.default_rng(9)

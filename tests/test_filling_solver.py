@@ -161,6 +161,11 @@ class TestFillingSequence:
             filling_sequence(1j, 2, 4, [1])
         with pytest.raises(ValueError):
             filling_sequence(1j, 1, 0, [])
+        # integer determinant 2; a float determinant reads 1.49 and rounds to 1
+        with pytest.raises(ValueError, match="unimodular"):
+            filling_sequence(
+                1j, 100000001, 100000003, [1], basis=[[100000001, 100000000], [100000003, 100000002]]
+            )
 
 
 class TestUnimodularCompletion:

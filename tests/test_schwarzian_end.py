@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehnscope.hypcore import H3Point, MobiusTransform, apply_boundary, apply_h3, hyp_distance
 from dehnscope.schwarzian_end import (
+    Compose,
     CriticalPoint,
     GridSpec,
     IdentityMap,
@@ -69,6 +72,22 @@ class TestSchwarzian:
             for z in sample_points(rng, 6):
                 lhs = schwarzian(PostMobius(TEST_MOBIUS, f), z)
                 assert abs(lhs - schwarzian(f, z)) < 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        pair=st.sampled_from(
+            [("square", "log"), ("power", "log"), ("square", "power"), ("log", "power"), ("power", "square")]
+        ),
+        c=st.builds(complex, st.floats(0.3, 2.5), st.floats(-0.5, 0.5)),
+        z=st.builds(complex, st.floats(-2.0, 2.0), st.floats(0.3, 2.5)),
+    )
+    def test_chain_rule_of_non_mobius_compositions(self, pair, c, z):
+        # S(f o g) = (S f o g) g'^2 + S g
+        maps = {"square": SquareMap(), "log": LogMap(), "power": PowerMap(c)}
+        f, g = (maps[name] for name in pair)
+        lhs = schwarzian(Compose(f, g), z)
+        terms = (schwarzian(f, g.value(z)) * g.deriv(z) ** 2, schwarzian(g, z))
+        assert abs(lhs - sum(terms)) < 1e-10 * max(1.0, *(abs(t) for t in terms))
 
 
 class TestSchwarzianNorm:
