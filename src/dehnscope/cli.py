@@ -8,7 +8,6 @@ declared failure (payload still emitted), 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 from dataclasses import fields, replace
@@ -16,7 +15,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import cochain, filling_solver, schwarzian_end, torus_end
-from .config import RunConfig, load_config
+from .config import RunConfig, finite_float, load_config
 from .hypcore import MobiusTransform, SL2Vector, classify, complex_translation_length
 from .schwarzian_end import GridSpec, parse_map
 from .torus_end import EndParameter, EndRegion
@@ -29,15 +28,15 @@ class UsageError(ValueError):
     pass
 
 
+def _fields(text: str, sep: str, count: int, form: str) -> list[str]:
+    if len(parts := text.split(sep)) != count:
+        raise UsageError(f"expected {form}, got {text!r}")
+    return parts
+
+
 def _parse_complex(text: str) -> complex:
-    try:
-        re_s, im_s = text.split(",")
-        z = complex(float(re_s), float(im_s))
-    except ValueError as exc:
-        raise UsageError(f"expected complex as 're,im', got {text!r}") from exc
-    if not cmath.isfinite(z):
-        raise UsageError(f"complex value must be finite, got {text!r}")
-    return z
+    re_s, im_s = _fields(text, ",", 2, "complex as 're,im'")
+    return complex(finite_float(re_s), finite_float(im_s))
 
 
 def _parse_end(a: str, b: str) -> EndParameter:
@@ -58,12 +57,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_region(text: str) -> EndRegion:
-    try:
-        spans = [tuple(float(v) for v in part.split(":")) for part in text.split(",")]
-        (x0, x1), (y0, y1), (t0, t1) = spans
-        return EndRegion(x0, x1, y0, y1, t0, t1)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"expected region 'x0:x1,y0:y1,t0:t1', got {text!r}") from exc
+    form = "region 'x0:x1,y0:y1,t0:t1'"
+    spans = [_fields(part, ":", 2, form) for part in _fields(text, ",", 3, form)]
+    return EndRegion(*(finite_float(v) for span in spans for v in span))
 
 
 def _cpx(z: complex) -> list[float]:
@@ -147,10 +143,10 @@ def _load_path(text: str) -> filling_solver.HolomorphicPath:
 
 def cmd_solve(args, cfg: RunConfig) -> int:
     path = _load_path(args.path)
-    w0 = _parse_complex(args.w0)
+    x, y, w0 = finite_float(args.x), finite_float(args.y), _parse_complex(args.w0)
     try:
         report = filling_solver.solve_on_path(
-            path, args.x, args.y, w0, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
+            path, x, y, w0, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
         )
     except filling_solver.DomainExit as exc:
         _emit_json({"converged": False, "error": str(exc)})
@@ -161,21 +157,18 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
 def cmd_crosssection(args, cfg: RunConfig) -> int:
     s = _parse_end(args.a, args.b)
+    x, y = finite_float(args.x), finite_float(args.y)
     if args.eps_grid:
-        try:
-            lo, hi, count = args.eps_grid.split(":")
-            lo, hi, count = float(lo), float(hi), int(count)
-        except ValueError as exc:
-            raise UsageError(f"expected eps grid 'lo:hi:count', got {args.eps_grid!r}") from exc
+        lo, hi, count = _fields(args.eps_grid, ":", 3, "eps grid 'lo:hi:count'")
         rows = [
-            {"eps": float(e), "length": torus_end.cross_section_length(s, args.x, args.y, float(e))}
-            for e in np.linspace(lo, hi, count)
+            {"eps": float(e), "length": torus_end.cross_section_length(s, x, y, float(e))}
+            for e in np.linspace(finite_float(lo), finite_float(hi), int(count))
         ]
         _emit_rows(rows, ["eps", "length"], cfg.output)
     else:
         if args.eps is None:
             raise UsageError("provide --eps or --eps-grid")
-        _emit_json({"length": torus_end.cross_section_length(s, args.x, args.y, args.eps)})
+        _emit_json({"length": torus_end.cross_section_length(s, x, y, finite_float(args.eps))})
     return 0
 
 
@@ -209,11 +202,8 @@ def cmd_schwarzian(args, cfg: RunConfig) -> int:
 
 def cmd_theta_check(args, cfg: RunConfig) -> int:
     f = parse_map(args.f)
-    try:
-        u_s, v_s, t_s = args.point.split(",")
-        point = schwarzian_end.H3Point(complex(float(u_s), float(v_s)), float(t_s))
-    except ValueError as exc:
-        raise UsageError(f"expected point 'u,v,t', got {args.point!r}") from exc
+    u, v, t = (finite_float(w) for w in _fields(args.point, ",", 3, "point 'u,v,t'"))
+    point = schwarzian_end.H3Point(complex(u, v), t)
     report = schwarzian_end.jacobian_check(f, point, h=cfg.fd_step, richardson=args.richardson)
     _emit_json(report.to_dict())
     return 0
@@ -243,7 +233,7 @@ def cmd_cocycle(args, cfg: RunConfig) -> int:
             c = cochain.Cocycle(tuple(_parse_sl2(entries) for entries in data["values"]))
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot load cocycle values from {args.values!r}: {exc}") from exc
-        ok, residual = cochain.is_cocycle(rep, c, tol=args.tol)
+        ok, residual = cochain.is_cocycle(rep, c, tol=finite_float(args.tol))
         payload["is_cocycle"] = ok
         payload["max_relator_residual"] = residual
         v, res = cochain.solve_coboundary(rep, c)
@@ -288,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", required=True, help="inclusive range 'start..end' or list 'a,b,c'")
-    p.add_argument("--format", choices=("json", "csv"), dest="output")
+    p.add_argument("--format", dest="output", help="json|csv")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("solve", help="Newton solve for coordinates along a path")
     p.add_argument("--path", required=True, help="path JSON file or inline JSON")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--x", required=True)
+    p.add_argument("--y", required=True)
     p.add_argument("--w0", required=True)
     p.add_argument("--tol", type=float, dest="newton_tol")
     p.add_argument("--max-iter", type=int, dest="newton_max_iter")
@@ -303,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosssection", help="tube cross-section length")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--x", required=True)
+    p.add_argument("--y", required=True)
+    p.add_argument("--eps")
     p.add_argument("--eps-grid", help="'lo:hi:count' sweep")
-    p.add_argument("--format", choices=("json", "csv"), dest="output")
+    p.add_argument("--format", dest="output", help="json|csv")
     p.set_defaults(func=cmd_crosssection)
 
     p = sub.add_parser("schwarzian", help="Schwarzian derivative, norm, injectivity depth")
@@ -315,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z")
     p.add_argument("--grid", help="'re0:re1:n,im0:im1:m'")
     p.add_argument("--depth", action="store_true", help="report arccosh of the norm sup over the grid")
-    p.add_argument("--format", choices=("json", "csv"), dest="output")
+    p.add_argument("--format", dest="output", help="json|csv")
     p.set_defaults(func=cmd_schwarzian)
 
     p = sub.add_parser("theta-check", help="finite-difference Jacobian of the end extension map")
@@ -328,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cocycle", help="cocycle checks and cohomology dimensions")
     p.add_argument("--rep", required=True, help="representation JSON file")
     p.add_argument("--values", help="cocycle values JSON file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", default="1e-9")
     p.set_defaults(func=cmd_cocycle)
 
     p = sub.add_parser("bilipschitz", help="sampled biLipschitz estimate between two end charts")
@@ -339,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", required=True, help="'x0:x1,y0:y1,t0:t1'")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--chart", choices=("printed", "corrected"))
+    p.add_argument("--chart", help="printed|corrected")
     p.set_defaults(func=cmd_bilipschitz)
 
     return parser

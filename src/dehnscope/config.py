@@ -62,9 +62,16 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.chart not in ("printed", "corrected"):
-            raise ValueError(f"unknown chart variant {self.chart!r}")
+            raise ValueError(f"chart must be 'printed' or 'corrected', got {self.chart!r}")
         if self.output not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output!r}")
+            raise ValueError(f"output must be 'json' or 'csv', got {self.output!r}")
+
+
+def finite_float(text: str) -> float:
+    """A real number read from the command line; NaN and infinities raise ValueError."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"real value must be finite, got {text!r}")
+    return value
 
 
 def load_config(path: str) -> RunConfig:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import CRITICAL_TOL, FD_STEP
+from .config import CRITICAL_TOL, FD_STEP, finite_float
 from .hypcore import H3Point, MobiusTransform, apply_boundary, apply_h3
 
 
@@ -242,11 +242,11 @@ def parse_map(spec: str) -> ConformalMap:
     if spec == "log":
         return LogMap()
     if spec.startswith("power:"):
-        parts = [float(v) for v in spec.split(":", 1)[1].split(",")]
+        parts = [finite_float(v) for v in spec.split(":", 1)[1].split(",")]
         c = complex(parts[0], parts[1]) if len(parts) == 2 else complex(parts[0], 0.0)
         return PowerMap(c)
     if spec.startswith("mobius:"):
-        vals = [float(v) for v in spec.split(":", 1)[1].split(",")]
+        vals = [finite_float(v) for v in spec.split(":", 1)[1].split(",")]
         if len(vals) != 8:
             raise ValueError("mobius catalog entry needs 8 floats: re,im per entry")
         ent = [complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)]
@@ -364,7 +364,7 @@ class GridSpec:
             im0, im1, nim = im_part.split(":")
         except ValueError as exc:
             raise ValueError(f"bad grid spec {text!r}") from exc
-        return GridSpec(float(re0), float(re1), int(nre), float(im0), float(im1), int(nim))
+        return GridSpec(finite_float(re0), finite_float(re1), int(nre), finite_float(im0), finite_float(im1), int(nim))
 
 
 def injectivity_depth(f: ConformalMap, grid: GridSpec) -> float:

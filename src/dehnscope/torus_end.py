@@ -12,9 +12,9 @@ a(x + by) = 2*pi*i, or infinity at the cusp.
 
 The affine normalization above has a pole along e^a = 1, a != 0
 (z0 = 1/(1 - e^a) leaves every compact set).  The end structures themselves
-vary continuously through that locus; on it, holonomy() returns the
-axis-centered normalization z -> e^{a(m+bn)} z, which is the geometric
-limit of the nearby structures up to conjugation.
+vary continuously through it; on it (|1 - e^a| <= SINGULAR_LOCUS_TOL, decided
+in _affine_den) z0_of, phi, develop and holonomy share the limiting
+axis-centered frame: center 0, phi = -e^{xa+yab}, rho = z -> e^{a(m+bn)} z.
 """
 
 from __future__ import annotations
@@ -162,24 +162,27 @@ def canonical_sign_pair(x: float, y: float) -> tuple[float, float]:
 
 def canonical_sign_complex(z: complex) -> complex:
     """Representative of +-z whose first nonzero component (Re, then Im) is positive."""
-    if z.real < 0 or (z.real == 0 and z.imag < 0):
-        return -z
-    return z
+    return complex(*canonical_sign_pair(z.real, z.imag))
+
+
+def _affine_den(a: complex) -> complex | None:
+    """1 - e^a in the affine frame, or None on the pole locus (axis-centered frame)."""
+    if a == 0:
+        raise ZeroA("no cone frame at a = 0; the cusp chart applies instead")
+    den = 1.0 - cmath.exp(a)
+    return None if abs(den) <= SINGULAR_LOCUS_TOL else den
 
 
 def z0_of(a: complex) -> complex:
-    """Fixed point z0 = 1/(1 - e^a) of the holonomy, finite away from e^a = 1."""
-    den = 1.0 - cmath.exp(a)
-    if den == 0:
-        raise ZeroDivisionError("z0 undefined on the locus e^a = 1")
-    return 1.0 / den
+    """Finite fixed point of the holonomy: 1/(1 - e^a), or 0 on the pole locus."""
+    den = _affine_den(a)
+    return 0j if den is None else 1.0 / den
 
 
 def phi(s: EndParameter, x: float, y: float) -> complex:
-    """phi(x, y) = -z0 e^{xa + yab} with z0 = 1/(1 - e^a); requires a != 0."""
-    if s.a == 0:
-        raise ZeroA("phi is undefined at a = 0; the cusp chart applies instead")
-    return -z0_of(s.a) * cmath.exp(x * s.a + y * s.a * s.b)
+    """phi(x, y) = -z0 e^{xa + yab} with z0 = 1/(1 - e^a), or -e^{xa + yab} on the pole locus."""
+    den = _affine_den(s.a)
+    return -(1.0 if den is None else 1.0 / den) * cmath.exp(x * s.a + y * s.a * s.b)
 
 
 def develop(s: EndParameter, x: float, y: float, t: float, chart: str = DEFAULT_CHART) -> H3Point:
@@ -190,10 +193,10 @@ def develop(s: EndParameter, x: float, y: float, t: float, chart: str = DEFAULT_
       printed:    (z0, 0) + |phi| (phi, t) / sqrt(t^2 + |phi|^2)
       corrected:  (z0, 0) + (phi, t |phi|) / sqrt(1 + t^2)
 
-    Both place the image at Euclidean distance |phi| from (z0, 0).  Only the
-    corrected variant satisfies deck equivariance exactly when |e^a| != 1
-    (the printed height picks up the factor |e^a| on one side only); the
-    printed variant is the one converging to the cusp chart as a -> 0.
+    Both place the image at Euclidean distance |phi| from (z0, 0), in the
+    frame of holonomy (z0 = 0 on the pole locus).  Only the corrected variant
+    is deck equivariant when |e^a| != 1 (the printed height picks up |e^a| on
+    one side only); the printed one converges to the cusp chart as a -> 0.
     """
     if t < 1.0:
         raise ValueError("chart heights start at t = 1")
@@ -223,8 +226,8 @@ def holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
         return MobiusTransform(1.0, m + n * s.b, 0.0, 1.0)
     c = s.a * (m + s.b * n)
     ec2 = cmath.exp(c / 2.0)
-    den = 1.0 - cmath.exp(s.a)
-    if abs(den) <= SINGULAR_LOCUS_TOL:
+    den = _affine_den(s.a)
+    if den is None:
         return MobiusTransform(ec2, 0.0, 0.0, 1.0 / ec2)
     tau = (1.0 - cmath.exp(c)) / den
     return MobiusTransform(ec2, tau / ec2, 0.0, 1.0 / ec2)

@@ -44,6 +44,11 @@ class TestHolonomyCommand:
             ["fill", "--a", "nan,0", "--b", "0,1", "--classify"],
             ["holonomy", "--a", "0,0", "--b", "0,inf", "--m", "1", "--n", "0"],
             ["schwarzian", "--f", "log", "--z", "nan,1"],
+            ["crosssection", "--a", "1,0", "--b", "0,1", "--x", "nan", "--y", "0", "--eps", "0.7"],
+            ["schwarzian", "--f", "power:nan", "--z", "0,1"],
+            ["schwarzian", "--f", "square", "--grid=-0.5:inf:3,0.25:3:2", "--format", "csv"],
+            ["theta-check", "--f", "square", "--point", "nan,0.7,0.5"],
+            ["crosssection", "--a", "1,0", "--b", "0,1", "--x", "1", "--y", "0", "--eps-grid", "0.1:inf:3"],
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()
@@ -310,8 +315,13 @@ class TestConfig:
             (["fill", "--a", "1,1", "--b", "0,1", "--classify", "--tol", "nan"], "rational_tol must be positive"),
             (["solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3", "--tol", "inf"],
              "newton_tol must be positive and finite"),
+            (["bilipschitz", "--a1", "0.1,0.6", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
+              "--region", "0:1,0:1,1:2", "--samples", "8", "--chart", "bogus"], "chart must be"),
+            (["sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..3", "--format", "xml"],
+             "output must be"),
         ],
-        ids=["solve-tol", "solve-max-iter", "theta-check-h", "fill-tol-nan", "solve-tol-inf"],
+        ids=["solve-tol", "solve-max-iter", "theta-check-h", "fill-tol-nan", "solve-tol-inf",
+             "bilipschitz-chart", "sequence-format"],
     )
     def test_out_of_range_flag_exits_2_naming_field(self, capsys, argv, field):
         assert main(argv) == 2

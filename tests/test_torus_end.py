@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehnscope.hypcore import (
     INFINITY,
@@ -64,6 +66,8 @@ class TestPhi:
     def test_cusp_rejected(self):
         with pytest.raises(ZeroA):
             phi(EndParameter(0.0, 1j), 0.0, 0.0)
+        with pytest.raises(ZeroA):
+            z0_of(0j)
 
 
 class TestDevelop:
@@ -102,6 +106,31 @@ class TestDevelop:
             for t in (1.0, 1.7)
         )
         assert worst > 1e-3
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        k=st.sampled_from([1, -1, 2, -2]),
+        delta=st.one_of(
+            st.just(0j),
+            st.builds(
+                lambda e, arg: 10.0**e * cmath.exp(1j * arg),
+                st.floats(-15.0, -3.0),
+                st.floats(0.0, 2 * math.pi),
+            ),
+        ),
+        b=st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.3, 2.0)),
+        point=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1.0, 2.0)),
+        gen=st.sampled_from([1, 2]),
+    )
+    def test_corrected_chart_equivariance_on_and_near_pole_locus(self, k, delta, b, point, gen):
+        # a = 2*pi*i*k + delta: the pole locus e^a = 1 and up to 1e-3 away from it
+        s = EndParameter(TWO_PI_I * k + delta, b)
+        x, y, t = point
+        size = max(
+            math.hypot(abs(q.z), q.t)
+            for q in (develop(s, x, y, t), develop(s, x + 1.0, y, t), develop(s, x, y + 1.0, t))
+        )
+        assert equivariance_residual(s, gen, x, y, t, chart="corrected") <= 1e-12 * size
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -146,6 +175,26 @@ class TestHolonomy:
         core = holonomy(s, 0, 1)
         assert classify(core).kind == "loxodromic"
         assert length_distance(complex_translation_length(core), TWO_PI_I * 1j) < 1e-9
+        # z0_of, phi and develop take the same axis-centered frame, on and near the locus
+        x, y, t = 0.3, 0.4, 1.5
+        for a in (TWO_PI_I, TWO_PI_I + 5e-14):
+            s = EndParameter(a, 1j)
+            assert z0_of(a) == 0
+            ph = phi(s, x, y)
+            assert abs(ph + cmath.exp(x * a + y * a * 1j)) <= 1e-14
+            for chart in ("printed", "corrected"):
+                p = develop(s, x, y, t, chart=chart)
+                assert abs(math.hypot(abs(p.z), p.t) - abs(ph)) <= 1e-14
+            for gen in (1, 2):
+                assert equivariance_residual(s, gen, x, y, t, chart="corrected") <= 1e-14
+
+    def test_meridian_fixes_z0_on_and_off_pole_locus(self):
+        rng = np.random.default_rng(9)
+        params = [random_parameter(rng) for _ in range(20)]
+        params += [EndParameter(TWO_PI_I * k + d, 1j) for k in (1, -2) for d in (0.0, 5e-14, -3e-13j, 1e-6)]
+        for s in params:
+            z0 = z0_of(s.a)
+            assert abs(holonomy(s, 1, 0)(z0) - z0) <= 1e-12 * max(1.0, abs(z0))
 
 
 class TestComplexLength:
