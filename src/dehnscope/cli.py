@@ -8,6 +8,7 @@ declared failure (payload still emitted), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import fields, replace
@@ -84,13 +85,18 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
+def _emit_rows(rows, columns: list[str], fmt: str) -> None:
+    """Write rows one at a time, as CSV or as the text json.dumps gives their list."""
     if fmt == "csv":
         sys.stdout.write(",".join(columns) + "\n")
         for row in rows:
             sys.stdout.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
-    else:
-        _emit_json(rows)
+        return
+    sep = "["
+    for row in rows:
+        sys.stdout.write(sep + json.dumps(row, sort_keys=True))
+        sep = ", "
+    sys.stdout.write("[]\n" if sep == "[" else "]\n")
 
 
 def cmd_holonomy(args, cfg: RunConfig) -> int:
@@ -178,19 +184,16 @@ def cmd_schwarzian(args, cfg: RunConfig) -> int:
         _emit_json({"injectivity_depth": schwarzian_end.injectivity_depth(f, GridSpec.parse(cfg.grid))})
         return 0
     if args.grid:
-        rows = []
-        for z in GridSpec.parse(cfg.grid).points():
-            sc = schwarzian_end.schwarzian(f, z)
-            rows.append(
-                {
-                    "z_re": z.real,
-                    "z_im": z.imag,
-                    "sc_re": sc.real,
-                    "sc_im": sc.imag,
-                    "norm": z.imag ** 2 * abs(sc),
-                }
-            )
-        _emit_rows(rows, ["z_re", "z_im", "sc_re", "sc_im", "norm"], cfg.output)
+        columns = ["z_re", "z_im", "sc_re", "sc_im", "norm"]
+        blocks = schwarzian_end.schwarzian_grid(f, GridSpec.parse(cfg.grid))
+        # the first block is evaluated before any output, so an error in it leaves stdout empty
+        first = next(blocks)
+        rows = (
+            dict(zip(columns, values))
+            for z, sc, norm in itertools.chain([first], blocks)
+            for values in zip(*(part.tolist() for part in (z.real, z.imag, sc.real, sc.imag, norm)))
+        )
+        _emit_rows(rows, columns, cfg.output)
         return 0
     if args.z is None:
         raise UsageError("provide --z or --grid")

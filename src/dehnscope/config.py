@@ -31,6 +31,11 @@ FD_STEP = 1e-4
 # Threshold for |f'(z)| below which a conformal map counts as critical.
 CRITICAL_TOL = 1e-12
 
+# Most points an array pass holds at once: estimate_bilipschitz draws its
+# samples and the Schwarzian grid sweeps evaluate their points in blocks of
+# this size, so peak memory does not grow with the sample or grid count.
+ARRAY_BLOCK = 2**16
+
 # Developing-chart variant used when none is requested explicitly.  The
 # "corrected" chart is the one that satisfies deck equivariance exactly for
 # every parameter; the "printed" chart is the one that converges to the cusp

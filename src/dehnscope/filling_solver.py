@@ -280,6 +280,20 @@ def verify_coordinate_continuity(
     return ContinuityReport(max_jump, tuple(violations), sample_count)
 
 
+def _aligned_holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
+    """g rho(g1^m g2^n) g^-1 for the aligner g of cusp_distance, in closed form.
+
+    With c = a(m + bn), p = e^{c/2} and E = e^c - 1 it is
+    [[p - E/(2p), E/(a p)], [(a/2)(p - 1/p - E/(2p)), E/(2p) + 1/p]]; sigma
+    cancels, so the value is finite for every a != 0, on the pole locus too.
+    """
+    c = s.a * (m + s.b * n)
+    p = cmath.exp(c / 2.0)
+    e = cmath.exp(c) - 1.0
+    h = e / (2.0 * p)
+    return MobiusTransform(p - h, e / (s.a * p), s.a / 2.0 * (p - 1.0 / p - h), h + 1.0 / p)
+
+
 def cusp_distance(s: EndParameter, aligned: bool = True) -> float:
     """Worst generator-holonomy distance from s to the cusp (0, b).
 
@@ -287,18 +301,13 @@ def cusp_distance(s: EndParameter, aligned: bool = True) -> float:
     aligner g = diag(sigma^-1/2, sigma^1/2) . [[1, 0], [a/(2 sigma), 1]],
     sigma = a/(e^a - 1), which pushes the degenerating axis fixed point z0
     off to infinity; this measures distance between conjugacy classes, the
-    sense in which filled holonomies approach the cusp.  With aligned=False
-    the raw normalized matrices are compared (their distance decays like
-    |a|/2 instead of |a|^2/4).
+    sense in which filled holonomies approach the cusp.  The conjugates are
+    taken from their closed form (_aligned_holonomy), which has no pole at
+    e^a = 1.  With aligned=False the raw normalized matrices are compared
+    (their distance decays like |a|/2 instead of |a|^2/4).
     """
     if s.a == 0:
         return 0.0
     cusp_gens = (holonomy(EndParameter(0.0, s.b), 1, 0), holonomy(EndParameter(0.0, s.b), 0, 1))
-    mats = [holonomy(s, 1, 0), holonomy(s, 0, 1)]
-    if aligned:
-        sigma = s.a / (cmath.exp(s.a) - 1.0)
-        eps = s.a / (2.0 * sigma)
-        dl = sigma ** -0.5
-        g = MobiusTransform(dl, 0.0, eps / dl, 1.0 / dl)
-        mats = [g @ m @ g.inverse() for m in mats]
-    return max(m.distance(c) for m, c in zip(mats, cusp_gens))
+    gens = _aligned_holonomy if aligned else holonomy
+    return max(gens(s, m, n).distance(c) for (m, n), c in zip(((1, 0), (0, 1)), cusp_gens))

@@ -217,12 +217,35 @@ def apply_h3(m: MobiusTransform, p: H3Point) -> H3Point:
     return H3Point(zp, p.t / den)
 
 
+def modulus(w):
+    """|w| of a complex number, or elementwise of a complex array.
+
+    Arrays use np.hypot, which reproduces Python's abs bit for bit (np.abs does not).
+    """
+    if isinstance(w, np.ndarray):
+        return np.hypot(w.real, w.imag)
+    return abs(w)
+
+
+def _cosh_distance(dz, t1, t2):
+    """cosh d = 1 + (dz^2 + (t1 - t2)^2) / (2 t1 t2) with dz = |z1 - z2|, on numbers or arrays."""
+    dt = t1 - t2
+    return 1.0 + (dz * dz + dt * dt) / (2.0 * t1 * t2)
+
+
 def hyp_distance(p: H3Point, q: H3Point) -> float:
     """Hyperbolic distance: cosh d = 1 + (|z_p - z_q|^2 + (t_p - t_q)^2) / (2 t_p t_q)."""
-    dz = abs(p.z - q.z)
-    dt = p.t - q.t
-    arg = 1.0 + (dz * dz + dt * dt) / (2.0 * p.t * q.t)
-    return math.acosh(max(arg, 1.0))
+    return math.acosh(max(_cosh_distance(abs(p.z - q.z), p.t, q.t), 1.0))
+
+
+def hyp_distances(z1: np.ndarray, t1: np.ndarray, z2: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """hyp_distance between the points (z1, t1) and (z2, t2) of equal-length arrays.
+
+    math.acosh runs over the list of arguments because np.arccosh rounds
+    differently on a sizeable share of inputs.
+    """
+    arg = np.maximum(_cosh_distance(modulus(z1 - z2), t1, t2), 1.0)
+    return np.array(list(map(math.acosh, arg.tolist())))
 
 
 def classify(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> IsomClass:

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import CRITICAL_TOL, FD_STEP, finite_float
-from .hypcore import H3Point, MobiusTransform, apply_boundary, apply_h3
+from .config import ARRAY_BLOCK, CRITICAL_TOL, FD_STEP, finite_float
+from .hypcore import H3Point, MobiusTransform, apply_h3, modulus
 
 
 class CriticalPoint(ValueError):
@@ -42,9 +42,14 @@ class StepTooLarge(ValueError):
 
 
 class ConformalMap:
-    """Holomorphic map with exact (or declared-step numeric) jets up to order 3."""
+    """Holomorphic map with exact (or declared-step numeric) jets up to order 3.
+
+    The jets take a complex number; when `elementwise` is true they also take
+    a complex array and act on each entry, and the grid sweeps use that.
+    """
 
     name = "conformal"
+    elementwise = False
 
     def value(self, z: complex) -> complex:
         raise NotImplementedError
@@ -61,6 +66,7 @@ class ConformalMap:
 
 class IdentityMap(ConformalMap):
     name = "identity"
+    elementwise = True
 
     def value(self, z):
         return z
@@ -77,15 +83,16 @@ class IdentityMap(ConformalMap):
 
 class MobiusMap(ConformalMap):
     name = "mobius"
+    elementwise = True
 
     def __init__(self, m: MobiusTransform):
         self.m = m
 
     def value(self, z):
-        w = apply_boundary(self.m, z)
-        if not isinstance(w, complex):
-            raise CriticalPoint("pole of the Mobius map")
-        return w
+        try:
+            return (self.m.a11 * z + self.m.a12) / self._den(z)
+        except ZeroDivisionError:
+            raise CriticalPoint("pole of the Mobius map") from None
 
     def _den(self, z):
         return self.m.a21 * z + self.m.a22
@@ -102,6 +109,7 @@ class MobiusMap(ConformalMap):
 
 class SquareMap(ConformalMap):
     name = "square"
+    elementwise = True
 
     def value(self, z):
         return z * z
@@ -118,9 +126,10 @@ class SquareMap(ConformalMap):
 
 class LogMap(ConformalMap):
     name = "log"
+    elementwise = True
 
     def value(self, z):
-        return cmath.log(z)
+        return np.log(z) if isinstance(z, np.ndarray) else cmath.log(z)
 
     def deriv(self, z):
         return 1.0 / z
@@ -134,6 +143,8 @@ class LogMap(ConformalMap):
 
 class PowerMap(ConformalMap):
     """z -> z^c on the principal branch."""
+
+    elementwise = True
 
     def __init__(self, c: complex):
         self.c = complex(c)
@@ -156,7 +167,11 @@ class NumericMap(ConformalMap):
     """Sample-able holomorphic function with 4th-order finite-difference jets.
 
     The declared domain rectangle (re0, re1, im0, im1) must lie in U; local
-    injectivity is spot-checked on a coarse grid at construction.
+    injectivity is spot-checked on a coarse grid at construction.  The same
+    spot check calls `func` once on the grid as an array: if that returns the
+    pointwise values (as `z * z * z` does), the map is elementwise and the
+    grid sweeps apply `func` to arrays; otherwise (as for `cmath.sin`) they
+    evaluate it point by point.
     """
 
     name = "numeric"
@@ -170,10 +185,18 @@ class NumericMap(ConformalMap):
         self.func = func
         self.step = step
         self.domain = (re0, re1, im0, im1)
-        for u in np.linspace(re0, re1, 5):
-            for v in np.linspace(im0, im1, 5):
-                if abs(self.deriv(complex(u, v))) <= CRITICAL_TOL:
-                    raise ValueError("map fails the local-injectivity spot check")
+        spots = next(GridSpec(re0, re1, 5, im0, im1, 5).blocks())
+        try:
+            values = func(spots)
+            self.elementwise = (
+                isinstance(values, np.ndarray)
+                and values.shape == spots.shape
+                and np.allclose(values, [func(z) for z in spots.tolist()], rtol=1e-9, atol=0.0)
+            )
+        except (TypeError, ValueError):
+            self.elementwise = False
+        if any(abs(self.deriv(z)) <= CRITICAL_TOL for z in spots.tolist()):
+            raise ValueError("map fails the local-injectivity spot check")
 
     def value(self, z):
         return self.func(z)
@@ -202,6 +225,7 @@ class Compose(ConformalMap):
         self.outer = outer
         self.inner = inner
         self.name = f"{outer.name}*{inner.name}"
+        self.elementwise = outer.elementwise and inner.elementwise
 
     def value(self, z):
         return self.outer.value(self.inner.value(z))
@@ -259,13 +283,38 @@ def schwarzian(f: ConformalMap, z: complex) -> complex:
     f1 = f.deriv(z)
     if abs(f1) <= CRITICAL_TOL:
         raise CriticalPoint(f"|f'({z})| below critical threshold")
+    return _schwarzian_from(f, z, f1)
+
+
+def _schwarzian_from(f: ConformalMap, z, f1):
+    """SC f at a complex number or an array, given f' there."""
     g = f.deriv2(z) / f1
     return f.deriv3(z) / f1 - 1.5 * g * g
 
 
+def _norm(z, sc):
+    """(Im z)^2 |sc|; on arrays np.float_power squares with the C library's pow, as float ** 2 does."""
+    if isinstance(sc, np.ndarray):
+        return np.float_power(z.imag, 2.0) * modulus(sc)
+    return z.imag ** 2 * abs(sc)
+
+
 def schwarzian_norm(f: ConformalMap, z: complex) -> float:
     """Hyperbolic norm (Im z)^2 |SC f(z)|, invariant under the real Mobius action."""
-    return z.imag ** 2 * abs(schwarzian(f, z))
+    return _norm(z, schwarzian(f, z))
+
+
+def _schwarzian_array(f: ConformalMap, z: np.ndarray) -> np.ndarray:
+    """schwarzian at every entry of z, raising what schwarzian raises at the first point that fails."""
+    if not f.elementwise:
+        return np.array([schwarzian(f, w) for w in z.tolist()], dtype=complex)
+    with np.errstate(all="ignore"):
+        f1 = np.broadcast_to(f.deriv(z), z.shape)
+        sc = _schwarzian_from(f, z, f1)
+    # a critical or non-finite entry is redone by the scalar path, which raises its named error
+    for w in z[(modulus(f1) <= CRITICAL_TOL) | ~np.isfinite(sc)].tolist():
+        schwarzian(f, w)
+    return sc
 
 
 def osculating_mobius(f: ConformalMap, z: complex) -> MobiusTransform:
@@ -351,9 +400,21 @@ class GridSpec:
             raise ValueError("grid rectangle must be ordered and lie in U")
 
     def points(self):
-        for u in np.linspace(self.re0, self.re1, self.nre):
-            for v in np.linspace(self.im0, self.im1, self.nim):
-                yield complex(u, v)
+        """Grid points, real part outer and imaginary part inner."""
+        for z in self.blocks():
+            yield from z.tolist()
+
+    def blocks(self):
+        """The points in the order of `points`, as complex arrays of at most ARRAY_BLOCK entries."""
+        u = np.linspace(self.re0, self.re1, self.nre)
+        v = np.linspace(self.im0, self.im1, self.nim)
+        count = self.nre * self.nim
+        for start in range(0, count, ARRAY_BLOCK):
+            k = np.arange(start, min(start + ARRAY_BLOCK, count))
+            z = np.empty(k.size, dtype=complex)
+            z.real = u[k // self.nim]
+            z.imag = v[k % self.nim]
+            yield z
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
@@ -367,14 +428,22 @@ class GridSpec:
         return GridSpec(finite_float(re0), finite_float(re1), int(nre), finite_float(im0), finite_float(im1), int(nim))
 
 
+def schwarzian_grid(f: ConformalMap, grid: GridSpec):
+    """Arrays (z, SC f(z), (Im z)^2 |SC f(z)|) over the grid, block by block (see GridSpec.blocks)."""
+    for z in grid.blocks():
+        sc = _schwarzian_array(f, z)
+        yield z, sc, _norm(z, sc)
+
+
 def injectivity_depth(f: ConformalMap, grid: GridSpec) -> float:
     """arccosh(max(1, sup of the Schwarzian norm over the grid)).
 
     A sup below 1 yields 0: the extension is immersive at every sampled depth.
+    NaN norms are skipped, as max() over the points would skip them.
     """
     sup = 0.0
-    for z in grid.points():
-        sup = max(sup, schwarzian_norm(f, z))
+    for _, _, norm in schwarzian_grid(f, grid):
+        sup = max(sup, float(np.fmax.reduce(norm, initial=0.0)))
     return math.acosh(max(1.0, sup))
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL
-from .hypcore import H3Point, MobiusTransform, apply_h3, hyp_distance
+from .config import ARRAY_BLOCK, DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL
+from .hypcore import H3Point, MobiusTransform, apply_h3, hyp_distances, modulus
 
 
 class ZeroA(ValueError):
@@ -47,6 +47,9 @@ class EndParameter:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
+        for name in ("a", "b"):
+            if not cmath.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name} = {value}")
         if not self.b.imag > 0:
             raise ValueError(f"Im b must be strictly positive, got b = {self.b}")
 
@@ -173,16 +176,29 @@ def _affine_den(a: complex) -> complex | None:
     return None if abs(den) <= SINGULAR_LOCUS_TOL else den
 
 
+def _frame(a: complex) -> tuple[complex, complex]:
+    """(z0, c) with phi = -c e^{xa + yab}: c = z0 = 1/(1 - e^a), or z0 = 0 and c = 1 on the pole locus."""
+    den = _affine_den(a)
+    return (0j, 1.0) if den is None else (1.0 / den,) * 2
+
+
 def z0_of(a: complex) -> complex:
     """Finite fixed point of the holonomy: 1/(1 - e^a), or 0 on the pole locus."""
-    den = _affine_den(a)
-    return 0j if den is None else 1.0 / den
+    return _frame(a)[0]
 
 
-def phi(s: EndParameter, x: float, y: float) -> complex:
-    """phi(x, y) = -z0 e^{xa + yab} with z0 = 1/(1 - e^a), or -e^{xa + yab} on the pole locus."""
-    den = _affine_den(s.a)
-    return -(1.0 if den is None else 1.0 / den) * cmath.exp(x * s.a + y * s.a * s.b)
+def phi(s: EndParameter, x, y):
+    """phi(x, y) = -z0 e^{xa + yab} with z0 = 1/(1 - e^a), or -e^{xa + yab} on the pole locus.
+
+    x and y are real numbers, or arrays of them for an array of values.
+    """
+    return _phi(s, _frame(s.a)[1], x, y)
+
+
+def _phi(s: EndParameter, c, x, y):
+    """phi given the factor c of _frame; cmath.exp on numbers, np.exp (the same bits) on arrays."""
+    w = x * s.a + y * s.a * s.b
+    return -c * (np.exp(w) if isinstance(w, np.ndarray) else cmath.exp(w))
 
 
 def develop(s: EndParameter, x: float, y: float, t: float, chart: str = DEFAULT_CHART) -> H3Point:
@@ -200,17 +216,25 @@ def develop(s: EndParameter, x: float, y: float, t: float, chart: str = DEFAULT_
     """
     if t < 1.0:
         raise ValueError("chart heights start at t = 1")
+    return H3Point(*_chart(s, x, y, t, chart))
+
+
+def _chart(s: EndParameter, x, y, t, chart: str):
+    """develop as (z, height), on real numbers or on arrays of sample coordinates."""
     if s.a == 0:
-        return H3Point(x + s.b * y, float(t))
-    ph = phi(s, x, y)
-    ap = abs(ph)
-    z0 = z0_of(s.a)
+        return x + s.b * y, 1.0 * t  # a float height, as below, for an integer t too
+    z0, c = _frame(s.a)
+    ph = _phi(s, c, x, y)
+    if isinstance(ph, np.ndarray):
+        ap, sqrt = modulus(ph), np.sqrt
+    else:
+        ap, sqrt = abs(ph), math.sqrt
     if chart == "printed":
-        den = math.sqrt(t * t + ap * ap)
-        return H3Point(z0 + ph * (ap / den), t * ap / den)
+        den = sqrt(t * t + ap * ap)
+        return z0 + ph * (ap / den), t * ap / den
     if chart == "corrected":
-        den = math.sqrt(1.0 + t * t)
-        return H3Point(z0 + ph / den, t * ap / den)
+        den = sqrt(1.0 + t * t)
+        return z0 + ph / den, t * ap / den
     raise ValueError(f"unknown chart variant {chart!r}")
 
 
@@ -380,29 +404,29 @@ def estimate_bilipschitz(
 
     Draws `samples` points, develops consecutive pairs under both parameters
     and returns the worst ratio of hyperbolic distances, symmetrized to >= 1.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  The points are drawn and developed in
+    blocks of ARRAY_BLOCK, each block starting from the last point of the
+    one before; the draws are the same as one draw of all samples.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     if region.volume() == 0.0:
         raise DegenerateRegion("sampling region has zero volume")
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(size=(samples, 3))
-    pts[:, 0] = region.x0 + pts[:, 0] * (region.x1 - region.x0)
-    pts[:, 1] = region.y0 + pts[:, 1] * (region.y1 - region.y0)
-    pts[:, 2] = region.t0 + pts[:, 2] * (region.t1 - region.t0)
+    lo = np.array([region.x0, region.y0, region.t0])
+    span = np.array([region.x1 - region.x0, region.y1 - region.y0, region.t1 - region.t0])
     worst = 1.0
-    prev1 = prev2 = None
-    for x, y, t in pts:
-        cur1 = develop(s1, x, y, t, chart=chart)
-        cur2 = develop(s2, x, y, t, chart=chart)
-        if prev1 is not None:
-            d1 = hyp_distance(prev1, cur1)
-            d2 = hyp_distance(prev2, cur2)
-            if d1 > 0.0 and d2 > 0.0:
-                r = d2 / d1
-                worst = max(worst, r, 1.0 / r)
-        prev1, prev2 = cur1, cur2
+    pts = np.empty((0, 3))
+    for start in range(0, samples, ARRAY_BLOCK):
+        fresh = lo + rng.uniform(size=(min(ARRAY_BLOCK, samples - start), 3)) * span
+        pts = np.concatenate((pts[-1:], fresh))
+        x, y, t = pts.T
+        (z1, t1), (z2, t2) = (_chart(s, x, y, t, chart) for s in (s1, s2))
+        d1 = hyp_distances(z1[:-1], t1[:-1], z1[1:], t1[1:])
+        d2 = hyp_distances(z2[:-1], t2[:-1], z2[1:], t2[1:])
+        keep = (d1 > 0.0) & (d2 > 0.0)
+        r = d2[keep] / d1[keep]
+        worst = max(worst, float(r.max(initial=1.0)), float((1.0 / r).max(initial=1.0)))
     return worst
 
 

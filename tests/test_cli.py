@@ -212,6 +212,21 @@ class TestSchwarzianCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "z_re,z_im,sc_re,sc_im,norm"
         assert len(lines) == 5
+        assert lines[1].split(",")[:2] == ["0.0", "1.0"]
+        code, out = run(capsys, "schwarzian", "--f", "square", "--grid", "0:1:2,1:2:2")
+        rows = json.loads(out)
+        assert code == 0 and out == json.dumps(rows, sort_keys=True) + "\n"
+        assert [(r["z_re"], r["z_im"]) for r in rows] == [(0.0, 1.0), (0.0, 2.0), (1.0, 1.0), (1.0, 2.0)]
+        for r in rows:
+            sc = -1.5 / complex(r["z_re"], r["z_im"]) ** 2
+            assert abs(complex(r["sc_re"], r["sc_im"]) - sc) < 1e-15
+            assert abs(r["norm"] - r["z_im"] ** 2 * abs(sc)) < 1e-15
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_grid_error_leaves_stdout_empty(self, capsys, fmt):
+        # z -> z^0 is constant: every grid point is critical
+        code, out = run(capsys, "schwarzian", "--f", "power:0", "--grid", "0:1:2,1:2:2", "--format", fmt)
+        assert code == 2 and out == ""
 
 
 class TestThetaCheckCommand:

@@ -221,6 +221,14 @@ class TestCuspDistance:
     def test_cusp_itself(self):
         assert cusp_distance(EndParameter(0.0, 1j)) == 0.0
 
+    @pytest.mark.parametrize("k", [1, -1, 2])
+    def test_aligned_continuous_across_pole_locus(self, k):
+        # a = 2*pi*i*k lies on the pole locus e^a = 1, where holonomy changes frame
+        on = cusp_distance(EndParameter(TWO_PI_I * k, 1j), aligned=True)
+        for delta in (1e-9, 1e-6):
+            near = cusp_distance(EndParameter(TWO_PI_I * k + delta, 1j), aligned=True)
+            assert abs(near - on) <= 1e-6 * on
+
 
 class TestSolveReport:
     def test_serialization(self):

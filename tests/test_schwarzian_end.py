@@ -274,6 +274,42 @@ class TestInjectivityDepth:
         with pytest.raises(ValueError):
             GridSpec.parse("1:2")
 
+    @staticmethod
+    def per_point_depth(f, grid):
+        return math.acosh(max(1.0, max(schwarzian_norm(f, z) for z in grid.points())))
+
+    def test_array_pass_matches_per_point(self):
+        grid = GridSpec(-2.0, 2.0, 31, 0.1, 3.0, 29)
+        maps = [IdentityMap(), MobiusMap(TEST_MOBIUS), *CATALOG, PowerMap(3.0)]
+        maps += [PostMobius(TEST_MOBIUS, PowerMap(2.5)), PreMobius(PowerMap(2.5), TEST_MOBIUS)]
+        maps += [Compose(SquareMap(), LogMap())]
+        for f in maps:
+            assert f.elementwise
+            want = self.per_point_depth(f, grid)
+            assert abs(injectivity_depth(f, grid) - want) <= 1e-13 * want, f.name
+
+    def test_numeric_maps(self):
+        grid = GridSpec(0.1, 3.0, 23, 1.5, 2.5, 17)
+        cube = NumericMap(lambda z: z * z * z, 1e-2, (0.1, 3.0, 1.5, 2.5))
+        assert cube.elementwise
+        want = self.per_point_depth(cube, grid)
+        assert want > 0.5
+        assert abs(injectivity_depth(cube, grid) - want) <= 1e-10 * want
+        # cmath.sin takes no array: evaluated point by point, with the same bits
+        sine = NumericMap(lambda z: cmath.sin(z - 2j), 1e-3, (0.1, 3.0, 1.5, 2.5))
+        assert not sine.elementwise
+        assert injectivity_depth(sine, grid) == self.per_point_depth(sine, grid)
+
+    @pytest.mark.parametrize("sin", [np.sin, cmath.sin])
+    def test_grid_through_critical_point(self, sin):
+        f = NumericMap(lambda z: sin(z - 2j), 1e-3, (0.1, 3.0, 1.5, 2.5))
+        assert f.elementwise == (sin is np.sin)
+        # the center point is exactly pi/2 + 2i, where sin'(z - 2i) = 0
+        grid = GridSpec(0.0, math.pi, 3, 1.5, 2.5, 3)
+        assert list(grid.points())[4] == complex(math.pi / 2, 2.0)
+        with pytest.raises(CriticalPoint):
+            injectivity_depth(f, grid)
+
 
 def depth_law(norm: float, depth: float) -> float:
     """First-order deviation the implemented construction provably satisfies."""

@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dehnscope.config import ARRAY_BLOCK
 from dehnscope.hypcore import (
     INFINITY,
     MobiusTransform,
     classify,
     complex_translation_length,
     fixed_points,
+    hyp_distance,
     length_distance,
 )
 from dehnscope.torus_end import (
@@ -434,6 +436,46 @@ class TestBilipschitz:
         b = estimate_bilipschitz(s1, s2, self.REGION, 150, seed=4)
         assert a == b
 
+    @staticmethod
+    def per_point_reference(s1, s2, region, samples, seed, chart):
+        """One draw of all samples, then develop and hyp_distance point by point."""
+        pts = np.random.default_rng(seed).uniform(size=(samples, 3))
+        pts[:, 0] = region.x0 + pts[:, 0] * (region.x1 - region.x0)
+        pts[:, 1] = region.y0 + pts[:, 1] * (region.y1 - region.y0)
+        pts[:, 2] = region.t0 + pts[:, 2] * (region.t1 - region.t0)
+        worst = 1.0
+        prev1 = prev2 = None
+        for x, y, t in pts:
+            cur1 = develop(s1, x, y, t, chart=chart)
+            cur2 = develop(s2, x, y, t, chart=chart)
+            if prev1 is not None:
+                d1 = hyp_distance(prev1, cur1)
+                d2 = hyp_distance(prev2, cur2)
+                if d1 > 0.0 and d2 > 0.0:
+                    r = d2 / d1
+                    worst = max(worst, r, 1.0 / r)
+            prev1, prev2 = cur1, cur2
+        return worst
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        k=st.sampled_from([1, -1, 2]),
+        delta=st.one_of(st.just(0.0), st.floats(-15.0, -3.0).map(lambda e: 10.0**e)),
+        b=st.sampled_from([1j, 0.3 + 1.2j]),
+        chart=st.sampled_from(["printed", "corrected"]),
+        samples=st.integers(2, 500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # blocks of ARRAY_BLOCK samples: the last point of one block pairs with the first of the next
+    @example(k=1, delta=0.0, b=1j, chart="printed", samples=ARRAY_BLOCK + 3, seed=5)
+    @example(k=2, delta=1e-9, b=0.3 + 1.2j, chart="corrected", samples=ARRAY_BLOCK + 1, seed=6)
+    def test_matches_per_point_loop(self, k, delta, b, chart, samples, seed):
+        # s1 on and near the pole locus a = 2*pi*i*k, s2 the cusp
+        s1, s2 = EndParameter(TWO_PI_I * k + delta, b), EndParameter(0.0, b)
+        got = estimate_bilipschitz(s1, s2, self.REGION, samples, seed=seed, chart=chart)
+        want = self.per_point_reference(s1, s2, self.REGION, samples, seed, chart)
+        assert abs(got - want) <= 1e-13 * want
+
 
 class TestContinuityAtInfinity:
     def test_sequence_coordinates_exact(self):
@@ -492,6 +534,15 @@ class TestTypes:
             EndParameter(1.0, 1.0)  # real modulus
         with pytest.raises(ValueError):
             EndParameter(1.0, 1 - 1j)
+        nan, inf = math.nan, math.inf
+        for a, b, name in (
+            (complex(nan, 1.0), 1j, "a"),
+            (complex(1.0, inf), 1j, "a"),
+            (1.0, complex(0.0, inf), "b"),
+            (1.0, complex(nan, 1.0), "b"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                EndParameter(a, b)
 
     def test_filling_coordinate_validation(self):
         with pytest.raises(ValueError):
