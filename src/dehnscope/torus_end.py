@@ -222,7 +222,7 @@ def develop(s: EndParameter, x: float, y: float, t: float, chart: str = DEFAULT_
 def _chart(s: EndParameter, x, y, t, chart: str):
     """develop as (z, height), on real numbers or on arrays of sample coordinates."""
     if s.a == 0:
-        return x + s.b * y, 1.0 * t  # a float height, as below, for an integer t too
+        return x + s.b * y, 1.0 * t  # a float height even for an integer t
     z0, c = _frame(s.a)
     ph = _phi(s, c, x, y)
     if isinstance(ph, np.ndarray):
