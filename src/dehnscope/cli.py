@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import cochain, filling_solver, schwarzian_end, torus_end
-from .config import RunConfig, finite_float, load_config
+from .config import MAX_CLI_VALUES, RunConfig, finite_float, load_config
 from .hypcore import MobiusTransform, SL2Vector, classify, complex_translation_length
 from .schwarzian_end import GridSpec, parse_map
 from .torus_end import EndParameter, EndRegion
@@ -44,17 +44,23 @@ def _parse_end(a: str, b: str) -> EndParameter:
     return EndParameter(_parse_complex(a), _parse_complex(b))
 
 
+def _count(flag: str, count: int) -> int:
+    """count, checked against MAX_CLI_VALUES before anything of that size is built."""
+    if count > MAX_CLI_VALUES:
+        raise UsageError(f"{flag} asks for {count} values, more than the {MAX_CLI_VALUES} allowed")
+    return count
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(v) for v in text.split(",")]
+        if ".." not in text:
+            return [int(v) for v in text.split(",")]
+        lo, hi = (int(v) for v in text.split(".."))
+        if hi < lo:
+            raise ValueError
     except ValueError as exc:
         raise UsageError(f"expected integers 'start..end' or 'a,b,c', got {text!r}") from exc
+    return list(range(lo, lo + _count("--n", hi - lo + 1)))
 
 
 def _parse_region(text: str) -> EndRegion:
@@ -68,7 +74,7 @@ def _cpx(z: complex) -> list[float]:
 
 
 def _mobius_payload(m: MobiusTransform) -> dict:
-    return {"matrix": [_cpx(m.a11), _cpx(m.a12), _cpx(m.a21), _cpx(m.a22)]}
+    return {"matrix": [_cpx(v) for v in m.entries()]}
 
 
 def _class_payload(m: MobiusTransform, tol: float) -> dict:
@@ -168,7 +174,7 @@ def cmd_crosssection(args, cfg: RunConfig) -> int:
         lo, hi, count = _fields(args.eps_grid, ":", 3, "eps grid 'lo:hi:count'")
         rows = [
             {"eps": float(e), "length": torus_end.cross_section_length(s, x, y, float(e))}
-            for e in np.linspace(finite_float(lo), finite_float(hi), int(count))
+            for e in np.linspace(finite_float(lo), finite_float(hi), _count("--eps-grid", int(count)))
         ]
         _emit_rows(rows, ["eps", "length"], cfg.output)
     else:

@@ -10,13 +10,14 @@ vector fields on the sphere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import RANK_RTOL
-from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix
+from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, right_translate
 
 
 class BadWord(ValueError):
@@ -58,7 +59,7 @@ class MarkedRepresentation:
     def to_dict(self) -> dict:
         gens = []
         for g in self.generators:
-            gens.append([[v.real, v.imag] for v in (g.a11, g.a12, g.a21, g.a22)])
+            gens.append([[v.real, v.imag] for v in g.entries()])
         return {"generators": gens, "relators": [list(w) for w in self.relators]}
 
     @staticmethod
@@ -196,14 +197,6 @@ def class_rank(rep: MarkedRepresentation, cocycles: Sequence[Cocycle], rtol: flo
     return _numerical_rank(joint, rtol) - _numerical_rank(b_mat, rtol)
 
 
-def _align_sign(m: MobiusTransform, ref: MobiusTransform) -> np.ndarray:
-    """SL2 matrix of m with the sign nearest to ref."""
-    a, r = m.matrix(), ref.matrix()
-    if np.sum(np.abs(a - r) ** 2) <= np.sum(np.abs(a + r) ** 2):
-        return a
-    return -a
-
-
 def tangent_cocycle(path: Callable[[float], MarkedRepresentation], h: float) -> Cocycle:
     """Cocycle z(g_i) = (d/dw rho_w(g_i)) rho_0(g_i)^-1 by central differences.
 
@@ -217,20 +210,15 @@ def tangent_cocycle(path: Callable[[float], MarkedRepresentation], h: float) -> 
     rep_m = path(-h)
     values = []
     for g0, gp, gm in zip(rep0.generators, rep_p.generators, rep_m.generators):
-        mp = _align_sign(gp, g0)
-        mm = _align_sign(gm, g0)
-        diff = mp - mm
-        scale = float(np.max(np.abs(g0.matrix())))
-        top = float(np.max(np.abs(diff)))
+        sp, sm = (1.0 if minus <= plus else -1.0 for minus, plus in (gp.frobenius_gaps(g0), gm.frobenius_gaps(g0)))
+        diff = [sp * p - sm * m for p, m in zip(gp.entries(), gm.entries())]
+        scale = max(abs(x) for x in g0.entries())
+        top = max(abs(x) for x in diff)
         # an exactly constant generator is fine; a nonzero difference at
         # roundoff scale means the step no longer resolves the derivative
-        if 0.0 < top < 64.0 * np.finfo(float).eps * max(scale, 1.0):
+        if 0.0 < top < 64.0 * sys.float_info.epsilon * max(scale, 1.0):
             raise StepTooSmall("central difference dominated by cancellation")
-        d = (diff / (2.0 * h)) @ g0.inverse().matrix()
-        tr = (d[0, 0] + d[1, 1]) / 2.0
-        d[0, 0] -= tr
-        d[1, 1] -= tr
-        values.append(SL2Vector(d))
+        values.append(right_translate([x / (2.0 * h) for x in diff], g0))
     return Cocycle(tuple(values))
 
 

@@ -36,6 +36,11 @@ CRITICAL_TOL = 1e-12
 # this size, so peak memory does not grow with the sample or grid count.
 ARRAY_BLOCK = 2**16
 
+# Most values a CLI range or sweep may ask for (`sequence --n`,
+# `crosssection --eps-grid`); larger requests are refused before any list
+# of that size is built.
+MAX_CLI_VALUES = 10**6
+
 # Developing-chart variant used when none is requested explicitly.  The
 # "corrected" chart is the one that satisfies deck equivariance exactly for
 # every parameter; the "printed" chart is the one that converges to the cusp

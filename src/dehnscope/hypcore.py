@@ -5,8 +5,11 @@ half-space model of H^3, classification by trace, complex translation
 length, hyperbolic distance, and the adjoint action on sl(2,C).
 
 Conventions: matrices are normalized to determinant 1 and compared up to
-global sign.  The point at infinity is the tagged value INFINITY, never an
-encoded float, so pole cases in the boundary action are exact.
+global sign.  All 2x2 arithmetic is written on the four entries of a
+MobiusTransform, taking moduli with Python abs, and Ad on the coordinates
+(x, y, w) of [[x, y], [w, -x]] in sl(2,C).  The point at infinity is the
+tagged value INFINITY, never an encoded float, so pole cases in the
+boundary action are exact.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ class MobiusTransform:
 
     @staticmethod
     def from_matrix(m) -> "MobiusTransform":
-        m = np.asarray(m, dtype=complex)
-        return MobiusTransform.from_entries(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        """From a 2x2 array or nested list of rows."""
+        (a11, a12), (a21, a22) = m
+        return MobiusTransform.from_entries(complex(a11), complex(a12), complex(a21), complex(a22))
 
     @staticmethod
     def identity() -> "MobiusTransform":
@@ -85,8 +89,8 @@ class MobiusTransform:
         """z -> 1/z."""
         return MobiusTransform.from_entries(0.0, 1.0, 1.0, 0.0)
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=complex)
+    def entries(self) -> tuple:
+        return self.a11, self.a12, self.a21, self.a22
 
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform(self.a22, -self.a12, -self.a21, self.a11)
@@ -102,14 +106,14 @@ class MobiusTransform:
     def trace(self) -> complex:
         return self.a11 + self.a22
 
+    def frobenius_gaps(self, other: "MobiusTransform") -> tuple[float, float]:
+        """Squared Frobenius norms (|A - B|^2, |A + B|^2) of the two sign choices."""
+        pairs = tuple(zip(self.entries(), other.entries()))
+        return sum(abs(x - y) ** 2 for x, y in pairs), sum(abs(x + y) ** 2 for x, y in pairs)
+
     def distance(self, other: "MobiusTransform") -> float:
         """Sign-insensitive Frobenius distance, a metric on PSL(2,C) matrices."""
-        d = self.matrix() - other.matrix()
-        s = self.matrix() + other.matrix()
-        return min(
-            math.sqrt(float(np.sum(np.abs(d) ** 2))),
-            math.sqrt(float(np.sum(np.abs(s) ** 2))),
-        )
+        return math.sqrt(min(self.frobenius_gaps(other)))
 
     def __call__(self, z: ExtendedComplex) -> ExtendedComplex:
         return apply_boundary(self, z)
@@ -123,8 +127,10 @@ class H3Point:
     t: float
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError(f"height must be strictly positive, got {self.t}")
+        if not cmath.isfinite(self.z):
+            raise ValueError(f"z must be finite, got z = {self.z}")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"height t must be positive and finite, got t = {self.t}")
 
     def coords(self) -> np.ndarray:
         """Euclidean coordinates (Re z, Im z, t)."""
@@ -339,23 +345,27 @@ def _ordered(z1, z2):
     return (z2, z1)
 
 
-def adjoint(m: MobiusTransform, v: SL2Vector) -> SL2Vector:
-    """Ad(m) v = m v m^-1; the sign of m is irrelevant.
+def _ad_rows(m: MobiusTransform) -> tuple:
+    """Rows of Ad(m) on (x, y, w) for m = [[a, b], [c, d]]; quadratic, so the sign of m drops out."""
+    a, b, c, d = m.entries()
+    return (a * d + b * c, -a * c, b * d), (-2.0 * a * b, a * a, -b * b), (2.0 * c * d, -c * c, d * d)
 
-    The result is projected back to traceless to absorb roundoff.
-    """
-    w = m.matrix() @ v.m @ m.inverse().matrix()
-    tr = (w[0, 0] + w[1, 1]) / 2.0
-    w[0, 0] -= tr
-    w[1, 1] -= tr
-    return SL2Vector(w)
+
+def adjoint(m: MobiusTransform, v: SL2Vector) -> SL2Vector:
+    """Ad(m) v = m v m^-1, traceless by construction."""
+    (x, y), (w, _) = v.m.tolist()
+    return SL2Vector.from_coords([r0 * x + r1 * y + r2 * w for r0, r1, r2 in _ad_rows(m)])
 
 
 def adjoint_matrix(m: MobiusTransform) -> np.ndarray:
     """Ad(m) as a 3x3 complex matrix in the coordinates of SL2Vector.coords."""
-    cols = []
-    for k in range(3):
-        e = np.zeros(3, dtype=complex)
-        e[k] = 1.0
-        cols.append(adjoint(m, SL2Vector.from_coords(e)).coords())
-    return np.array(cols).T
+    return np.array(_ad_rows(m), dtype=complex)
+
+
+def right_translate(dm, m: MobiusTransform) -> SL2Vector:
+    """Traceless part of dm m^-1, for the entries dm of a tangent vector to SL(2,C) at m."""
+    e11, e12, e21, e22 = dm
+    a11, a12, a21, a22 = m.entries()
+    # m^-1 = [[a22, -a12], [-a21, a11]]; dropping the trace absorbs the error of a finite-difference dm
+    x = (e11 * a22 - e12 * a21 - (e22 * a11 - e21 * a12)) / 2.0
+    return SL2Vector.from_coords((x, e12 * a11 - e11 * a12, e21 * a22 - e22 * a21))

@@ -89,13 +89,13 @@ class MobiusMap(ConformalMap):
         self.m = m
 
     def value(self, z):
-        try:
-            return (self.m.a11 * z + self.m.a12) / self._den(z)
-        except ZeroDivisionError:
-            raise CriticalPoint("pole of the Mobius map") from None
+        return (self.m.a11 * z + self.m.a12) / self._den(z)
 
     def _den(self, z):
-        return self.m.a21 * z + self.m.a22
+        den = self.m.a21 * z + self.m.a22
+        if not isinstance(den, np.ndarray) and den == 0:
+            raise CriticalPoint("pole of the Mobius map")
+        return den
 
     def deriv(self, z):
         return 1.0 / self._den(z) ** 2  # det = 1

@@ -229,6 +229,22 @@ class TestSchwarzianCommand:
         assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schwarzian", "--f", "mobius:1,0,0,0,-1,0,0,1", "--z", "0,1"],
+        ["schwarzian", "--f", "mobius:1,0,0,0,-1,0,0,1", "--depth", "--grid=-1:1:3,0.5:1.5:3"],
+        ["theta-check", "--f", "mobius:1,0,0,0,-1,0,0,1", "--point", "0,0.6,0.8"],
+    ],
+    ids=["schwarzian-z", "schwarzian-depth", "theta-check-foot"],
+)
+def test_pole_of_mobius_map_exits_2(capsys, argv):
+    # z -> z / (i - z): the pole i is the point, a grid point, or the foot of the point
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 class TestThetaCheckCommand:
     def test_square_report(self, capsys):
         code, out = run(
@@ -342,6 +358,21 @@ class TestConfig:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and field in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..1000001"], "--n"),
+            (["crosssection", "--a", "1,0", "--b", "0,1", "--x", "1", "--y", "0", "--eps-grid", "0.1:1:1000001"],
+             "--eps-grid"),
+        ],
+        ids=["sequence-n", "crosssection-eps-grid"],
+    )
+    def test_oversized_request_exits_2_naming_flag(self, capsys, argv, flag):
+        # one value past the cap, refused before any list of that size is built
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} asks for 1000001 values" in captured.err
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

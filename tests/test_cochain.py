@@ -85,6 +85,32 @@ class TestExtendCocycle:
             extend_cocycle(rep, c, (0,))
 
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        entries=st.lists(
+            st.tuples(*[st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)] * 4).filter(
+                lambda e: abs(e[0] * e[3] - e[1] * e[2]) > 0.5
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        coords=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=6, max_size=6),
+        u=st.lists(st.sampled_from([1, 2, -1, -2]), max_size=5),
+        w=st.lists(st.sampled_from([1, 2, -1, -2]), max_size=5),
+    )
+    def test_cocycle_identity_on_words(self, entries, coords, u, w):
+        # any generator values extend over the free group as a crossed homomorphism
+        rep = MarkedRepresentation(tuple(MobiusTransform.from_entries(*e) for e in entries), ())
+        c = Cocycle((SL2Vector.from_coords(coords[:3]), SL2Vector.from_coords(coords[3:])))
+        lhs = extend_cocycle(rep, c, u + w)
+        rhs = extend_cocycle(rep, c, u) + adjoint(rep.evaluate_word(u), extend_cocycle(rep, c, w))
+        word = u + w
+        scale = max(v.norm() for v in c.values) * sum(
+            np.linalg.norm(adjoint_matrix(rep.evaluate_word(word[:j]))) for j in range(len(word) + 1)
+        )
+        assert (lhs - rhs).norm() <= 1e-12 * scale
+
+
 class TestIsCocycle:
     def test_zero(self):
         rep = z2_rep()
@@ -239,6 +265,26 @@ class TestTangentCocycle:
         za = tangent_cocycle(lambda w: z2_rep(1.0 + w, 1j), 1e-5)
         zb = tangent_cocycle(lambda w: z2_rep(1.0, 1j * (1.0 + w)), 1e-5)
         assert class_rank(rep, [za, zb]) == 2
+
+    def test_flipped_samples_give_the_same_cocycle(self):
+        # PSL(2,C) paths may come back with either sign; each +-h sample is aligned to the center
+        def path(w):
+            return z2_rep(1.0 + w, 0.3 + 1j * (1.0 - w))
+
+        def flipped(sides):
+            def flipped_path(w):
+                rep = path(w)
+                if w == 0.0 or (w > 0) not in sides:
+                    return rep
+                gens = tuple(MobiusTransform(*(-x for x in g.entries())) for g in rep.generators)
+                return MarkedRepresentation(gens, rep.relators)
+
+            return flipped_path
+
+        expect = tangent_cocycle(path, 1e-5).coords()
+        assert np.linalg.norm(expect) > 0.1
+        for sides in ((True,), (False,), (True, False)):
+            assert np.array_equal(tangent_cocycle(flipped(sides), 1e-5).coords(), expect)
 
     def test_step_too_small(self):
         # the perturbation survives into the last mantissa bits but sits

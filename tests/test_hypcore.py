@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehnscope.hypcore import (
     INFINITY,
@@ -14,6 +16,7 @@ from dehnscope.hypcore import (
     ParabolicInput,
     SL2Vector,
     adjoint,
+    adjoint_matrix,
     apply_boundary,
     apply_h3,
     classify,
@@ -34,6 +37,20 @@ def random_mobius(rng) -> MobiusTransform:
 
 def random_point(rng) -> H3Point:
     return H3Point(complex(rng.normal(), rng.normal()), math.exp(rng.normal()))
+
+
+def as_array(m: MobiusTransform) -> np.ndarray:
+    return np.array([[m.a11, m.a12], [m.a21, m.a22]], dtype=complex)
+
+
+_part = st.floats(-3.0, 3.0, allow_subnormal=False)
+_entry = st.builds(complex, _part, _part)
+mobius = (
+    st.tuples(_entry, _entry, _entry, _entry)
+    .filter(lambda e: abs(e[0] * e[3] - e[1] * e[2]) > 0.1)
+    .map(lambda e: MobiusTransform.from_entries(*e))
+)
+sl2_vectors = st.tuples(_entry, _entry, _entry).map(SL2Vector.from_coords)
 
 
 class TestApplyBoundary:
@@ -265,6 +282,20 @@ class TestAdjoint:
         assert abs(w.m[0, 1] - lam * lam) < 1e-12
         assert abs(w.m[0, 0]) < 1e-12 and abs(w.m[1, 0]) < 1e-12
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=mobius, v=sl2_vectors)
+    def test_matches_conjugation_by_matmul(self, m, v):
+        reference = as_array(m) @ v.m @ as_array(m.inverse())
+        tol = 1e-12 * np.linalg.norm(as_array(m)) ** 2 * v.norm()
+        assert np.linalg.norm(adjoint(m, v).m - reference) <= tol
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=mobius, n=mobius)
+    def test_adjoint_matrix_is_a_homomorphism(self, m, n):
+        am, an = adjoint_matrix(m), adjoint_matrix(n)
+        tol = 1e-12 * np.linalg.norm(am) * np.linalg.norm(an)
+        assert np.linalg.norm(adjoint_matrix(m @ n) - am @ an) <= tol
+
     def test_sign_insensitive(self):
         rng = np.random.default_rng(52)
         m = random_mobius(rng)
@@ -278,6 +309,8 @@ class TestNormalization:
         m = MobiusTransform.from_entries(2.0, 1.0, 1.0, 1.0)
         m2 = MobiusTransform.from_entries(m.a11, m.a12, m.a21, m.a22)
         assert m.distance(m2) < 1e-15
+        for rows in ([[2.0, 1.0], [1.0, 1.0]], np.array([[2.0, 1.0], [1.0, 1.0]])):
+            assert MobiusTransform.from_matrix(rows) == m
 
     def test_determinant_one(self):
         rng = np.random.default_rng(61)
@@ -287,10 +320,22 @@ class TestNormalization:
             assert abs(det - 1.0) <= 1e-12
 
     def test_point_validation(self):
-        with pytest.raises(ValueError):
-            H3Point(0.0, 0.0)
-        with pytest.raises(ValueError):
-            H3Point(0.0, -1.0)
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="height t must be positive and finite"):
+                H3Point(0j, t)
+        for z in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="z must be finite"):
+                H3Point(z, 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=mobius, n=mobius)
+    def test_distance_is_a_sign_insensitive_frobenius_distance(self, m, n):
+        d = m.distance(n)
+        assert d == n.distance(m)
+        assert d == m.distance(MobiusTransform(*(-x for x in n.entries())))
+        a, b = as_array(m), as_array(n)
+        reference = min(np.linalg.norm(a - b), np.linalg.norm(a + b))
+        assert abs(d - reference) <= 4 * np.spacing(reference)
 
     def test_sl2_trace_validation(self):
         with pytest.raises(ValueError):

@@ -158,6 +158,13 @@ class TestOsculating:
         with pytest.raises(CriticalPoint):
             osculating_mobius(f, math.pi / 2 + 2j)
 
+    def test_pole_of_mobius_map(self):
+        # z -> z / (i - z) has its pole at i, in the upper half plane
+        f = MobiusMap(MobiusTransform.from_entries(1.0, 0.0, -1.0, 1j))
+        for jet in (f.value, f.deriv, f.deriv2, f.deriv3, lambda z: osculating_mobius(f, z)):
+            with pytest.raises(CriticalPoint, match="pole"):
+                jet(1j)
+
 
 class TestFootPoint:
     def test_on_plane(self):
