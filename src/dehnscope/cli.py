@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         # flag over config file over defaults; RunConfig validates the result
         given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
         return args.func(args, replace(cfg, **given))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 

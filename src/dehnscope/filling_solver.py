@@ -259,11 +259,16 @@ def verify_coordinate_continuity(
     """Sample coordinates along the path; report the worst jump and coincidences.
 
     max_jump is the largest coordinate displacement between consecutive
-    samples; injectivity_violations lists index pairs of distinct w with
-    equal coordinates within coincidence_tol.  Sampling evidence only.
+    samples; injectivity_violations lists, in lexicographic order, the index
+    pairs (i, j), i < j, of distinct w (|w_i - w_j| > coincidence_tol) whose
+    coordinates lie within coincidence_tol.  The pairs come from a grid hash
+    (_coincident_pairs) rather than an all-pairs loop, so the scan costs
+    O(n + pairs) for n samples whose w are distinct.  Sampling evidence only.
     """
     if sample_count < 2:
         raise ValueError("need at least two samples")
+    if not 0.0 <= coincidence_tol < math.inf:
+        raise ValueError(f"coincidence_tol must be finite and >= 0, got {coincidence_tol!r}")
     rng = np.random.default_rng(seed)
     ws = _sample_disc(path.center, path.radius, sample_count, rng)
     coords = [filling_coordinates(EndParameter(path.a(w), path.b(w))) for w in ws]
@@ -272,12 +277,56 @@ def verify_coordinate_continuity(
         d = c1.distance(c2)
         if d > max_jump:
             max_jump = d
-    violations = []
-    for i in range(sample_count):
-        for j in range(i + 1, sample_count):
-            if abs(ws[i] - ws[j]) > coincidence_tol and coords[i].distance(coords[j]) <= coincidence_tol:
-                violations.append((i, j))
+    violations = _coincident_pairs(ws, coords, coincidence_tol)
     return ContinuityReport(max_jump, tuple(violations), sample_count)
+
+
+def _coincident_pairs(ws, coords, tol: float) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, with |ws[i] - ws[j]| > tol and coords within tol, sorted.
+
+    A grid hash: finite coordinates fall in square cells of side 2 tol,
+    keyed by the complex number x // side + i (y // side), so a pair within
+    tol lies in neighbouring cells even after rounding.  The metric is the
+    quotient metric on R^2/+-1, so each point is also filed under the cell
+    of (-x, -y).  A float key past the float range is +-inf, never an error,
+    and two coordinates within tol that differ in x (or y) have x (or y)
+    keys below 2^52 in size.  With tol = 0 the key is the coordinate itself.
+    Points at infinity share one bucket: they are at distance 0 from each
+    other.  Each candidate pair gets the exact tests.
+    """
+    side = 2.0 * tol
+    if side > 0:
+        def key(x, y):
+            return complex(x // side, y // side)
+        offsets = [complex(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)]
+    else:
+        key = complex
+        offsets = [0j]
+    cells: dict = {}
+    cusps = []
+    keys = []
+    for i, c in enumerate(coords):
+        if c.infinite:
+            cusps.append(i)
+            keys.append(None)
+            continue
+        k = key(c.x, c.y)
+        keys.append(k)
+        cells.setdefault(k, []).append(i)
+        cells.setdefault(key(-c.x, -c.y), []).append(i)
+    get = cells.get
+    pairs = []
+    for i, k in enumerate(keys):
+        if k is None:
+            near = [j for j in cusps if j > i]
+        else:
+            near = [j for d in offsets for j in get(k + d, ()) if j > i]
+        if not near:
+            continue
+        for j in sorted(set(near)):
+            if abs(ws[i] - ws[j]) > tol and coords[i].distance(coords[j]) <= tol:
+                pairs.append((i, j))
+    return pairs
 
 
 def _aligned_holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:

@@ -41,6 +41,10 @@ class StepTooLarge(ValueError):
     """Raised when a finite-difference stencil exits the admissible domain."""
 
 
+class NonFiniteSchwarzian(ValueError):
+    """Raised where the Schwarzian overflows or is undefined (inf or NaN)."""
+
+
 class ConformalMap:
     """Holomorphic map with exact (or declared-step numeric) jets up to order 3.
 
@@ -279,11 +283,21 @@ def parse_map(spec: str) -> ConformalMap:
 
 
 def schwarzian(f: ConformalMap, z: complex) -> complex:
-    """SC f = f'''/f' - (3/2)(f''/f')^2, computed from the map's jets."""
-    f1 = f.deriv(z)
-    if abs(f1) <= CRITICAL_TOL:
-        raise CriticalPoint(f"|f'({z})| below critical threshold")
-    return _schwarzian_from(f, z, f1)
+    """SC f = f'''/f' - (3/2)(f''/f')^2, computed from the map's jets.
+
+    Raises NonFiniteSchwarzian where SC is inf or NaN, or where a jet
+    overflows (complex ** reports that as OverflowError or ZeroDivisionError).
+    """
+    try:
+        f1 = f.deriv(z)
+        if abs(f1) <= CRITICAL_TOL:
+            raise CriticalPoint(f"|f'({z})| below critical threshold")
+        sc = _schwarzian_from(f, z, f1)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: a jet of the map overflows") from exc
+    if not cmath.isfinite(sc):
+        raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: {sc}")
+    return sc
 
 
 def _schwarzian_from(f: ConformalMap, z, f1):

@@ -77,6 +77,8 @@ class FillingCoordinate:
     def finite(x: float, y: float) -> "FillingCoordinate":
         if x == 0.0 and y == 0.0:
             raise ValueError("finite filling coordinates cannot be (0, 0)")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"finite filling coordinates must be finite numbers, got x = {x}, y = {y}")
         x, y = canonical_sign_pair(x, y)
         return FillingCoordinate(False, x, y)
 
@@ -300,6 +302,8 @@ def _best_convergent(r_abs: float, max_den: int):
         if frac == 0.0:
             break
         rem = 1.0 / frac
+        if rem == math.inf:  # a subnormal frac: no finite partial quotient follows
+            break
     return best, best_score
 
 

@@ -245,6 +245,39 @@ def test_pole_of_mobius_map_exits_2(capsys, argv):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["holonomy", "--a", "1,0", "--b", "0,1", "--m", "1000", "--n", "0"],
+        ["crosssection", "--a", "1,0", "--b", "0,1", "--x", "1", "--y", "0", "--eps", "1000"],
+        ["fill", "--a", "1e-310,1e-310", "--b", "0,1"],
+    ],
+    ids=["holonomy-exp", "crosssection-cosh", "fill-coordinates"],
+)
+def test_overflow_exits_2(capsys, argv):
+    # e^1000, cosh(1000) and 2*pi*i/a overflow: a usage error, not a failed solve
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schwarzian", "--f", "power:1e308", "--z", "0,1"],
+        ["schwarzian", "--f", "power:1e308", "--z", "1,1"],
+        ["schwarzian", "--f", "power:1e308", "--grid=-1:1:3,0.5:1.5:3", "--format", "csv"],
+        ["schwarzian", "--f", "power:1e308", "--depth", "--grid=0:0:1,1:1:1"],
+    ],
+    ids=["z-nan", "z-jet-overflow", "grid", "depth"],
+)
+def test_non_finite_schwarzian_exits_2(capsys, argv):
+    # the Schwarzian of z -> z^(1e308) is NaN at z = i and overflows elsewhere
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Schwarzian" in captured.err and "not finite" in captured.err
+
+
 class TestThetaCheckCommand:
     def test_square_report(self, capsys):
         code, out = run(

@@ -1,15 +1,19 @@
 """Tests for the filling-coordinate solvers and sequence generation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehnscope.filling_solver import (
     DomainExit,
     HolomorphicPath,
     SolveReport,
     ZeroTarget,
+    _coincident_pairs,
     cusp_distance,
     filling_sequence,
     solve_direct,
@@ -20,6 +24,7 @@ from dehnscope.filling_solver import (
 from dehnscope.hypcore import MobiusTransform
 from dehnscope.torus_end import (
     EndParameter,
+    FillingCoordinate,
     classify_completion,
     filling_coordinates,
     holonomy,
@@ -51,6 +56,21 @@ class TestSolveDirect:
     def test_zero_target(self):
         with pytest.raises(ZeroTarget):
             solve_direct(1j, 0.0, 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        b=st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.1, 3.0)),
+        x=st.floats(-10.0, 10.0),
+        y=st.floats(-10.0, 10.0),
+    )
+    def test_round_trip_property(self, b, x, y):
+        # filling_coordinates o solve_direct is the identity on R^2/+-1 minus the origin;
+        # the error of y = Im(w)/Im(b) and x = Re(w) - Re(b) y grows like |x + by| |b| / Im(b)
+        if math.hypot(x, y) < 1e-3:
+            return
+        c = filling_coordinates(solve_direct(b, x, y))
+        err = min(math.hypot(c.x - x, c.y - y), math.hypot(c.x + x, c.y + y))
+        assert err <= 32 * 2.0 ** -52 * abs(x + b * y) * (1.0 + abs(b)) / b.imag
 
 
 IDENTITY_PATH = HolomorphicPath((0.0, 1.0), (1j,), center=3j, radius=5.0)
@@ -204,6 +224,91 @@ class TestCoordinateContinuity:
         payload = report.to_dict()
         assert payload["sample_count"] == 10
         assert payload["violation_count"] == len(payload["injectivity_violations"])
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_constant_path_lists_every_pair_in_order(self, tol):
+        path = HolomorphicPath((math.pi + math.pi * 1j,), (1j,), center=0.0, radius=1.0)
+        report = verify_coordinate_continuity(path, 12, seed=5, coincidence_tol=tol)
+        assert report.injectivity_violations == tuple(itertools.combinations(range(12), 2))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf, -math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="coincidence_tol"):
+            verify_coordinate_continuity(IDENTITY_PATH, 20, coincidence_tol=tol)
+
+
+def all_pairs(ws, coords, tol):
+    """The O(n^2) reference scan that _coincident_pairs must reproduce."""
+    n = len(ws)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if abs(ws[i] - ws[j]) > tol and coords[i].distance(coords[j]) <= tol
+    ]
+
+
+EPS = 2.0 ** -52
+#: offsets from a base point, in units of tol: inside, exactly at, one ulp either side of, and beyond tol
+OFFSET_FACTORS = (0.0, 0.25, 0.5, 1.0 - EPS, 1.0, 1.0 + EPS, 1.5, 2.0, 3.0)
+DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6))
+
+
+@st.composite
+def coordinate_sets(draw):
+    """(ws, coords, tol) clustered so that pairs sit at, inside and just beyond tol.
+
+    Bases include x = 0 with y of either sign, where canonical_sign_pair flips
+    the sign of one neighbour and not the other, and magnitudes up to 1e300;
+    points may be negated, may be the cusp, and draw w from a small pool so
+    that repeated w occur.
+    """
+    tol = draw(st.sampled_from((0.0, 5e-324, 1e-9, 1e-3, 0.25)))
+    scale = draw(st.sampled_from((1e-12, 1.0, 1e6, 3e299, 1e300)))
+    base_xs = st.sampled_from((0.0, 0.0, 1.0, -1.0, 0.75, 2.5)) | st.floats(-2.0, 2.0)
+    bases = draw(st.lists(st.tuples(base_xs, base_xs), min_size=1, max_size=4))
+    w_step = draw(st.sampled_from((1.0, 0.3 * tol)))
+    ws, coords = [], []
+    for _ in range(draw(st.integers(2, 24))):
+        ws.append(complex(draw(st.integers(0, 7)) * w_step, 0.0))
+        if draw(st.integers(0, 5)) == 0:
+            coords.append(FillingCoordinate.infinity())
+            continue
+        bx, by = draw(st.sampled_from(bases))
+        f = draw(st.sampled_from(OFFSET_FACTORS)) * tol
+        dx, dy = draw(st.sampled_from(DIRECTIONS))
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        x, y = sign * (bx * scale + f * dx), sign * (by * scale + f * dy)
+        coords.append(FillingCoordinate.infinity() if x == 0.0 and y == 0.0 else FillingCoordinate.finite(x, y))
+    return ws, coords, tol
+
+
+class TestCoincidentPairs:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=coordinate_sets())
+    def test_matches_all_pairs(self, case):
+        ws, coords, tol = case
+        assert _coincident_pairs(ws, coords, tol) == all_pairs(ws, coords, tol)
+
+    def test_pair_across_the_sign_boundary(self):
+        # (tol/4, 1) and (-tol/4, 1) are tol/2 apart; the second is stored as (tol/4, -1)
+        tol = 1e-9
+        coords = [FillingCoordinate.finite(tol / 4, 1.0), FillingCoordinate.finite(-tol / 4, 1.0)]
+        assert coords[1].y == -1.0
+        assert _coincident_pairs([0j, 1j], coords, tol) == [(0, 1)]
+
+    def test_cusp_points_coincide(self):
+        cusp, far = FillingCoordinate.infinity(), FillingCoordinate.finite(1e6, 1.0)
+        coords = [cusp, far, cusp, cusp]
+        assert _coincident_pairs([0j, 1j, 2j, 3j], coords, 1e-9) == [(0, 2), (0, 3), (2, 3)]
+        assert _coincident_pairs([0j, 1j, 0j, 3j], coords, 0.0) == [(0, 3), (2, 3)]
+
+    def test_huge_coordinates(self):
+        # x ~ 3.1e300 from a ~ 1e-300: x // (2 tol) overflows to inf, which is a valid key
+        c = filling_coordinates(EndParameter(1e-300 * (1 + 1j), 1j))
+        assert math.isfinite(c.x) and c.x > 1e300
+        coords = [c, FillingCoordinate.finite(-c.x, -c.y), FillingCoordinate.finite(c.x, 1.0)]
+        assert _coincident_pairs([0j, 1j, 2j], coords, 1e-9) == [(0, 1)]
 
 
 class TestCuspDistance:

@@ -16,6 +16,7 @@ from dehnscope.schwarzian_end import (
     IdentityMap,
     LogMap,
     MobiusMap,
+    NonFiniteSchwarzian,
     NumericMap,
     PostMobius,
     PowerMap,
@@ -65,6 +66,14 @@ class TestSchwarzian:
         for z in sample_points(rng):
             expect = (1.0 - c * c) / (2.0 * z * z)
             assert abs(schwarzian(PowerMap(c), z) - expect) < 1e-12
+
+    @pytest.mark.parametrize("z", [1j, 1 + 1j, -1 + 0.5j])
+    def test_non_finite_value_raises(self, z):
+        # z^(1e308): at |z| = 1 the jets are finite and SC is NaN; elsewhere a jet overflows
+        with pytest.raises(NonFiniteSchwarzian, match="not finite"):
+            schwarzian(PowerMap(1e308), z)
+        with pytest.raises(NonFiniteSchwarzian):
+            injectivity_depth(PowerMap(1e308), GridSpec(z.real, z.real, 1, z.imag, z.imag, 1))
 
     def test_post_mobius_invariance(self):
         rng = np.random.default_rng(5)

@@ -307,6 +307,36 @@ class TestClassifyCompletion:
         assert got.kind == "cone" and (got.p, got.q) == (1, 2)
         assert abs(got.angle - 2 * math.pi / 3) < 1e-9
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        b=st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.1, 3.0)),
+        pq=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+        g=st.sampled_from((1.0, 0.5, 2.0, 3.0, math.sqrt(2.0))),
+        a=st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        rational=st.booleans(),
+    )
+    def test_invariant_under_negating_a(self, b, pq, g, a, rational):
+        # a and -a give the coordinates +-(x, y), the same point of R^2/+-1
+        if rational:
+            if pq == (0, 0):
+                return
+            a = TWO_PI_I / (g * (pq[0] + b * pq[1]))
+
+        def outcome(s):
+            try:
+                return classify_completion(s)
+            except ValueError as exc:  # coordinates that overflow for |a| ~ 1e-309
+                return type(exc)
+
+        assert outcome(EndParameter(-a, b)) == outcome(EndParameter(a, b))
+
+    def test_subnormal_direction_ratio(self):
+        # x / y ~ 2e-309: 1/frac is inf, which the continued fraction once passed to floor
+        s = EndParameter(complex(1.0, 2.2250738585072014e-309), 1j)
+        assert filling_coordinates(s).x < 1e-307
+        got = classify_completion(s)
+        assert got.kind == "cone" and (got.p, got.q) == (0, 1) and got.angle == 1.0
+
     def test_rational_direction_fuzz(self):
         rng = np.random.default_rng(16)
         checked = 0
@@ -547,6 +577,15 @@ class TestTypes:
     def test_filling_coordinate_validation(self):
         with pytest.raises(ValueError):
             FillingCoordinate.finite(0.0, 0.0)
+        for x, y in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0), (math.nan, math.inf)):
+            with pytest.raises(ValueError, match="must be finite numbers"):
+                FillingCoordinate.finite(x, y)
+
+    def test_overflowing_coordinates_rejected(self):
+        # 2*pi*i/a overflows for |a| ~ 1e-310, giving x = nan, y = inf
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            filling_coordinates(EndParameter(1e-310 * (1 + 1j), 1j))
+        assert math.isfinite(filling_coordinates(EndParameter(1e-300 * (1 + 1j), 1j)).x)
 
     def test_completion_validation(self):
         with pytest.raises(ValueError):
