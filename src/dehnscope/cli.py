@@ -149,7 +149,7 @@ def _load_path(text: str) -> filling_solver.HolomorphicPath:
             with open(text) as fh:
                 data = json.load(fh)
         return filling_solver.HolomorphicPath.from_dict(data)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load path spec from {text!r}: {exc}") from exc
 
 
@@ -186,12 +186,15 @@ def cmd_crosssection(args, cfg: RunConfig) -> int:
 
 def cmd_schwarzian(args, cfg: RunConfig) -> int:
     f = parse_map(args.f)
+    if args.depth or args.grid:
+        grid = GridSpec.parse(cfg.grid)
+        _count("--grid", grid.nre * grid.nim)
     if args.depth:
-        _emit_json({"injectivity_depth": schwarzian_end.injectivity_depth(f, GridSpec.parse(cfg.grid))})
+        _emit_json({"injectivity_depth": schwarzian_end.injectivity_depth(f, grid)})
         return 0
     if args.grid:
         columns = ["z_re", "z_im", "sc_re", "sc_im", "norm"]
-        blocks = schwarzian_end.schwarzian_grid(f, GridSpec.parse(cfg.grid))
+        blocks = schwarzian_end.schwarzian_grid(f, grid)
         # the first block is evaluated before any output, so an error in it leaves stdout empty
         first = next(blocks)
         rows = (
@@ -219,15 +222,16 @@ def cmd_theta_check(args, cfg: RunConfig) -> int:
 
 
 def _parse_sl2(entries) -> SL2Vector:
+    """An sl(2,C) value from its four entries [re, im] in row order."""
     vals = [complex(re, im) for re, im in entries]
-    return SL2Vector(np.array([[vals[0], vals[1]], [vals[2], vals[3]]], dtype=complex))
+    return SL2Vector.from_matrix((vals[:2], vals[2:]))
 
 
 def _load_representation(path: str) -> cochain.MarkedRepresentation:
     try:
         with open(path) as fh:
             return cochain.MarkedRepresentation.from_dict(json.load(fh))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load representation from {path!r}: {exc}") from exc
 
 
@@ -240,14 +244,14 @@ def cmd_cocycle(args, cfg: RunConfig) -> int:
             with open(args.values) as fh:
                 data = json.load(fh)
             c = cochain.Cocycle(tuple(_parse_sl2(entries) for entries in data["values"]))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot load cocycle values from {args.values!r}: {exc}") from exc
         ok, residual = cochain.is_cocycle(rep, c, tol=finite_float(args.tol))
         payload["is_cocycle"] = ok
         payload["max_relator_residual"] = residual
         v, res = cochain.solve_coboundary(rep, c)
         payload["coboundary_residual"] = res
-        payload["coboundary_v"] = [[float(x.real), float(x.imag)] for x in np.ravel(v.m)]
+        payload["coboundary_v"] = [_cpx(x) for x in (v.x, v.y, v.w, -v.x)]
     _emit_json(payload)
     return 0
 

@@ -91,7 +91,7 @@ class Cocycle:
 
     def coords(self) -> np.ndarray:
         """Stacked coordinate vector in C^{3k}."""
-        return np.concatenate([v.coords() for v in self.values])
+        return np.array([c for v in self.values for c in v.coords()], dtype=complex)
 
 
 def extend_cocycle(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int]) -> SL2Vector:

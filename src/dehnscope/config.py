@@ -37,8 +37,8 @@ CRITICAL_TOL = 1e-12
 ARRAY_BLOCK = 2**16
 
 # Most values a CLI range or sweep may ask for (`sequence --n`,
-# `crosssection --eps-grid`); larger requests are refused before any list
-# of that size is built.
+# `crosssection --eps-grid`, the points of `schwarzian --grid`); larger
+# requests are refused before any list or array of that size is built.
 MAX_CLI_VALUES = 10**6
 
 # Developing-chart variant used when none is requested explicitly.  The

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NEWTON_MAX_ITER, NEWTON_TOL
+from .config import ARRAY_BLOCK, NEWTON_MAX_ITER, NEWTON_TOL
 from .hypcore import MobiusTransform
 from .torus_end import EndParameter, filling_coordinates, holonomy
 
@@ -187,13 +188,14 @@ def solve_on_path(
     return SolveReport(w, abs(fw), max_iter, abs(fw) <= tol)
 
 
-def unimodular_completion(p: int, q: int) -> np.ndarray:
-    """Integer matrix with determinant 1 whose first column is (p, q)."""
-    if math.gcd(abs(p), abs(q)) != 1:
+def unimodular_completion(p: int, q: int) -> tuple:
+    """Rows ((p, -t), (q, r)) of an integer matrix with determinant 1 whose first column is (p, q)."""
+    p, q = operator.index(p), operator.index(q)
+    if math.gcd(p, q) != 1:
         raise ValueError(f"({p}, {q}) is not a primitive class")
     g, r, t = _xgcd(p, q)
     # p*r + q*t = 1, so [[p, -t], [q, r]] has determinant p*r + q*t = 1
-    return np.array([[p, -t], [q, r]], dtype=int)
+    return (p, -t), (q, r)
 
 
 def _xgcd(a: int, b: int):
@@ -215,38 +217,44 @@ def filling_sequence(
     p: int,
     q: int,
     n_list,
-    basis: np.ndarray | None = None,
+    basis=None,
 ) -> list[EndParameter]:
     """Parameters filling the (1, n)-classes in the basis where (p, q) is the meridian.
 
-    `basis` is a unimodular integer matrix whose first column is the declared
-    meridian class; when omitted it is completed canonically by the extended
-    Euclidean algorithm.  Each returned parameter is solve_direct at the
-    coordinates basis @ (1, n).
+    `basis` is a unimodular integer matrix, given as a 2x2 nested sequence of
+    rows, whose first column is the declared meridian class; when omitted it
+    is completed canonically by the extended Euclidean algorithm.  Each
+    returned parameter is solve_direct at the coordinates basis . (1, n).
+    Entries and n are read with operator.index, so the arithmetic is exact in
+    Python integers and a float entry raises TypeError.
     """
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
     if basis is None:
         basis = unimodular_completion(p, q)
-    basis = np.asarray(basis, dtype=int)
-    # exact integer determinant: a float det rounds near-unimodular large entries to 1
-    if abs(int(basis[0, 0]) * int(basis[1, 1]) - int(basis[0, 1]) * int(basis[1, 0])) != 1:
+    (b11, b12), (b21, b22) = basis
+    b11, b12, b21, b22 = map(operator.index, (b11, b12, b21, b22))
+    if abs(b11 * b22 - b12 * b21) != 1:
         raise ValueError("basis change must be unimodular")
-    if basis[0, 0] != p or basis[1, 0] != q:
+    if b11 != p or b21 != q:
         raise ValueError("first basis column must be the declared meridian class")
     out = []
-    for n in n_list:
-        xy = basis @ np.array([1, int(n)])
-        out.append(solve_direct(b, float(xy[0]), float(xy[1])))
+    for n in map(operator.index, n_list):
+        out.append(solve_direct(b, float(b11 + b12 * n), float(b21 + b22 * n)))
     return out
 
 
 def _sample_disc(center: complex, radius: float, count: int, rng) -> list[complex]:
+    """count points of the disc by rejection from pairs (u, v) uniform in [-1, 1)^2.
+
+    Each block draws one pair per point still needed (at most ARRAY_BLOCK), so
+    the samples are those of a pair-by-pair loop on the same generator.
+    """
     pts = []
     while len(pts) < count:
-        u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-        if u * u + v * v <= 1.0:
-            pts.append(center + radius * complex(u, v))
+        for u, v in rng.uniform(-1.0, 1.0, size=(min(count - len(pts), ARRAY_BLOCK), 2)).tolist():
+            if u * u + v * v <= 1.0:
+                pts.append(center + radius * complex(u, v))
     return pts
 
 

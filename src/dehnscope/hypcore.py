@@ -132,54 +132,65 @@ class H3Point:
         if not 0 < self.t < math.inf:
             raise ValueError(f"height t must be positive and finite, got t = {self.t}")
 
-    def coords(self) -> np.ndarray:
+    def coords(self) -> tuple:
         """Euclidean coordinates (Re z, Im z, t)."""
-        return np.array([self.z.real, self.z.imag, self.t])
+        return self.z.real, self.z.imag, self.t
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SL2Vector:
-    """Traceless 2x2 complex matrix, an element of sl(2,C)."""
+    """Element [[x, y], [w, -x]] of sl(2,C), stored as its coordinates (x, y, w).
 
-    m: np.ndarray
+    The coordinates are in the basis [[1,0],[0,-1]], [[0,1],[0,0]], [[0,0],[1,0]],
+    so every value is traceless by construction.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("sl2 vector must be a 2x2 matrix")
-        if abs(m[0, 0] + m[1, 1]) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-            raise ValueError("sl2 vector must be traceless")
-        object.__setattr__(self, "m", m)
+    x: complex
+    y: complex
+    w: complex
 
     @staticmethod
     def zero() -> "SL2Vector":
-        return SL2Vector(np.zeros((2, 2), dtype=complex))
+        return SL2Vector(0j, 0j, 0j)
 
     @staticmethod
     def from_coords(c) -> "SL2Vector":
-        """Coordinates (x, y, w) in the basis [[1,0],[0,-1]], [[0,1],[0,0]], [[0,0],[1,0]]."""
+        """From coordinates (x, y, w), given as any sequence of three numbers."""
         x, y, w = c
-        return SL2Vector(np.array([[x, y], [w, -x]], dtype=complex))
+        return SL2Vector(complex(x), complex(y), complex(w))
 
-    def coords(self) -> np.ndarray:
-        return np.array([self.m[0, 0], self.m[0, 1], self.m[1, 0]])
+    @staticmethod
+    def from_matrix(rows) -> "SL2Vector":
+        """From a traceless 2x2 array or nested list of rows; ValueError otherwise."""
+        try:
+            (x, y), (w, d) = rows
+        except (TypeError, ValueError) as exc:
+            raise ValueError("sl2 vector must be a 2x2 matrix") from exc
+        x, y, w, d = complex(x), complex(y), complex(w), complex(d)
+        if abs(x + d) > 1e-12 * max(1.0, abs(x), abs(y), abs(w), abs(d)):
+            raise ValueError("sl2 vector must be traceless")
+        return SL2Vector(x, y, w)
+
+    def coords(self) -> tuple:
+        return self.x, self.y, self.w
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.m) ** 2)))
+        """Frobenius norm of [[x, y], [w, -x]], so x counts twice."""
+        return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2 + abs(self.w) ** 2 + abs(self.x) ** 2)
 
     def __add__(self, other: "SL2Vector") -> "SL2Vector":
-        return SL2Vector(self.m + other.m)
+        return SL2Vector(self.x + other.x, self.y + other.y, self.w + other.w)
 
     def __sub__(self, other: "SL2Vector") -> "SL2Vector":
-        return SL2Vector(self.m - other.m)
+        return SL2Vector(self.x - other.x, self.y - other.y, self.w - other.w)
 
     def __mul__(self, s: complex) -> "SL2Vector":
-        return SL2Vector(self.m * s)
+        return SL2Vector(self.x * s, self.y * s, self.w * s)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SL2Vector":
-        return SL2Vector(-self.m)
+        return SL2Vector(-self.x, -self.y, -self.w)
 
 
 @dataclass(frozen=True)
@@ -223,14 +234,9 @@ def apply_h3(m: MobiusTransform, p: H3Point) -> H3Point:
     return H3Point(zp, p.t / den)
 
 
-def modulus(w):
-    """|w| of a complex number, or elementwise of a complex array.
-
-    Arrays use np.hypot, which reproduces Python's abs bit for bit (np.abs does not).
-    """
-    if isinstance(w, np.ndarray):
-        return np.hypot(w.real, w.imag)
-    return abs(w)
+def modulus(w: np.ndarray) -> np.ndarray:
+    """Elementwise |w| of a complex array by np.hypot, which reproduces Python's abs bit for bit (np.abs does not)."""
+    return np.hypot(w.real, w.imag)
 
 
 def _cosh_distance(dz, t1, t2):
@@ -353,8 +359,7 @@ def _ad_rows(m: MobiusTransform) -> tuple:
 
 def adjoint(m: MobiusTransform, v: SL2Vector) -> SL2Vector:
     """Ad(m) v = m v m^-1, traceless by construction."""
-    (x, y), (w, _) = v.m.tolist()
-    return SL2Vector.from_coords([r0 * x + r1 * y + r2 * w for r0, r1, r2 in _ad_rows(m)])
+    return SL2Vector(*(r0 * v.x + r1 * v.y + r2 * v.w for r0, r1, r2 in _ad_rows(m)))
 
 
 def adjoint_matrix(m: MobiusTransform) -> np.ndarray:
@@ -368,4 +373,4 @@ def right_translate(dm, m: MobiusTransform) -> SL2Vector:
     a11, a12, a21, a22 = m.entries()
     # m^-1 = [[a22, -a12], [-a21, a11]]; dropping the trace absorbs the error of a finite-difference dm
     x = (e11 * a22 - e12 * a21 - (e22 * a11 - e21 * a12)) / 2.0
-    return SL2Vector.from_coords((x, e12 * a11 - e11 * a12, e21 * a22 - e22 * a21))
+    return SL2Vector(x, e12 * a11 - e11 * a12, e21 * a22 - e22 * a21)

@@ -42,7 +42,11 @@ class StepTooLarge(ValueError):
 
 
 class NonFiniteSchwarzian(ValueError):
-    """Raised where the Schwarzian overflows or is undefined (inf or NaN)."""
+    """Raised where the Schwarzian overflows or is undefined (inf or NaN).
+
+    Also raised where a jet of the map that the Schwarzian or the osculating
+    Mobius map needs overflows or is inf or NaN (see _jets).
+    """
 
 
 class ConformalMap:
@@ -285,25 +289,38 @@ def parse_map(spec: str) -> ConformalMap:
 def schwarzian(f: ConformalMap, z: complex) -> complex:
     """SC f = f'''/f' - (3/2)(f''/f')^2, computed from the map's jets.
 
-    Raises NonFiniteSchwarzian where SC is inf or NaN, or where a jet
-    overflows (complex ** reports that as OverflowError or ZeroDivisionError).
+    Raises NonFiniteSchwarzian where SC or a jet is inf or NaN, or where a
+    jet overflows (see _jets).
     """
-    try:
-        f1 = f.deriv(z)
-        if abs(f1) <= CRITICAL_TOL:
-            raise CriticalPoint(f"|f'({z})| below critical threshold")
-        sc = _schwarzian_from(f, z, f1)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: a jet of the map overflows") from exc
+    sc = _schwarzian_from(*_jets(f, z, f.deriv2, f.deriv3))
     if not cmath.isfinite(sc):
         raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: {sc}")
     return sc
 
 
-def _schwarzian_from(f: ConformalMap, z, f1):
-    """SC f at a complex number or an array, given f' there."""
-    g = f.deriv2(z) / f1
-    return f.deriv3(z) / f1 - 1.5 * g * g
+def _jets(f: ConformalMap, z: complex, jet1, jet2) -> tuple:
+    """(f'(z), jet1(z), jet2(z)), the guard schwarzian and osculating_mobius share.
+
+    Raises CriticalPoint where |f'(z)| is at most CRITICAL_TOL, and
+    NonFiniteSchwarzian where a jet is inf or NaN or overflows (complex **
+    reports that as OverflowError or ZeroDivisionError).
+    """
+    try:
+        f1 = f.deriv(z)
+        if abs(f1) <= CRITICAL_TOL:
+            raise CriticalPoint(f"|f'({z})| below critical threshold")
+        j1, j2 = jet1(z), jet2(z)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: a jet of the map overflows") from exc
+    if not (cmath.isfinite(f1) and cmath.isfinite(j1) and cmath.isfinite(j2)):
+        raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: the jets of the map are {(f1, j1, j2)}")
+    return f1, j1, j2
+
+
+def _schwarzian_from(f1, f2, f3):
+    """SC f from the jets f', f'', f''' at a complex number or an array."""
+    g = f2 / f1
+    return f3 / f1 - 1.5 * g * g
 
 
 def _norm(z, sc):
@@ -324,9 +341,10 @@ def _schwarzian_array(f: ConformalMap, z: np.ndarray) -> np.ndarray:
         return np.array([schwarzian(f, w) for w in z.tolist()], dtype=complex)
     with np.errstate(all="ignore"):
         f1 = np.broadcast_to(f.deriv(z), z.shape)
-        sc = _schwarzian_from(f, z, f1)
-    # a critical or non-finite entry is redone by the scalar path, which raises its named error
-    for w in z[(modulus(f1) <= CRITICAL_TOL) | ~np.isfinite(sc)].tolist():
+        sc = _schwarzian_from(f1, f.deriv2(z), f.deriv3(z))
+    # an entry where f' is critical or not finite, or SC is not finite, is
+    # redone by the scalar path, which raises its named error
+    for w in z[(modulus(f1) <= CRITICAL_TOL) | ~np.isfinite(f1) | ~np.isfinite(sc)].tolist():
         schwarzian(f, w)
     return sc
 
@@ -335,11 +353,9 @@ def osculating_mobius(f: ConformalMap, z: complex) -> MobiusTransform:
     """The unique Mobius transformation sharing the 2-jet of f at z.
 
     M(w) = f(z) + f'(z)(w - z) / (1 - (f''(z)/(2 f'(z)))(w - z)).
+    The jets f, f', f'' at z pass the guard of _jets.
     """
-    f1 = f.deriv(z)
-    if abs(f1) <= CRITICAL_TOL:
-        raise CriticalPoint(f"|f'({z})| below critical threshold")
-    fz, f2 = f.value(z), f.deriv2(z)
+    f1, fz, f2 = _jets(f, z, f.value, f.deriv2)
     a = f1 - fz * f2 / (2.0 * f1)
     b = fz
     c = -f2 / (2.0 * f1)
@@ -503,7 +519,7 @@ def jacobian_check(
         for j, dvec in enumerate(((s, 0, 0), (0, s, 0), (0, 0, s))):
             zp = theta(f, H3Point(p.z + complex(dvec[0], dvec[1]), p.t + dvec[2]))
             zm = theta(f, H3Point(p.z - complex(dvec[0], dvec[1]), p.t - dvec[2]))
-            J[:, j] = (zp.coords() - zm.coords()) / (2.0 * s)
+            J[:, j] = np.subtract(zp.coords(), zm.coords()) / (2.0 * s)
         return J
 
     J = jac(step)

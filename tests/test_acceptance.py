@@ -278,7 +278,8 @@ def test_criterion_10_cohomology_ranks():
     rng = np.random.default_rng(110)
     from dehnscope.hypcore import SL2Vector
 
-    X = SL2Vector.from_coords(rng.normal(size=3) + 1j * rng.normal(size=3)).m * 0.4
+    x, y, w = SL2Vector.from_coords(rng.normal(size=3) + 1j * rng.normal(size=3)).coords()
+    X = np.array([[x, y], [w, -x]]) * 0.4
 
     def sl2_exp(mat):
         import cmath

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from dehnscope.cli import main
+from dehnscope.filling_solver import solve_direct, unimodular_completion
 
 
 def run(capsys, *argv):
@@ -80,6 +81,16 @@ class TestFillCommand:
 
 
 class TestSequenceCommand:
+    def test_basis_past_int64(self, capsys):
+        # the second coordinate 5 + 2n of the (1, n) class passes 2^63 here
+        n = 2**62
+        code, out = run(capsys, "sequence", "--b", "0,1", "--p", "3", "--q", "5", "--n", f"{n}..{n}")
+        assert code == 0
+        (row,) = json.loads(out)
+        (b11, b12), (b21, b22) = unimodular_completion(3, 5)
+        a = solve_direct(1j, float(b11 + b12 * n), float(b21 + b22 * n)).a
+        assert (row["a_re"], row["a_im"]) == (a.real, a.imag) and row["a_re"] > 0
+
     def test_csv_rows(self, capsys):
         code, out = run(
             capsys, "sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..10",
@@ -154,6 +165,12 @@ class TestSolveCommand:
     def test_zero_target_exits_2(self, capsys):
         code, _ = run(capsys, "solve", "--path", self.PATH, "--x", "0", "--y", "0", "--w0", "0,3")
         assert code == 2
+
+    def test_malformed_path_exits_2(self, capsys):
+        path = json.dumps({"a_coeffs": [[None, 0]], "b_coeffs": [[0, 1]], "center": [0, 3], "radius": 5})
+        assert main(["solve", "--path", path, "--x", "1", "--y", "1", "--w0", "0,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot load path spec")
 
     def test_domain_exit_exits_1_with_payload(self, capsys):
         tight = json.dumps(
@@ -268,8 +285,9 @@ def test_overflow_exits_2(capsys, argv):
         ["schwarzian", "--f", "power:1e308", "--z", "1,1"],
         ["schwarzian", "--f", "power:1e308", "--grid=-1:1:3,0.5:1.5:3", "--format", "csv"],
         ["schwarzian", "--f", "power:1e308", "--depth", "--grid=0:0:1,1:1:1"],
+        ["theta-check", "--f", "power:1e308", "--point=-1,0.6,0.8"],
     ],
-    ids=["z-nan", "z-jet-overflow", "grid", "depth"],
+    ids=["z-nan", "z-jet-overflow", "grid", "depth", "theta-check-jet"],
 )
 def test_non_finite_schwarzian_exits_2(capsys, argv):
     # the Schwarzian of z -> z^(1e308) is NaN at z = i and overflows elsewhere
@@ -330,6 +348,42 @@ class TestCocycleCommand:
         missing = tmp_path / "nope.json"
         code, _ = run(capsys, "cocycle", "--rep", str(missing))
         assert code == 2
+
+    REP = {"generators": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]], "relators": []}
+    VALUES = {"values": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}
+
+    @pytest.mark.parametrize(
+        "rep, values, what",
+        [
+            (REP, {"values": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, "cocycle values"),
+            (REP, {"values": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]]}, "cocycle values"),
+            (REP, {"values": [[[None, 0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, "cocycle values"),
+            (REP, {"values": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}, "cocycle values"),
+            ({"generators": [[[None, 0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}, VALUES, "representation"),
+        ],
+        ids=["values-3-entries", "values-5-entries", "values-null", "values-trace", "rep-null"],
+    )
+    def test_malformed_input_exits_2(self, capsys, tmp_path, rep, values, what):
+        rep_file, val_file = tmp_path / "rep.json", tmp_path / "values.json"
+        rep_file.write_text(json.dumps(rep))
+        val_file.write_text(json.dumps(values))
+        assert main(["cocycle", "--rep", str(rep_file), "--values", str(val_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot load {what}")
+
+    def test_coboundary_v_prints_the_matrix_entries(self, capsys, tmp_path):
+        # g = diag(e^(1/2), e^(-1/2)) and z(g) = v - g v g^-1 for v = [[0, 1], [0, 0]]
+        ea = math.exp(0.5)
+        rep = {"generators": [[[ea, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0 / ea, 0.0]]], "relators": []}
+        values = {"values": [[[0.0, 0.0], [1.0 - ea * ea, 0.0], [0.0, 0.0], [0.0, 0.0]]]}
+        rep_file, val_file = tmp_path / "rep.json", tmp_path / "values.json"
+        rep_file.write_text(json.dumps(rep))
+        val_file.write_text(json.dumps(values))
+        code, out = run(capsys, "cocycle", "--rep", str(rep_file), "--values", str(val_file))
+        assert code == 0
+        v = json.loads(out)["coboundary_v"]
+        assert len(v) == 4 and v[3] == [-v[0][0], -v[0][1]]
+        assert max(abs(x - y) for entry, want in zip(v, ([0, 0], [1, 0], [0, 0], [0, 0])) for x, y in zip(entry, want)) < 1e-12
 
 
 class TestBilipschitzCommand:
@@ -398,14 +452,22 @@ class TestConfig:
             (["sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..1000001"], "--n"),
             (["crosssection", "--a", "1,0", "--b", "0,1", "--x", "1", "--y", "0", "--eps-grid", "0.1:1:1000001"],
              "--eps-grid"),
+            (["schwarzian", "--f", "square", "--grid=0:1:1000001,1:2:1", "--format", "csv"], "--grid"),
+            (["schwarzian", "--f", "square", "--depth", "--grid=0:1:1,1:2:1000001"], "--grid"),
         ],
-        ids=["sequence-n", "crosssection-eps-grid"],
+        ids=["sequence-n", "crosssection-eps-grid", "schwarzian-grid", "schwarzian-depth"],
     )
     def test_oversized_request_exits_2_naming_flag(self, capsys, argv, flag):
         # one value past the cap, refused before any list of that size is built
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{flag} asks for 1000001 values" in captured.err
+
+    def test_huge_grid_is_refused_before_allocation(self, capsys):
+        # the two axes alone would take 72.8 TiB
+        assert main(["schwarzian", "--f", "square", "--depth", "--grid=0:1:10000000000000,1:2:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--grid asks for 20000000000000 values" in captured.err
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

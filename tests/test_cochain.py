@@ -153,11 +153,21 @@ class TestSolveCoboundary:
             again = Cocycle.coboundary(rep, w)
             assert max((x - y).norm() for x, y in zip(again.values, c.values)) < 1e-10
 
+    def test_values_are_python_numbers(self):
+        # lstsq works on the stacked array; the vector it returns holds Python complex values
+        rep = z2_rep()
+        c = tangent_cocycle(lambda w: z2_rep(1.0 + w, 1j), 1e-5)
+        v, _ = solve_coboundary(rep, c)
+        for vec in (v, *c.values, extend_cocycle(rep, c, Z2_RELATOR[0])):
+            assert all(type(x) is complex for x in vec.coords())
+        coords = c.coords()
+        assert coords.dtype == complex and coords.tolist() == [x for u in c.values for x in u.coords()]
+
     def test_axis_stretch_class_is_nontrivial(self):
         s = EndParameter(1.0, 1j)
         rep = z2_rep(1.0, 1j)
         z0 = z0_of(s.a)
-        stretch = SL2Vector(np.array([[0.5, -z0], [0.0, -0.5]], dtype=complex))
+        stretch = SL2Vector.from_matrix([[0.5, -z0], [0.0, -0.5]])
         c = Cocycle((stretch, SL2Vector.zero()))
         ok, residual = is_cocycle(rep, c)
         assert ok and residual < 1e-12
@@ -244,7 +254,8 @@ class TestTangentCocycle:
     def test_conjugation_path_is_coboundary(self):
         rng = np.random.default_rng(10)
         rep = z2_rep()
-        X = random_sl2(rng).m * 0.5
+        x, y, w = random_sl2(rng).coords()
+        X = np.array([[x, y], [w, -x]]) * 0.5
 
         def path(w):
             g = MobiusTransform.from_matrix(sl2_exp(w * X))

@@ -2,18 +2,21 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dehnscope.config import ARRAY_BLOCK
 from dehnscope.filling_solver import (
     DomainExit,
     HolomorphicPath,
     SolveReport,
     ZeroTarget,
     _coincident_pairs,
+    _sample_disc,
     cusp_distance,
     filling_sequence,
     solve_direct,
@@ -170,11 +173,10 @@ class TestFillingSequence:
 
     def test_other_meridian_basis(self):
         params = filling_sequence(1j, 2, 1, [1, 3])
-        basis = unimodular_completion(2, 1)
+        (b11, b12), (b21, b22) = unimodular_completion(2, 1)
         ident = MobiusTransform.identity()
         for n, s in zip([1, 3], params):
-            xy = basis @ np.array([1, n])
-            assert holonomy(s, int(xy[0]), int(xy[1])).distance(ident) < 1e-9
+            assert holonomy(s, b11 + b12 * n, b21 + b22 * n).distance(ident) < 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,13 +189,63 @@ class TestFillingSequence:
                 1j, 100000001, 100000003, [1], basis=[[100000001, 100000000], [100000003, 100000002]]
             )
 
+    def test_float_basis_is_not_truncated(self):
+        # determinant 1.9; truncating the entries to integers would read the identity
+        with pytest.raises(TypeError):
+            filling_sequence(1j, 1, 0, [1], basis=[[1, 0.9], [0, 1.9]])
+        with pytest.raises(TypeError):
+            filling_sequence(1j, 1, 0, [1.5])
+
+    def test_large_n_is_exact(self):
+        # y = 5 + 2n passes 2^63 at n = 2^62, where a 64-bit product wraps to a negative y
+        n = 2**62
+        (b11, b12), (b21, b22) = unimodular_completion(3, 5)
+        [s] = filling_sequence(1j, 3, 5, [n])
+        assert b21 + b22 * n > 2**63
+        assert s == solve_direct(1j, float(b11 + b12 * n), float(b21 + b22 * n))
+        assert s.a.real > 0
+
 
 class TestUnimodularCompletion:
     @pytest.mark.parametrize("pq", [(1, 0), (0, 1), (2, 1), (3, 2), (-5, 3), (7, -4)])
     def test_determinant_and_column(self, pq):
         u = unimodular_completion(*pq)
-        assert round(float(np.linalg.det(u))) == 1
-        assert (u[0, 0], u[1, 0]) == pq
+        assert u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
+        assert (u[0][0], u[1][0]) == pq
+
+    def test_python_integers(self):
+        for pq in ((3, 5), (np.int64(3), np.int64(5)), (2**70 + 1, 2**70)):
+            u = unimodular_completion(*pq)
+            assert type(u) is tuple and all(type(e) is int for row in u for e in row)
+            assert u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
+        with pytest.raises(TypeError):
+            unimodular_completion(1.0, 0)
+
+
+def _sample_disc_pairwise(center, radius, count, rng):
+    """The pair-by-pair rejection loop that _sample_disc draws in blocks, kept as its reference."""
+    pts = []
+    while len(pts) < count:
+        u, v = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        if u * u + v * v <= 1.0:
+            pts.append(center + radius * complex(u, v))
+    return pts
+
+
+class TestSampleDisc:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 2000),
+        block=st.sampled_from([1, 3, 64, ARRAY_BLOCK]),
+        center=st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        radius=st.floats(0.01, 10.0),
+    )
+    def test_matches_pairwise_loop(self, seed, count, block, center, radius):
+        with mock.patch("dehnscope.filling_solver.ARRAY_BLOCK", block):
+            got = _sample_disc(center, radius, count, np.random.default_rng(seed))
+        assert got == _sample_disc_pairwise(center, radius, count, np.random.default_rng(seed))
+        assert all(type(w) is complex for w in got)
 
 
 class TestCoordinateContinuity:

@@ -24,6 +24,7 @@ from dehnscope.hypcore import (
     fixed_points,
     hyp_distance,
     length_distance,
+    right_translate,
 )
 
 
@@ -41,6 +42,10 @@ def random_point(rng) -> H3Point:
 
 def as_array(m: MobiusTransform) -> np.ndarray:
     return np.array([[m.a11, m.a12], [m.a21, m.a22]], dtype=complex)
+
+
+def sl2_array(v: SL2Vector) -> np.ndarray:
+    return np.array([[v.x, v.y], [v.w, -v.x]], dtype=complex)
 
 
 _part = st.floats(-3.0, 3.0, allow_subnormal=False)
@@ -277,17 +282,17 @@ class TestAdjoint:
     def test_diagonal_action_on_nilpotent(self):
         lam = 1.3 - 0.4j
         m = MobiusTransform.from_entries(lam, 0.0, 0.0, 1.0 / lam)
-        v = SL2Vector(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        v = SL2Vector.from_matrix([[0.0, 1.0], [0.0, 0.0]])
         w = adjoint(m, v)
-        assert abs(w.m[0, 1] - lam * lam) < 1e-12
-        assert abs(w.m[0, 0]) < 1e-12 and abs(w.m[1, 0]) < 1e-12
+        assert abs(w.y - lam * lam) < 1e-12
+        assert abs(w.x) < 1e-12 and abs(w.w) < 1e-12
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(m=mobius, v=sl2_vectors)
     def test_matches_conjugation_by_matmul(self, m, v):
-        reference = as_array(m) @ v.m @ as_array(m.inverse())
+        reference = as_array(m) @ sl2_array(v) @ as_array(m.inverse())
         tol = 1e-12 * np.linalg.norm(as_array(m)) ** 2 * v.norm()
-        assert np.linalg.norm(adjoint(m, v).m - reference) <= tol
+        assert np.linalg.norm(sl2_array(adjoint(m, v)) - reference) <= tol
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(m=mobius, n=mobius)
@@ -339,4 +344,46 @@ class TestNormalization:
 
     def test_sl2_trace_validation(self):
         with pytest.raises(ValueError):
-            SL2Vector(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
+            SL2Vector.from_matrix(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
+
+
+class TestSL2Vector:
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1e-3, 2.0], [3.0, 0.0]], np.array([[2.0, 1j], [0.0, -2.0 + 1e-6]])],
+        ids=["small-trace", "array"],
+    )
+    def test_from_matrix_rejects_a_trace(self, rows):
+        with pytest.raises(ValueError, match="traceless"):
+            SL2Vector.from_matrix(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], [[1.0, 0.0]], [[1.0], [-1.0]], [1.0, 2.0, 3.0, 4.0], np.zeros((3, 3)), 5.0],
+        ids=["2x3", "1x2", "2x1", "flat", "3x3", "scalar"],
+    )
+    def test_from_matrix_rejects_a_shape(self, rows):
+        with pytest.raises(ValueError, match="2x2"):
+            SL2Vector.from_matrix(rows)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(v=sl2_vectors)
+    def test_from_matrix_round_trip_and_norm(self, v):
+        assert SL2Vector.from_matrix(sl2_array(v).tolist()) == v
+        assert SL2Vector.from_matrix(sl2_array(v)) == v
+        assert abs(v.norm() - np.linalg.norm(sl2_array(v))) <= 4 * np.spacing(v.norm())
+
+    def test_values_are_python_numbers(self):
+        # numpy stays inside the array builders: no scalar value holds a numpy type
+        rng = np.random.default_rng(53)
+        m = MobiusTransform.from_matrix(as_array(random_mobius(rng)))
+        v = SL2Vector.from_coords(rng.normal(size=3) + 1j * rng.normal(size=3))
+        u = SL2Vector.from_matrix(np.array([[1.0, 2.0], [3.0, -1.0]]))
+        for vec in (v, u, SL2Vector.zero(), adjoint(m, v), v + u, v - u, -v, 2.0 * v, v * 1j,
+                    right_translate((1.0, 2j, 3.0, 4j), m)):
+            assert all(type(c) is complex for c in (vec.x, vec.y, vec.w))
+            assert type(vec.coords()) is tuple and vec.coords() == (vec.x, vec.y, vec.w)
+            assert type(vec.norm()) is float
+        p = apply_h3(m, random_point(rng))
+        assert type(p.coords()) is tuple
+        assert all(type(c) in (int, float) for c in p.coords())

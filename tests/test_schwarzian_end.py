@@ -36,6 +36,13 @@ from dehnscope.schwarzian_end import (
 )
 
 TEST_MOBIUS = MobiusTransform.from_entries(2.0, 1.0, 1.0, 1.0)
+
+
+class _InfiniteSlope(IdentityMap):
+    """The identity's jets with f' = inf, on numbers and arrays."""
+
+    def deriv(self, z):
+        return np.full_like(z, complex(math.inf, 0.0)) if isinstance(z, np.ndarray) else complex(math.inf, 0.0)
 CATALOG = [SquareMap(), LogMap(), PowerMap(1.7), PowerMap(0.5 + 0.2j)]
 
 
@@ -74,6 +81,17 @@ class TestSchwarzian:
             schwarzian(PowerMap(1e308), z)
         with pytest.raises(NonFiniteSchwarzian):
             injectivity_depth(PowerMap(1e308), GridSpec(z.real, z.real, 1, z.imag, z.imag, 1))
+
+    def test_infinite_slope_raises_on_every_path(self):
+        # f' = inf with f'' = f''' = 0 gives SC = 0 in floating point; the jet guard
+        # rejects it, and the grid sweep redoes such an entry by the scalar path
+        f = _InfiniteSlope()
+        with pytest.raises(NonFiniteSchwarzian, match="not finite"):
+            schwarzian(f, 1j)
+        with pytest.raises(NonFiniteSchwarzian, match="not finite"):
+            osculating_mobius(f, 1j)
+        with pytest.raises(NonFiniteSchwarzian):
+            injectivity_depth(f, GridSpec(-1.0, 1.0, 3, 0.5, 1.5, 3))
 
     def test_post_mobius_invariance(self):
         rng = np.random.default_rng(5)
