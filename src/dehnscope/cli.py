@@ -13,8 +13,6 @@ import json
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import cochain, filling_solver, schwarzian_end, torus_end
 from .config import MAX_CLI_VALUES, RunConfig, finite_float, load_config
 from .hypcore import MobiusTransform, SL2Vector, classify, complex_translation_length
@@ -171,6 +169,8 @@ def cmd_crosssection(args, cfg: RunConfig) -> int:
     s = _parse_end(args.a, args.b)
     x, y = finite_float(args.x), finite_float(args.y)
     if args.eps_grid:
+        import numpy as np
+
         lo, hi, count = _fields(args.eps_grid, ":", 3, "eps grid 'lo:hi:count'")
         rows = [
             {"eps": float(e), "length": torus_end.cross_section_length(s, x, y, float(e))}

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import RANK_RTOL
 from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, right_translate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BadWord(ValueError):
@@ -91,6 +92,8 @@ class Cocycle:
 
     def coords(self) -> np.ndarray:
         """Stacked coordinate vector in C^{3k}."""
+        import numpy as np
+
         return np.array([c for v in self.values for c in v.coords()], dtype=complex)
 
 
@@ -127,6 +130,8 @@ def _coboundary_matrix(rep: MarkedRepresentation) -> np.ndarray:
 
     Column alpha is Cocycle.coboundary(rep, e_alpha).coords().
     """
+    import numpy as np
+
     blocks = [np.eye(3, dtype=complex) - adjoint_matrix(g) for g in rep.generators]
     return np.vstack(blocks) if blocks else np.zeros((0, 3), dtype=complex)
 
@@ -137,6 +142,8 @@ def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:
     Walking each relator once, a letter g_i at prefix u adds Ad(u) to column
     block i and a letter g_i^-1 adds -Ad(u g_i^-1).
     """
+    import numpy as np
+
     jac = np.zeros((3 * len(rep.relators), 3 * len(rep.generators)), dtype=complex)
     for r, word in enumerate(rep.relators):
         rows = jac[3 * r : 3 * r + 3]
@@ -159,6 +166,8 @@ def solve_coboundary(rep: MarkedRepresentation, c: Cocycle):
     """
     if not rep.generators:
         return SL2Vector.zero(), 0.0
+    import numpy as np
+
     A = _coboundary_matrix(rep)
     rhs = c.coords()
     v_coords, *_ = np.linalg.lstsq(A, rhs, rcond=None)
@@ -169,6 +178,8 @@ def solve_coboundary(rep: MarkedRepresentation, c: Cocycle):
 def _numerical_rank(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
     if mat.size == 0:
         return 0
+    import numpy as np
+
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
@@ -191,6 +202,8 @@ def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
 
 def class_rank(rep: MarkedRepresentation, cocycles: Sequence[Cocycle], rtol: float = RANK_RTOL) -> int:
     """Rank of the given cocycles in H^1: rank([B-basis | cocycles]) - rank(B-basis)."""
+    import numpy as np
+
     b_mat = _coboundary_matrix(rep)
     z_mat = np.array([c.coords() for c in cocycles]).T
     joint = np.hstack([b_mat, z_mat])

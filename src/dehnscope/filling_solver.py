@@ -12,8 +12,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import ARRAY_BLOCK, NEWTON_MAX_ITER, NEWTON_TOL
 from .hypcore import MobiusTransform
 from .torus_end import EndParameter, filling_coordinates, holonomy
@@ -277,6 +275,8 @@ def verify_coordinate_continuity(
         raise ValueError("need at least two samples")
     if not 0.0 <= coincidence_tol < math.inf:
         raise ValueError(f"coincidence_tol must be finite and >= 0, got {coincidence_tol!r}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     ws = _sample_disc(path.center, path.radius, sample_count, rng)
     coords = [filling_coordinates(EndParameter(path.a(w), path.b(w))) for w in ws]

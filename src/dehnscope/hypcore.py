@@ -17,10 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import CLASSIFY_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParabolicInput(ValueError):
@@ -45,6 +47,11 @@ INFINITY = _Infinity()
 #: extended complex number: a finite complex value or INFINITY
 ExtendedComplex = complex | _Infinity
 
+#: Python numbers, for functions that take a number or an array; numpy's float64
+#: and complex128 subclass float and complex, so they take the number branch, and
+#: only the array branch imports numpy
+SCALAR_TYPES = (complex, float, int)
+
 
 @dataclass(frozen=True)
 class MobiusTransform:
@@ -57,18 +64,18 @@ class MobiusTransform:
 
     @staticmethod
     def from_entries(a11, a12, a21, a22) -> "MobiusTransform":
-        """Normalize arbitrary nonsingular entries to determinant 1."""
+        """Normalize nonsingular entries of any numeric type to determinant 1, stored as Python complex numbers."""
         det = a11 * a22 - a12 * a21
         if det == 0:
             raise ValueError("matrix is singular")
         s = 1.0 / cmath.sqrt(det)
-        return MobiusTransform(a11 * s, a12 * s, a21 * s, a22 * s)
+        return MobiusTransform(complex(a11 * s), complex(a12 * s), complex(a21 * s), complex(a22 * s))
 
     @staticmethod
     def from_matrix(m) -> "MobiusTransform":
         """From a 2x2 array or nested list of rows."""
         (a11, a12), (a21, a22) = m
-        return MobiusTransform.from_entries(complex(a11), complex(a12), complex(a21), complex(a22))
+        return MobiusTransform.from_entries(a11, a12, a21, a22)
 
     @staticmethod
     def identity() -> "MobiusTransform":
@@ -236,6 +243,8 @@ def apply_h3(m: MobiusTransform, p: H3Point) -> H3Point:
 
 def modulus(w: np.ndarray) -> np.ndarray:
     """Elementwise |w| of a complex array by np.hypot, which reproduces Python's abs bit for bit (np.abs does not)."""
+    import numpy as np
+
     return np.hypot(w.real, w.imag)
 
 
@@ -256,6 +265,8 @@ def hyp_distances(z1: np.ndarray, t1: np.ndarray, z2: np.ndarray, t2: np.ndarray
     math.acosh runs over the list of arguments because np.arccosh rounds
     differently on a sizeable share of inputs.
     """
+    import numpy as np
+
     arg = np.maximum(_cosh_distance(modulus(z1 - z2), t1, t2), 1.0)
     return np.array(list(map(math.acosh, arg.tolist())))
 
@@ -364,6 +375,8 @@ def adjoint(m: MobiusTransform, v: SL2Vector) -> SL2Vector:
 
 def adjoint_matrix(m: MobiusTransform) -> np.ndarray:
     """Ad(m) as a 3x3 complex matrix in the coordinates of SL2Vector.coords."""
+    import numpy as np
+
     return np.array(_ad_rows(m), dtype=complex)
 
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .config import ARRAY_BLOCK, CRITICAL_TOL, FD_STEP, finite_float
-from .hypcore import H3Point, MobiusTransform, apply_h3, modulus
+from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, apply_h3, modulus
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CriticalPoint(ValueError):
@@ -101,7 +102,7 @@ class MobiusMap(ConformalMap):
 
     def _den(self, z):
         den = self.m.a21 * z + self.m.a22
-        if not isinstance(den, np.ndarray) and den == 0:
+        if isinstance(den, SCALAR_TYPES) and den == 0:
             raise CriticalPoint("pole of the Mobius map")
         return den
 
@@ -137,7 +138,11 @@ class LogMap(ConformalMap):
     elementwise = True
 
     def value(self, z):
-        return np.log(z) if isinstance(z, np.ndarray) else cmath.log(z)
+        if isinstance(z, SCALAR_TYPES):
+            return cmath.log(z)
+        import numpy as np
+
+        return np.log(z)
 
     def deriv(self, z):
         return 1.0 / z
@@ -190,6 +195,8 @@ class NumericMap(ConformalMap):
         re0, re1, im0, im1 = domain
         if not (re0 < re1 and 0 < im0 < im1):
             raise ValueError("domain rectangle must be nonempty and lie in U")
+        import numpy as np
+
         self.func = func
         self.step = step
         self.domain = (re0, re1, im0, im1)
@@ -289,9 +296,11 @@ def parse_map(spec: str) -> ConformalMap:
 def schwarzian(f: ConformalMap, z: complex) -> complex:
     """SC f = f'''/f' - (3/2)(f''/f')^2, computed from the map's jets.
 
-    Raises NonFiniteSchwarzian where SC or a jet is inf or NaN, or where a
-    jet overflows (see _jets).
+    z is taken as a Python complex, so a numpy scalar gives the bits of the
+    number it equals.  Raises NonFiniteSchwarzian where SC or a jet is inf or
+    NaN, or where a jet overflows (see _jets).
     """
+    z = complex(z)
     sc = _schwarzian_from(*_jets(f, z, f.deriv2, f.deriv3))
     if not cmath.isfinite(sc):
         raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: {sc}")
@@ -325,18 +334,23 @@ def _schwarzian_from(f1, f2, f3):
 
 def _norm(z, sc):
     """(Im z)^2 |sc|; on arrays np.float_power squares with the C library's pow, as float ** 2 does."""
-    if isinstance(sc, np.ndarray):
-        return np.float_power(z.imag, 2.0) * modulus(sc)
-    return z.imag ** 2 * abs(sc)
+    if isinstance(sc, SCALAR_TYPES):
+        return z.imag ** 2 * abs(sc)
+    import numpy as np
+
+    return np.float_power(z.imag, 2.0) * modulus(sc)
 
 
 def schwarzian_norm(f: ConformalMap, z: complex) -> float:
-    """Hyperbolic norm (Im z)^2 |SC f(z)|, invariant under the real Mobius action."""
+    """Hyperbolic norm (Im z)^2 |SC f(z)|, invariant under the real Mobius action; z as in schwarzian."""
+    z = complex(z)
     return _norm(z, schwarzian(f, z))
 
 
 def _schwarzian_array(f: ConformalMap, z: np.ndarray) -> np.ndarray:
     """schwarzian at every entry of z, raising what schwarzian raises at the first point that fails."""
+    import numpy as np
+
     if not f.elementwise:
         return np.array([schwarzian(f, w) for w in z.tolist()], dtype=complex)
     with np.errstate(all="ignore"):
@@ -436,6 +450,8 @@ class GridSpec:
 
     def blocks(self):
         """The points in the order of `points`, as complex arrays of at most ARRAY_BLOCK entries."""
+        import numpy as np
+
         u = np.linspace(self.re0, self.re1, self.nre)
         v = np.linspace(self.im0, self.im1, self.nim)
         count = self.nre * self.nim
@@ -471,6 +487,8 @@ def injectivity_depth(f: ConformalMap, grid: GridSpec) -> float:
     A sup below 1 yields 0: the extension is immersive at every sampled depth.
     NaN norms are skipped, as max() over the points would skip them.
     """
+    import numpy as np
+
     sup = 0.0
     for _, _, norm in schwarzian_grid(f, grid):
         sup = max(sup, float(np.fmax.reduce(norm, initial=0.0)))
@@ -509,6 +527,8 @@ def jacobian_check(
     (Euclidean step h * t_p).  Predicted values are the classical triple
     {1 + k, 1, |1 - k|}, k = schwarzian_norm(f, r(p)) / cosh(depth(p)).
     """
+    import numpy as np
+
     fr = foot_point(p)
     step = h * p.t
     if p.z.imag - 2 * step < 0 or p.t - 2 * step <= 0:

@@ -23,10 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import ARRAY_BLOCK, DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL
-from .hypcore import H3Point, MobiusTransform, apply_h3, hyp_distances, modulus
+from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, apply_h3, hyp_distances, modulus
 
 
 class ZeroA(ValueError):
@@ -200,7 +198,11 @@ def phi(s: EndParameter, x, y):
 def _phi(s: EndParameter, c, x, y):
     """phi given the factor c of _frame; cmath.exp on numbers, np.exp (the same bits) on arrays."""
     w = x * s.a + y * s.a * s.b
-    return -c * (np.exp(w) if isinstance(w, np.ndarray) else cmath.exp(w))
+    if isinstance(w, SCALAR_TYPES):
+        return -c * cmath.exp(w)
+    import numpy as np
+
+    return -c * np.exp(w)
 
 
 def develop(s: EndParameter, x: float, y: float, t: float, chart: str = DEFAULT_CHART) -> H3Point:
@@ -227,10 +229,12 @@ def _chart(s: EndParameter, x, y, t, chart: str):
         return x + s.b * y, 1.0 * t  # a float height even for an integer t
     z0, c = _frame(s.a)
     ph = _phi(s, c, x, y)
-    if isinstance(ph, np.ndarray):
-        ap, sqrt = modulus(ph), np.sqrt
-    else:
+    if isinstance(ph, SCALAR_TYPES):
         ap, sqrt = abs(ph), math.sqrt
+    else:
+        import numpy as np
+
+        ap, sqrt = modulus(ph), np.sqrt
     if chart == "printed":
         den = sqrt(t * t + ap * ap)
         return z0 + ph * (ap / den), t * ap / den
@@ -416,6 +420,8 @@ def estimate_bilipschitz(
         raise ValueError("need at least two samples")
     if region.volume() == 0.0:
         raise DegenerateRegion("sampling region has zero volume")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     lo = np.array([region.x0, region.y0, region.t0])
     span = np.array([region.x1 - region.x0, region.y1 - region.y0, region.t1 - region.t0])

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dehnscope
 from dehnscope.cli import main
 from dehnscope.filling_solver import solve_direct, unimodular_completion
 
@@ -482,3 +487,53 @@ class TestConfig:
         cfg.write_text(json.dumps({"output": "xml"}))
         code, _ = run(capsys, "--config", str(cfg), "fill", "--a", "0,0", "--b", "0,1")
         assert code == 2
+
+
+# Runs one command in a fresh interpreter; reports its exit code and whether numpy was imported.
+_FRESH_CHILD = """
+import json, sys
+from dehnscope.cli import main
+code = main(json.loads(sys.argv[1]))
+sys.stderr.write(json.dumps({"code": code, "numpy": "numpy" in sys.modules}) + "\\n")
+"""
+
+
+def _fresh_run(*args):
+    path = os.pathsep.join(filter(None, [str(Path(dehnscope.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+class TestNumpyOnlyForArrays:
+    """Commands that compute on numbers never import numpy."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["holonomy", "--a", "0,3.14159265358979", "--b", "0,1", "--m", "1", "--n", "0"],
+            ["fill", "--a", "0,6.28318530717959", "--b", "0,1", "--classify"],
+            ["sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..10", "--format", "csv"],
+            ["solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3"],
+            ["crosssection", "--a", "1,0", "--b", "0,1", "--x", "1", "--y", "0", "--eps", "0.7"],
+            ["schwarzian", "--f", "identity", "--z", "0,1"],
+            ["schwarzian", "--f", "square", "--z", "0.5,1"],
+            ["schwarzian", "--f", "log", "--z", "0,1"],
+            ["schwarzian", "--f", "power:1.7,0.2", "--z", "0.5,1"],
+            ["schwarzian", "--f", "mobius:2,0,1,0,1,0,1,0", "--z", "0.5,1"],
+        ],
+        ids=["holonomy", "fill", "sequence", "solve", "crosssection-eps", "schwarzian-identity",
+             "schwarzian-square", "schwarzian-log", "schwarzian-power", "schwarzian-mobius"],
+    )
+    def test_number_command_runs_without_numpy(self, argv):
+        assert _fresh_run("-c", _FRESH_CHILD, json.dumps(argv)) == {"code": 0, "numpy": False}
+
+    def test_array_command_imports_numpy(self):
+        # the control: the same probe sees numpy once a command builds arrays
+        argv = ["bilipschitz", "--a1", "0.1,0.6", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
+                "--region", "0:1,0:1,1:2", "--samples", "8"]
+        assert _fresh_run("-c", _FRESH_CHILD, json.dumps(argv)) == {"code": 0, "numpy": True}
+
+    def test_importing_the_package_does_not_import_numpy(self):
+        probe = 'import json, sys, dehnscope; sys.stderr.write(json.dumps({"numpy": "numpy" in sys.modules}))'
+        assert _fresh_run("-c", probe) == {"numpy": False}

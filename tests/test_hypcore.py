@@ -379,6 +379,10 @@ class TestSL2Vector:
         m = MobiusTransform.from_matrix(as_array(random_mobius(rng)))
         v = SL2Vector.from_coords(rng.normal(size=3) + 1j * rng.normal(size=3))
         u = SL2Vector.from_matrix(np.array([[1.0, 2.0], [3.0, -1.0]]))
+        # numpy scalar entries, as random_mobius passes them, become Python complex numbers
+        for g in (m, random_mobius(rng), MobiusTransform.from_entries(np.float64(2.0), np.complex128(1j), np.float64(0.5), 1)):
+            assert all(type(e) is complex for e in g.entries())
+            assert all(type(c) is complex for c in adjoint(g, v).coords())
         for vec in (v, u, SL2Vector.zero(), adjoint(m, v), v + u, v - u, -v, 2.0 * v, v * 1j,
                     right_translate((1.0, 2j, 3.0, 4j), m)):
             assert all(type(c) is complex for c in (vec.x, vec.y, vec.w))
