@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .config import RANK_RTOL
+from .config import RANK_RTOL, positive_finite
 from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, right_translate
 
 if TYPE_CHECKING:
@@ -118,7 +118,11 @@ def extend_cocycle(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int]) -
 
 
 def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = 1e-9):
-    """(bool, max relator residual): the extension over every relator must vanish."""
+    """(bool, max relator residual): the extension over every relator must vanish.
+
+    tol may be 0 (exact vanishing); a negative or NaN tol raises ValueError.
+    """
+    positive_finite("tol", tol, allow_zero=True)
     worst = 0.0
     for word in rep.relators:
         worst = max(worst, extend_cocycle(rep, c, word).norm())
@@ -192,6 +196,7 @@ def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
     Z^1 is the kernel of the linearized relator map on (sl2)^k, B^1 the image
     of v -> (v - Ad rho(g_i) v)_i, both by numerical rank.
     """
+    positive_finite("rtol", rtol)
     k = len(rep.generators)
     if k == 0:
         return 0, 0, 0
@@ -201,12 +206,15 @@ def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
 
 
 def class_rank(rep: MarkedRepresentation, cocycles: Sequence[Cocycle], rtol: float = RANK_RTOL) -> int:
-    """Rank of the given cocycles in H^1: rank([B-basis | cocycles]) - rank(B-basis)."""
+    """Rank of the given cocycles in H^1: rank([B-basis | cocycles]) - rank(B-basis); 0 for no cocycles."""
+    positive_finite("rtol", rtol)
+    columns = [c.coords() for c in cocycles]
+    if not columns:
+        return 0
     import numpy as np
 
     b_mat = _coboundary_matrix(rep)
-    z_mat = np.array([c.coords() for c in cocycles]).T
-    joint = np.hstack([b_mat, z_mat])
+    joint = np.hstack([b_mat, np.array(columns).T])
     return _numerical_rank(joint, rtol) - _numerical_rank(b_mat, rtol)
 
 
@@ -216,8 +224,7 @@ def tangent_cocycle(path: Callable[[float], MarkedRepresentation], h: float) -> 
     Signs of the +-h samples are aligned to the center representation before
     differencing.  The result is projected to traceless.
     """
-    if not h > 0:
-        raise ValueError("step must be positive")
+    positive_finite("step h", h)
     rep0 = path(0.0)
     rep_p = path(h)
     rep_m = path(-h)
@@ -241,8 +248,7 @@ def strain(field: Callable[[complex], complex], z: complex, h: float = 1e-5) -> 
     f_zbar = ((f(z+h) - f(z-h)) + i (f(z+ih) - f(z-ih))) / (4h); vanishes
     exactly on projective (quadratic polynomial) fields.
     """
-    if not h > 0:
-        raise ValueError("step must be positive")
+    positive_finite("step h", h)
     dx = field(z + h) - field(z - h)
     dy = field(z + 1j * h) - field(z - 1j * h)
     return (dx + 1j * dy) / (4.0 * h)

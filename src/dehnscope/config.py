@@ -66,8 +66,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("classify_tol", "newton_tol", "rank_rtol", "rational_tol", "fd_step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            positive_finite(name, getattr(self, name))
         for name in ("newton_max_iter", "max_denominator"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -75,6 +74,13 @@ class RunConfig:
             raise ValueError(f"chart must be 'printed' or 'corrected', got {self.chart!r}")
         if self.output not in ("json", "csv"):
             raise ValueError(f"output must be 'json' or 'csv', got {self.output!r}")
+
+
+def positive_finite(name: str, value: float, allow_zero: bool = False) -> float:
+    """value if 0 < value < inf (0 <= value < inf with allow_zero); NaN and the rest raise ValueError naming it."""
+    if not 0 <= value < math.inf or (value == 0 and not allow_zero):
+        raise ValueError(f"{name} must be {'>= 0' if allow_zero else 'positive'} and finite, got {value!r}")
+    return value
 
 
 def finite_float(text: str) -> float:

@@ -12,9 +12,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .config import ARRAY_BLOCK, NEWTON_MAX_ITER, NEWTON_TOL
+from .config import ARRAY_BLOCK, NEWTON_MAX_ITER, NEWTON_TOL, positive_finite
 from .hypcore import MobiusTransform
-from .torus_end import EndParameter, filling_coordinates, holonomy
+from .torus_end import EndParameter, _filling_arrays, _quotient_distance, holonomy
 
 TWO_PI_I = 2j * math.pi
 
@@ -28,6 +28,7 @@ class DomainExit(RuntimeError):
 
 
 def _horner(coeffs, w):
+    """The polynomial with ascending coefficients at w, a number or an array."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * w + c
@@ -163,6 +164,7 @@ def solve_on_path(
     """
     if x == 0.0 and y == 0.0:
         raise ZeroTarget("coordinates (0, 0) are excluded")
+    positive_finite("tol", tol)
     if not path.contains(w0):
         raise DomainExit(f"starting point {w0} lies outside the declared disc")
     w = complex(w0)
@@ -242,18 +244,25 @@ def filling_sequence(
     return out
 
 
-def _sample_disc(center: complex, radius: float, count: int, rng) -> list[complex]:
-    """count points of the disc by rejection from pairs (u, v) uniform in [-1, 1)^2.
+def _sample_disc(center: complex, radius: float, count: int, rng):
+    """count points of the disc, as a complex array, by rejection from pairs (u, v) uniform in [-1, 1)^2.
 
     Each block draws one pair per point still needed (at most ARRAY_BLOCK), so
-    the samples are those of a pair-by-pair loop on the same generator.
+    the samples are those of a pair-by-pair loop on the same generator, and
+    each is center + radius * complex(u, v) to the bit.
     """
-    pts = []
-    while len(pts) < count:
-        for u, v in rng.uniform(-1.0, 1.0, size=(min(count - len(pts), ARRAY_BLOCK), 2)).tolist():
-            if u * u + v * v <= 1.0:
-                pts.append(center + radius * complex(u, v))
-    return pts
+    import numpy as np
+
+    blocks, need = [], count
+    while need > 0:
+        u, v = rng.uniform(-1.0, 1.0, size=(min(need, ARRAY_BLOCK), 2)).T
+        inside = u * u + v * v <= 1.0
+        w = np.empty(np.count_nonzero(inside), dtype=complex)
+        w.real = center.real + radius * u[inside]
+        w.imag = center.imag + radius * v[inside]
+        blocks.append(w)
+        need -= w.size
+    return np.concatenate(blocks)
 
 
 def verify_coordinate_continuity(
@@ -267,74 +276,91 @@ def verify_coordinate_continuity(
     max_jump is the largest coordinate displacement between consecutive
     samples; injectivity_violations lists, in lexicographic order, the index
     pairs (i, j), i < j, of distinct w (|w_i - w_j| > coincidence_tol) whose
-    coordinates lie within coincidence_tol.  The pairs come from a grid hash
-    (_coincident_pairs) rather than an all-pairs loop, so the scan costs
-    O(n + pairs) for n samples whose w are distinct.  Sampling evidence only.
+    coordinates lie within coincidence_tol.  The samples, path values,
+    coordinates and jumps are numpy arrays, in blocks of ARRAY_BLOCK samples;
+    a sample outside the domain of EndParameter or FillingCoordinate raises
+    their ValueError.  The pairs come from a grid hash (_coincident_pairs), so
+    the scan costs O(n log n + pairs) for n samples whose w are distinct.
+    Sampling evidence only.
     """
+    sample_count = operator.index(sample_count)
     if sample_count < 2:
         raise ValueError("need at least two samples")
-    if not 0.0 <= coincidence_tol < math.inf:
-        raise ValueError(f"coincidence_tol must be finite and >= 0, got {coincidence_tol!r}")
+    positive_finite("coincidence_tol", coincidence_tol, allow_zero=True)
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    ws = _sample_disc(path.center, path.radius, sample_count, rng)
-    coords = [filling_coordinates(EndParameter(path.a(w), path.b(w))) for w in ws]
+    ws = _sample_disc(path.center, path.radius, sample_count, np.random.default_rng(seed))
+    cusp = np.empty(sample_count, dtype=bool)
+    x, y = np.empty(sample_count), np.empty(sample_count)
     max_jump = 0.0
-    for c1, c2 in zip(coords, coords[1:]):
-        d = c1.distance(c2)
-        if d > max_jump:
-            max_jump = d
-    violations = _coincident_pairs(ws, coords, coincidence_tol)
+    # overflow is expected: non-finite coordinates raise in _filling_arrays, and a sum past the
+    # float range is an infinite jump, as in Python arithmetic
+    with np.errstate(all="ignore"):
+        for start in range(0, sample_count, ARRAY_BLOCK):
+            block = slice(start, start + ARRAY_BLOCK)
+            w = ws[block]
+            cusp[block], x[block], y[block] = _filling_arrays(_horner(path.a_coeffs, w), _horner(path.b_coeffs, w))
+            run = slice(max(start - 1, 0), start + ARRAY_BLOCK)  # the block and the sample before it
+            c, u, v = cusp[run], x[run], y[run]
+            jumps = _quotient_distance(c[:-1], u[:-1], v[:-1], c[1:], u[1:], v[1:])
+            max_jump = max(max_jump, float(jumps.max(initial=0.0)))
+    violations = _coincident_pairs(ws, cusp, x, y, coincidence_tol)
     return ContinuityReport(max_jump, tuple(violations), sample_count)
 
 
-def _coincident_pairs(ws, coords, tol: float) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, with |ws[i] - ws[j]| > tol and coords within tol, sorted.
+def _coincident_pairs(ws, cusp, x, y, tol: float) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, with |ws[i] - ws[j]| > tol and coordinates within tol, sorted.
 
-    A grid hash: finite coordinates fall in square cells of side 2 tol,
-    keyed by the complex number x // side + i (y // side), so a pair within
-    tol lies in neighbouring cells even after rounding.  The metric is the
-    quotient metric on R^2/+-1, so each point is also filed under the cell
-    of (-x, -y).  A float key past the float range is +-inf, never an error,
-    and two coordinates within tol that differ in x (or y) have x (or y)
-    keys below 2^52 in size.  With tol = 0 the key is the coordinate itself.
-    Points at infinity share one bucket: they are at distance 0 from each
-    other.  Each candidate pair gets the exact tests.
+    ws, cusp, x and y are arrays of the samples, their cusp flags and their
+    finite coordinates (read where cusp is false).  A grid hash: finite
+    coordinates fall in square cells of side 2 tol, keyed by the pair
+    (x // side, y // side), so a pair within tol lies in neighbouring cells
+    even after rounding.  The metric is the quotient metric on R^2/+-1, so
+    each point is also filed under the cell of (-x, -y).  A key past the float
+    range is +-inf, never an error, and two coordinates within tol that
+    differ in x (or y) have x (or y) keys below 2^52 in size.  With tol = 0
+    the key is the coordinate itself.  The keys are replaced by their ranks,
+    so a cell is one integer; the filed cells are sorted, and the nine
+    neighbouring cells of every point are looked up in one searchsorted pass.
+    The cusp samples share one bucket: they are at distance 0 from each
+    other.  Each candidate pair gets the exact tests of
+    FillingCoordinate.distance, in Python floats.
     """
+    import numpy as np
+
+    n = len(ws)
+    fin = np.flatnonzero(~cusp)
     side = 2.0 * tol
-    if side > 0:
-        def key(x, y):
-            return complex(x // side, y // side)
-        offsets = [complex(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)]
-    else:
-        key = complex
-        offsets = [0j]
-    cells: dict = {}
-    cusps = []
-    keys = []
-    for i, c in enumerate(coords):
-        if c.infinite:
-            cusps.append(i)
-            keys.append(None)
-            continue
-        k = key(c.x, c.y)
-        keys.append(k)
-        cells.setdefault(k, []).append(i)
-        cells.setdefault(key(-c.x, -c.y), []).append(i)
-    get = cells.get
-    pairs = []
-    for i, k in enumerate(keys):
-        if k is None:
-            near = [j for j in cusps if j > i]
-        else:
-            near = [j for d in offsets for j in get(k + d, ()) if j > i]
-        if not near:
-            continue
-        for j in sorted(set(near)):
-            if abs(ws[i] - ws[j]) > tol and coords[i].distance(coords[j]) <= tol:
-                pairs.append((i, j))
-    return pairs
+    shifts = (-1.0, 1.0) if side > 0 else ()
+    axes = []
+    for v in (x[fin], y[fin]):
+        with np.errstate(over="ignore", invalid="ignore"):  # a key past the float range is +-inf
+            own, neg = (v // side, -v // side) if side > 0 else (v, -v)
+        # rows of ranks: own cell, the negation's cell, then own cell shifted by each of shifts
+        uniq, rank = np.unique(np.concatenate([own, neg, *(own + d for d in shifts)]), return_inverse=True)
+        axes.append((rank.reshape(2 + len(shifts), fin.size), uniq.size))
+    (rx, _), (ry, ny) = axes
+    filed = (rx[:2] * ny + ry[:2]).ravel()  # every point under its own cell and its negation's
+    order = np.argsort(filed)
+    cells, owners = filed[order], np.tile(fin, 2)[order]
+    near = [0, *range(2, 2 + len(shifts))]  # own cell and its shifts, per axis
+    keys = (rx[near][:, None] * ny + ry[near]).ravel()
+    lo, hi = np.searchsorted(cells, keys, "left"), np.searchsorted(cells, keys, "right")
+    counts = hi - lo
+    first = np.repeat(np.tile(fin, len(near) ** 2), counts)
+    second = owners[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    cusps = np.flatnonzero(cusp)
+    upper = np.triu_indices(cusps.size, 1)
+    first, second = np.concatenate([first, cusps[upper[0]]]), np.concatenate([second, cusps[upper[1]]])
+    later = second > first
+    first, second = np.divmod(np.unique(first[later] * n + second[later]), n)
+    left = zip(*(arr[first].tolist() for arr in (ws, cusp, x, y)))
+    right = zip(*(arr[second].tolist() for arr in (ws, cusp, x, y)))
+    return [
+        (i, j)
+        for i, j, (w1, c1, x1, y1), (w2, c2, x2, y2) in zip(first.tolist(), second.tolist(), left, right)
+        if abs(w1 - w2) > tol and _quotient_distance(c1, x1, y1, c2, x2, y2) <= tol
+    ]
 
 
 def _aligned_holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .config import ARRAY_BLOCK, CRITICAL_TOL, FD_STEP, finite_float
+from .config import ARRAY_BLOCK, CRITICAL_TOL, FD_STEP, finite_float, positive_finite
 from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, apply_h3, modulus
 
 if TYPE_CHECKING:
@@ -526,7 +526,9 @@ def jacobian_check(
     t_{Theta(p)}; the step h is taken in hyperbolic-normalized coordinates
     (Euclidean step h * t_p).  Predicted values are the classical triple
     {1 + k, 1, |1 - k|}, k = schwarzian_norm(f, r(p)) / cosh(depth(p)).
+    The step h must be positive and finite.
     """
+    positive_finite("step h", h)
     import numpy as np
 
     fr = foot_point(p)

@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import ARRAY_BLOCK, DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL
+from .config import ARRAY_BLOCK, DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL, positive_finite
 from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, apply_h3, hyp_distances, modulus
 
 
@@ -82,13 +82,7 @@ class FillingCoordinate:
 
     def distance(self, other: "FillingCoordinate") -> float:
         """Quotient metric on R^2/+-1 u {infinity}; mixed pairs are infinitely far."""
-        if self.infinite and other.infinite:
-            return 0.0
-        if self.infinite or other.infinite:
-            return math.inf
-        d1 = math.hypot(self.x - other.x, self.y - other.y)
-        d2 = math.hypot(self.x + other.x, self.y + other.y)
-        return min(d1, d2)
+        return _quotient_distance(self.infinite, self.x, self.y, other.infinite, other.x, other.y)
 
     def to_dict(self) -> dict:
         if self.infinite:
@@ -156,11 +150,29 @@ class EndRegion:
         return (self.x1 - self.x0) * (self.y1 - self.y0) * (self.t1 - self.t0)
 
 
-def canonical_sign_pair(x: float, y: float) -> tuple[float, float]:
-    """Representative of +-(x, y) whose first nonzero component is positive."""
-    if x < 0 or (x == 0 and y < 0):
-        return -x, -y
-    return x, y
+def canonical_sign_pair(x, y):
+    """Representative of +-(x, y) whose first nonzero component is positive; numbers, or arrays of them."""
+    flip = (x < 0) | ((x == 0) & (y < 0))
+    if isinstance(x, SCALAR_TYPES):
+        return (-x, -y) if flip else (x, y)
+    import numpy as np
+
+    return np.where(flip, -x, x), np.where(flip, -y, y)
+
+
+def _quotient_distance(cusp1, x1, y1, cusp2, x2, y2):
+    """FillingCoordinate.distance from the cusp flags and coordinates; numbers, or arrays of them.
+
+    Arrays use np.hypot, which can differ from math.hypot in the last bit.
+    """
+    if isinstance(x1, SCALAR_TYPES):
+        if cusp1 or cusp2:
+            return 0.0 if cusp1 and cusp2 else math.inf
+        return min(math.hypot(x1 - x2, y1 - y2), math.hypot(x1 + x2, y1 + y2))
+    import numpy as np
+
+    d = np.minimum(np.hypot(x1 - x2, y1 - y2), np.hypot(x1 + x2, y1 + y2))
+    return np.where(cusp1 | cusp2, np.where(cusp1 & cusp2, 0.0, np.inf), d)
 
 
 def canonical_sign_complex(z: complex) -> complex:
@@ -275,10 +287,37 @@ def filling_coordinates(s: EndParameter) -> FillingCoordinate:
     """The +-(x, y) with a(x + by) = +-2*pi*i, or infinity at the cusp."""
     if s.a == 0:
         return FillingCoordinate.infinity()
-    w = 2j * math.pi / s.a
-    y = w.imag / s.b.imag
-    x = w.real - s.b.real * y
-    return FillingCoordinate.finite(x, y)
+    return FillingCoordinate.finite(*_filling_xy(s.a, s.b))
+
+
+def _filling_xy(a, b):
+    """The (x, y), sign not canonical, with a(x + by) = 2*pi*i for a != 0; numbers, or arrays of them."""
+    w = 2j * math.pi / a
+    y = w.imag / b.imag
+    return w.real - b.real * y, y
+
+
+def _filling_arrays(a, b):
+    """filling_coordinates of EndParameter(a[k], b[k]) over arrays a, b, as (cusp, x, y).
+
+    cusp marks a == 0, where x = y = 0; elsewhere (x, y) has the canonical
+    sign.  The first sample that EndParameter or FillingCoordinate.finite
+    refuses raises their ValueError.  Numpy divides through a reciprocal, so
+    x and y can differ from filling_coordinates in the last digits.
+    """
+    import numpy as np
+
+    cusp = a == 0
+    with np.errstate(all="ignore"):
+        x, y = _filling_xy(np.where(cusp, 1.0, a), b)
+    finite = np.isfinite(x) & np.isfinite(y) & ((x != 0) | (y != 0))
+    valid = np.isfinite(a) & np.isfinite(b) & (b.imag > 0) & (cusp | finite)
+    if not valid.all():
+        k = int(valid.argmin())
+        EndParameter(a[k], b[k])
+        FillingCoordinate.finite(float(x[k]), float(y[k]))
+    x, y = canonical_sign_pair(np.where(cusp, 0.0, x), np.where(cusp, 0.0, y))
+    return cusp, x, y
 
 
 def _best_convergent(r_abs: float, max_den: int):
@@ -351,8 +390,7 @@ def classify_completion(
     (equivalently 2*pi/g), smooth exactly when theta = 2*pi; an irrational
     direction is completed by a single point.
     """
-    if rational_tolerance <= 0:
-        raise ValueError("rational tolerance must be positive")
+    positive_finite("rational_tolerance", rational_tolerance)
     if max_denominator < 1:
         raise ValueError("max denominator must be >= 1")
     coords = filling_coordinates(s)

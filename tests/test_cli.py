@@ -376,6 +376,18 @@ class TestCocycleCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: cannot load {what}")
 
+    @pytest.mark.parametrize("tol, code", [("-1", 2), ("nan", 2), ("0", 0)])
+    def test_tolerance_below_zero_exits_2(self, capsys, tmp_path, tol, code):
+        rep_file, val_file = tmp_path / "rep.json", tmp_path / "values.json"
+        rep_file.write_text(json.dumps(self.REP))
+        val_file.write_text(json.dumps({"values": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}))
+        assert main(["cocycle", "--rep", str(rep_file), "--values", str(val_file), f"--tol={tol}"]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: ")
+        else:
+            assert json.loads(captured.out)["is_cocycle"] is True
+
     def test_coboundary_v_prints_the_matrix_entries(self, capsys, tmp_path):
         # g = diag(e^(1/2), e^(-1/2)) and z(g) = v - g v g^-1 for v = [[0, 1], [0, 0]]
         ea = math.exp(0.5)

@@ -116,6 +116,12 @@ class TestIsCocycle:
         rep = z2_rep()
         ok, residual = is_cocycle(rep, Cocycle.zero(2))
         assert ok and residual == 0.0
+        assert is_cocycle(rep, Cocycle.zero(2), tol=0.0) == (True, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
+            is_cocycle(z2_rep(), Cocycle.zero(2), tol=tol)
 
     def test_coboundaries(self):
         rng = np.random.default_rng(4)
@@ -179,6 +185,18 @@ class TestH1Dimension:
     def test_z2_loxodromic(self):
         assert h1_dimension(z2_rep(1.0, 1j)) == (4, 2, 2)
 
+    @pytest.mark.parametrize("rtol", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_rank_tolerance_rejected(self, rtol):
+        # a NaN cutoff used to read every singular value as zero: (6, 0, 6)
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            h1_dimension(z2_rep(), rtol)
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            class_rank(z2_rep(), [Cocycle.zero(2)], rtol=rtol)
+
+    def test_empty_family_has_rank_zero(self):
+        assert class_rank(z2_rep(), []) == 0
+        assert class_rank(z2_rep(), iter(())) == 0
+
     def test_trivial_group(self):
         assert h1_dimension(MarkedRepresentation((), ())) == (0, 0, 0)
 
@@ -236,6 +254,12 @@ class TestH1Dimension:
 
 
 class TestTangentCocycle:
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1e-5])
+    def test_bad_step_rejected(self, h):
+        # an infinite step used to return the zero cocycle
+        with pytest.raises(ValueError, match="step h must be positive and finite"):
+            tangent_cocycle(lambda w: z2_rep(1.0 + w, 1j), h)
+
     def test_constant_path(self):
         rep = z2_rep()
         c = tangent_cocycle(lambda w: rep, 1e-5)
@@ -320,6 +344,12 @@ class TestSerialization:
 
 
 class TestStrain:
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1e-5])
+    def test_bad_step_rejected(self, h):
+        # an infinite step used to return nan+nanj
+        with pytest.raises(ValueError, match="step h must be positive and finite"):
+            strain(lambda z: z.conjugate(), 0.3 + 0.7j, h)
+
     def test_antiholomorphic_identity(self):
         assert abs(strain(lambda z: z.conjugate(), 0.3 + 0.7j) - 1.0) < 1e-10
 

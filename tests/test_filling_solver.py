@@ -106,6 +106,12 @@ class TestSolveOnPath:
         with pytest.raises(ZeroTarget):
             solve_on_path(IDENTITY_PATH, 0.0, 0.0, w0=3j)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, 0.0, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance used to run every iteration and report converged=False at residual 0
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_on_path(IDENTITY_PATH, 1.0, 1.0, w0=3j, tol=tol)
+
     def test_domain_exit(self):
         tight = HolomorphicPath((0.0, 1.0), (1j,), center=20j, radius=0.5)
         with pytest.raises(DomainExit):
@@ -244,8 +250,44 @@ class TestSampleDisc:
     def test_matches_pairwise_loop(self, seed, count, block, center, radius):
         with mock.patch("dehnscope.filling_solver.ARRAY_BLOCK", block):
             got = _sample_disc(center, radius, count, np.random.default_rng(seed))
-        assert got == _sample_disc_pairwise(center, radius, count, np.random.default_rng(seed))
-        assert all(type(w) is complex for w in got)
+        assert got.dtype == complex
+        assert got.tolist() == _sample_disc_pairwise(center, radius, count, np.random.default_rng(seed))
+
+
+def scalar_scan(path, count, seed, tol):
+    """(max_jump, pairs, largest |x| + |y|) from per-sample filling_coordinates and all_pairs."""
+    ws = _sample_disc(path.center, path.radius, count, np.random.default_rng(seed)).tolist()
+    coords = [filling_coordinates(EndParameter(path.a(w), path.b(w))) for w in ws]
+    max_jump = max(c1.distance(c2) for c1, c2 in zip(coords, coords[1:]))
+    scale = max([abs(c.x) + abs(c.y) for c in coords if not c.infinite], default=0.0)
+    return max_jump, all_pairs(ws, coords, tol), scale
+
+
+@st.composite
+def continuity_cases(draw):
+    """(path, sample_count, seed): random polynomial paths, some of which hit the cusp a = 0.
+
+    Im b stays above 3 - 1.1 on the disc.  "zero" is a = 0 everywhere; "rounding"
+    is a(w) = w - center on a disc so small that many samples round to the
+    center itself, mixing cusp samples with coordinates of size ~1e16.  Its b
+    is constant: with a on a lattice of a few values, a b that varies by
+    1e-17 makes coordinates that are equal in one rounding and not the other,
+    which flips pairs at tol = 0.
+    """
+    small = st.builds(complex, st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
+    b_coeffs = (draw(st.builds(complex, st.floats(-1.0, 1.0), st.floats(3.0, 4.0))), *draw(st.lists(small, max_size=3)))
+    center = draw(st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    kind = draw(st.sampled_from(["polynomial", "zero", "rounding"]))
+    if kind == "polynomial":
+        a_coeffs = draw(st.lists(st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1, max_size=4))
+        radius = draw(st.floats(0.01, 1.0))
+    elif kind == "zero":
+        a_coeffs, radius = (0j,), draw(st.floats(0.01, 1.0))
+    else:
+        a_coeffs, radius = (-center, 1.0), draw(st.sampled_from([2e-16, 5e-16]))
+        b_coeffs = b_coeffs[:1]
+    path = HolomorphicPath(tuple(a_coeffs), b_coeffs, center=center, radius=radius)
+    return path, draw(st.integers(2, 300)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestCoordinateContinuity:
@@ -287,6 +329,59 @@ class TestCoordinateContinuity:
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="coincidence_tol"):
             verify_coordinate_continuity(IDENTITY_PATH, 20, coincidence_tol=tol)
+
+    def test_sample_count_is_an_index(self):
+        with pytest.raises(TypeError):
+            verify_coordinate_continuity(IDENTITY_PATH, 20.0)
+        report = verify_coordinate_continuity(IDENTITY_PATH, np.int64(20))
+        assert type(report.sample_count) is int and report.sample_count == 20
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        case=continuity_cases(),
+        tol=st.sampled_from([0.0, 1e-9, 0.25]),
+        block=st.sampled_from([1, 3, 64, 2**16]),
+    )
+    def test_matches_scalar_scan(self, case, tol, block):
+        path, count, seed = case
+        want = scalar_scan(path, count, seed, tol)
+        with mock.patch("dehnscope.filling_solver.ARRAY_BLOCK", block):
+            got = verify_coordinate_continuity(path, count, seed=seed, coincidence_tol=tol)
+        max_jump, pairs, scale = want
+        assert got.injectivity_violations == tuple(pairs)
+        # numpy's complex products and quotients round differently from CPython's
+        assert got.max_jump == max_jump or abs(got.max_jump - max_jump) <= 1e-13 * scale
+
+    def test_modulus_negative_between_the_grid_rays(self):
+        # b(w) = i (1 + 1.5 w^8): Im b > 0 on the rays of the construction grid, where w^8 > 0,
+        # but Im b = 1 - 1.5 r^8 < 0 at angle pi/8 for r > (2/3)^(1/8)
+        path = HolomorphicPath((1.0,), (1j, 0, 0, 0, 0, 0, 0, 0, 1.5j), center=0.0, radius=1.0)
+        with pytest.raises(ValueError, match="Im b must be strictly positive") as got:
+            verify_coordinate_continuity(path, 400, seed=3)
+        with pytest.raises(ValueError) as want:
+            scalar_scan(path, 400, 3, 1e-9)
+        # the same sample fails; b is evaluated in numpy, so its digits can differ in the last place
+        prefix, got_b = str(got.value).split("= ")
+        want_prefix, want_b = str(want.value).split("= ")
+        assert prefix == want_prefix
+        assert abs(complex(got_b) - complex(want_b)) <= 1e-15 * abs(complex(want_b))
+
+    def test_overflowing_coordinate_rejected(self):
+        # |a| <= 1e-310 on the unit disc: 2 pi / |a| is past the float range
+        path = HolomorphicPath((0.0, 0.0, 1e-310), (1j,), center=0.0, radius=1.0)
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            verify_coordinate_continuity(path, 50, seed=4)
+
+
+def coincident_pairs(ws, coords, tol):
+    """_coincident_pairs on the arrays of the samples ws and their FillingCoordinate list."""
+    return _coincident_pairs(
+        np.array(ws, dtype=complex),
+        np.array([c.infinite for c in coords], dtype=bool),
+        np.array([c.x for c in coords]),
+        np.array([c.y for c in coords]),
+        tol,
+    )
 
 
 def all_pairs(ws, coords, tol):
@@ -340,27 +435,27 @@ class TestCoincidentPairs:
     @given(case=coordinate_sets())
     def test_matches_all_pairs(self, case):
         ws, coords, tol = case
-        assert _coincident_pairs(ws, coords, tol) == all_pairs(ws, coords, tol)
+        assert coincident_pairs(ws, coords, tol) == all_pairs(ws, coords, tol)
 
     def test_pair_across_the_sign_boundary(self):
         # (tol/4, 1) and (-tol/4, 1) are tol/2 apart; the second is stored as (tol/4, -1)
         tol = 1e-9
         coords = [FillingCoordinate.finite(tol / 4, 1.0), FillingCoordinate.finite(-tol / 4, 1.0)]
         assert coords[1].y == -1.0
-        assert _coincident_pairs([0j, 1j], coords, tol) == [(0, 1)]
+        assert coincident_pairs([0j, 1j], coords, tol) == [(0, 1)]
 
     def test_cusp_points_coincide(self):
         cusp, far = FillingCoordinate.infinity(), FillingCoordinate.finite(1e6, 1.0)
         coords = [cusp, far, cusp, cusp]
-        assert _coincident_pairs([0j, 1j, 2j, 3j], coords, 1e-9) == [(0, 2), (0, 3), (2, 3)]
-        assert _coincident_pairs([0j, 1j, 0j, 3j], coords, 0.0) == [(0, 3), (2, 3)]
+        assert coincident_pairs([0j, 1j, 2j, 3j], coords, 1e-9) == [(0, 2), (0, 3), (2, 3)]
+        assert coincident_pairs([0j, 1j, 0j, 3j], coords, 0.0) == [(0, 3), (2, 3)]
 
     def test_huge_coordinates(self):
         # x ~ 3.1e300 from a ~ 1e-300: x // (2 tol) overflows to inf, which is a valid key
         c = filling_coordinates(EndParameter(1e-300 * (1 + 1j), 1j))
         assert math.isfinite(c.x) and c.x > 1e300
         coords = [c, FillingCoordinate.finite(-c.x, -c.y), FillingCoordinate.finite(c.x, 1.0)]
-        assert _coincident_pairs([0j, 1j, 2j], coords, 1e-9) == [(0, 1)]
+        assert coincident_pairs([0j, 1j, 2j], coords, 1e-9) == [(0, 1)]
 
 
 class TestCuspDistance:

@@ -423,6 +423,12 @@ class TestJacobianCheck:
         with pytest.raises(StepTooLarge):
             jacobian_check(SquareMap(), H3Point(1e-9j + 0.0, 1.0), h=1e-4)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+    def test_bad_step_rejected(self, h):
+        # h = 0 used to end in numpy's LinAlgError, h = nan in "z must be finite"
+        with pytest.raises(ValueError, match="step h must be positive and finite"):
+            jacobian_check(SquareMap(), H3Point(0.3 + 1.0j, 0.5), h=h)
+
 
 class TestFrameAlignment:
     def test_singular_directions_match_trajectories(self):

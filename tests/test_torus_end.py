@@ -287,6 +287,12 @@ class TestClassifyCompletion:
         got = classify_completion(EndParameter(a, 1j))
         assert got.kind == "undetermined"
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, 0.0, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance used to classify the smooth (1, 0) filling as a cone
+        with pytest.raises(ValueError, match="rational_tolerance must be positive and finite"):
+            classify_completion(EndParameter(TWO_PI_I, 1j), tol, 100)
+
     def test_smooth_iff_meridian_trivial(self):
         rng = np.random.default_rng(14)
         ident = MobiusTransform.identity()
