@@ -65,6 +65,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        admits = {"float": (int, float), "int": int, "str": str}  # a float field takes an int too
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, admits[f.type]):  # bool is an int subclass
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in ("classify_tol", "newton_tol", "rank_rtol", "rational_tol", "fd_step"):
             positive_finite(name, getattr(self, name))
         for name in ("newton_max_iter", "max_denominator"):

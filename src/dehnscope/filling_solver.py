@@ -277,11 +277,11 @@ def verify_coordinate_continuity(
     samples; injectivity_violations lists, in lexicographic order, the index
     pairs (i, j), i < j, of distinct w (|w_i - w_j| > coincidence_tol) whose
     coordinates lie within coincidence_tol.  The samples, path values,
-    coordinates and jumps are numpy arrays, in blocks of ARRAY_BLOCK samples;
-    a sample outside the domain of EndParameter or FillingCoordinate raises
-    their ValueError.  The pairs come from a grid hash (_coincident_pairs), so
-    the scan costs O(n log n + pairs) for n samples whose w are distinct.
-    Sampling evidence only.
+    coordinates and jumps are numpy arrays, built in one pass; a sample
+    outside the domain of EndParameter or FillingCoordinate raises their
+    ValueError.  The pairs come from a sort-and-sweep on x (_coincident_pairs),
+    so the scan costs O(n log n + candidates) for n samples, where a candidate
+    is a pair of samples within 2 coincidence_tol in x.  Sampling evidence only.
     """
     sample_count = operator.index(sample_count)
     if sample_count < 2:
@@ -290,77 +290,55 @@ def verify_coordinate_continuity(
     import numpy as np
 
     ws = _sample_disc(path.center, path.radius, sample_count, np.random.default_rng(seed))
-    cusp = np.empty(sample_count, dtype=bool)
-    x, y = np.empty(sample_count), np.empty(sample_count)
-    max_jump = 0.0
     # overflow is expected: non-finite coordinates raise in _filling_arrays, and a sum past the
     # float range is an infinite jump, as in Python arithmetic
     with np.errstate(all="ignore"):
-        for start in range(0, sample_count, ARRAY_BLOCK):
-            block = slice(start, start + ARRAY_BLOCK)
-            w = ws[block]
-            cusp[block], x[block], y[block] = _filling_arrays(_horner(path.a_coeffs, w), _horner(path.b_coeffs, w))
-            run = slice(max(start - 1, 0), start + ARRAY_BLOCK)  # the block and the sample before it
-            c, u, v = cusp[run], x[run], y[run]
-            jumps = _quotient_distance(c[:-1], u[:-1], v[:-1], c[1:], u[1:], v[1:])
-            max_jump = max(max_jump, float(jumps.max(initial=0.0)))
+        cusp, x, y = _filling_arrays(_horner(path.a_coeffs, ws), _horner(path.b_coeffs, ws))
+        jumps = _quotient_distance(cusp[:-1], x[:-1], y[:-1], cusp[1:], x[1:], y[1:])
     violations = _coincident_pairs(ws, cusp, x, y, coincidence_tol)
-    return ContinuityReport(max_jump, tuple(violations), sample_count)
+    return ContinuityReport(float(jumps.max()), tuple(violations), sample_count)
 
 
 def _coincident_pairs(ws, cusp, x, y, tol: float) -> list[tuple[int, int]]:
     """Pairs (i, j), i < j, with |ws[i] - ws[j]| > tol and coordinates within tol, sorted.
 
     ws, cusp, x and y are arrays of the samples, their cusp flags and their
-    finite coordinates (read where cusp is false).  A grid hash: finite
-    coordinates fall in square cells of side 2 tol, keyed by the pair
-    (x // side, y // side), so a pair within tol lies in neighbouring cells
-    even after rounding.  The metric is the quotient metric on R^2/+-1, so
-    each point is also filed under the cell of (-x, -y).  A key past the float
-    range is +-inf, never an error, and two coordinates within tol that
-    differ in x (or y) have x (or y) keys below 2^52 in size.  With tol = 0
-    the key is the coordinate itself.  The keys are replaced by their ranks,
-    so a cell is one integer; the filed cells are sorted, and the nine
-    neighbouring cells of every point are looked up in one searchsorted pass.
-    The cusp samples share one bucket: they are at distance 0 from each
-    other.  Each candidate pair gets the exact tests of
-    FillingCoordinate.distance, in Python floats.
+    finite coordinates with the canonical sign (read where cusp is false).
+    A sort-and-sweep on x: the finite samples are sorted by x once, and two
+    searchsorted calls find the samples in each one's window
+    [x - 2 tol, x + 2 tol].  A pair that passes the float test below is
+    within 2 tol in exact x, and rounding is monotone, so each sample of
+    such a pair finds the other.  That holds for a pair that matches through
+    the identification of (x, y) with (-x, -y) as well: x >= 0, so a float
+    sum x_i + x_j within tol puts both x in [0, 2 tol].  The cusp samples
+    share one bucket: they are at distance 0 from each other.  Each
+    candidate pair gets the exact tests of FillingCoordinate.distance, in
+    Python floats.
     """
     import numpy as np
 
-    n = len(ws)
     fin = np.flatnonzero(~cusp)
-    side = 2.0 * tol
-    shifts = (-1.0, 1.0) if side > 0 else ()
-    axes = []
-    for v in (x[fin], y[fin]):
-        with np.errstate(over="ignore", invalid="ignore"):  # a key past the float range is +-inf
-            own, neg = (v // side, -v // side) if side > 0 else (v, -v)
-        # rows of ranks: own cell, the negation's cell, then own cell shifted by each of shifts
-        uniq, rank = np.unique(np.concatenate([own, neg, *(own + d for d in shifts)]), return_inverse=True)
-        axes.append((rank.reshape(2 + len(shifts), fin.size), uniq.size))
-    (rx, _), (ry, ny) = axes
-    filed = (rx[:2] * ny + ry[:2]).ravel()  # every point under its own cell and its negation's
-    order = np.argsort(filed)
-    cells, owners = filed[order], np.tile(fin, 2)[order]
-    near = [0, *range(2, 2 + len(shifts))]  # own cell and its shifts, per axis
-    keys = (rx[near][:, None] * ny + ry[near]).ravel()
-    lo, hi = np.searchsorted(cells, keys, "left"), np.searchsorted(cells, keys, "right")
+    xf = x[fin]
+    order = np.argsort(xf)
+    keys, owners = xf[order], fin[order]
+    with np.errstate(over="ignore"):  # a window edge past the float range is +-inf
+        lo = np.searchsorted(keys, xf - 2.0 * tol, "left")
+        hi = np.searchsorted(keys, xf + 2.0 * tol, "right")
     counts = hi - lo
-    first = np.repeat(np.tile(fin, len(near) ** 2), counts)
+    first = np.repeat(fin, counts)
     second = owners[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
     cusps = np.flatnonzero(cusp)
     upper = np.triu_indices(cusps.size, 1)
     first, second = np.concatenate([first, cusps[upper[0]]]), np.concatenate([second, cusps[upper[1]]])
     later = second > first
-    first, second = np.divmod(np.unique(first[later] * n + second[later]), n)
+    first, second = first[later], second[later]
     left = zip(*(arr[first].tolist() for arr in (ws, cusp, x, y)))
     right = zip(*(arr[second].tolist() for arr in (ws, cusp, x, y)))
-    return [
+    return sorted(
         (i, j)
         for i, j, (w1, c1, x1, y1), (w2, c2, x2, y2) in zip(first.tolist(), second.tolist(), left, right)
         if abs(w1 - w2) > tol and _quotient_distance(c1, x1, y1, c2, x2, y2) <= tol
-    ]
+    )
 
 
 def _aligned_holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:

@@ -51,13 +51,6 @@ class EndParameter:
         if not self.b.imag > 0:
             raise ValueError(f"Im b must be strictly positive, got b = {self.b}")
 
-    def to_dict(self) -> dict:
-        return {"a": [self.a.real, self.a.imag], "b": [self.b.real, self.b.imag]}
-
-    @staticmethod
-    def from_dict(data: dict) -> "EndParameter":
-        return EndParameter(complex(*data["a"]), complex(*data["b"]))
-
 
 @dataclass(frozen=True)
 class FillingCoordinate:
@@ -89,14 +82,6 @@ class FillingCoordinate:
             return {"type": "infinity"}
         return {"type": "finite", "x": self.x, "y": self.y}
 
-    @staticmethod
-    def from_dict(data: dict) -> "FillingCoordinate":
-        if data["type"] == "infinity":
-            return FillingCoordinate.infinity()
-        if data["type"] == "finite":
-            return FillingCoordinate.finite(data["x"], data["y"])
-        raise ValueError(f"unknown coordinate type {data['type']!r}")
-
 
 @dataclass(frozen=True)
 class CompletionClass:
@@ -121,12 +106,6 @@ class CompletionClass:
         if self.kind in ("smooth", "cone"):
             out.update({"p": self.p, "q": self.q, "angle": self.angle})
         return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "CompletionClass":
-        return CompletionClass(
-            data["kind"], p=data.get("p"), q=data.get("q"), angle=data.get("angle")
-        )
 
 
 @dataclass(frozen=True)
@@ -173,11 +152,6 @@ def _quotient_distance(cusp1, x1, y1, cusp2, x2, y2):
 
     d = np.minimum(np.hypot(x1 - x2, y1 - y2), np.hypot(x1 + x2, y1 + y2))
     return np.where(cusp1 | cusp2, np.where(cusp1 & cusp2, 0.0, np.inf), d)
-
-
-def canonical_sign_complex(z: complex) -> complex:
-    """Representative of +-z whose first nonzero component (Re, then Im) is positive."""
-    return complex(*canonical_sign_pair(z.real, z.imag))
 
 
 def _affine_den(a: complex) -> complex | None:
@@ -280,7 +254,8 @@ def complex_length(s: EndParameter, x: float, y: float) -> complex:
 
     Not reduced mod 2*pi*i: it records total rotation as well.
     """
-    return canonical_sign_complex(s.a * (x + s.b * y))
+    z = s.a * (x + s.b * y)
+    return complex(*canonical_sign_pair(z.real, z.imag))
 
 
 def filling_coordinates(s: EndParameter) -> FillingCoordinate:

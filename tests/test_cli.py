@@ -494,11 +494,17 @@ class TestConfig:
         )
         assert code == 2
 
-    def test_bad_config_value_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [{"output": "xml"}, {"classify_tol": "1e-9"}, {"newton_max_iter": 2.5}, {"newton_max_iter": True}],
+        ids=["output-xml", "classify-tol-str", "max-iter-float", "max-iter-bool"],
+    )
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, data):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"output": "xml"}))
-        code, _ = run(capsys, "--config", str(cfg), "fill", "--a", "0,0", "--b", "0,1")
-        assert code == 2
+        cfg.write_text(json.dumps(data))
+        assert main(["--config", str(cfg), "fill", "--a", "0,0", "--b", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {next(iter(data))} must be" in captured.err
 
 
 # Runs one command in a fresh interpreter; reports its exit code and whether numpy was imported.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -366,6 +367,19 @@ class TestCoordinateContinuity:
         assert prefix == want_prefix
         assert abs(complex(got_b) - complex(want_b)) <= 1e-15 * abs(complex(want_b))
 
+    def test_memory_is_linear_in_the_samples(self):
+        # the scan holds a few arrays of one entry per sample: about 26 MiB at 2e5 samples
+        path = HolomorphicPath((0.0, 1.0), (1j,), center=3.0 + 3j, radius=1.0)
+        verify_coordinate_continuity(path, 10)  # numpy's import is not part of the peak
+        tracemalloc.start()
+        try:
+            report = verify_coordinate_continuity(path, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.injectivity_violations == ()
+        assert peak < 64 * 2**20
+
     def test_overflowing_coordinate_rejected(self):
         # |a| <= 1e-310 on the unit disc: 2 pi / |a| is past the float range
         path = HolomorphicPath((0.0, 0.0, 1e-310), (1j,), center=0.0, radius=1.0)
@@ -450,8 +464,32 @@ class TestCoincidentPairs:
         assert coincident_pairs([0j, 1j, 2j, 3j], coords, 1e-9) == [(0, 2), (0, 3), (2, 3)]
         assert coincident_pairs([0j, 1j, 0j, 3j], coords, 0.0) == [(0, 3), (2, 3)]
 
+    @pytest.mark.parametrize(
+        "xs, ys, tol, want",
+        [
+            # one x, y spaced 1.0: every sample lies in every other's x window, none is within tol
+            ([1.0] * 1000, [float(k) for k in range(1000)], 1e-9, []),
+            # exactly tol apart in x
+            ([0.0, 1e-9], [1.0, 1.0], 1e-9, [(0, 1)]),
+            ([3.0, 3.0 + 2.0**-30], [1.0, 1.0], 2.0**-30, [(0, 1)]),
+            # the second is stored as (5e-324, -1); the pair matches through x1 + x2, which is
+            # tol + 5e-324 exactly and rounds to tol
+            ([1e-9, -5e-324], [1.0, 1.0], 1e-9, [(0, 1)]),
+            # the x differ by 1 + 2^-53 exactly, a tie that rounds to tol = 1; the smaller x + tol
+            # and the larger x - tol are ties too and round away from the other point, so a window
+            # of half-width tol misses the pair from either side
+            ([2.0**-53, 1.0 + 2.0**-52], [1.0, 1.0], 1.0, [(0, 1)]),
+            ([1.0 + 2.0**-52, 2.0**-53], [1.0, 1.0], 1.0, [(0, 1)]),
+        ],
+        ids=["shared-x", "tol-apart-at-0", "tol-apart-at-3", "sum-past-tol", "tie-up", "tie-down"],
+    )
+    def test_constructed_pairs(self, xs, ys, tol, want):
+        ws = [complex(5 * k) for k in range(len(xs))]
+        coords = [FillingCoordinate.finite(x, y) for x, y in zip(xs, ys)]
+        assert coincident_pairs(ws, coords, tol) == all_pairs(ws, coords, tol) == want
+
     def test_huge_coordinates(self):
-        # x ~ 3.1e300 from a ~ 1e-300: x // (2 tol) overflows to inf, which is a valid key
+        # x ~ 3.1e300 from a ~ 1e-300: x +- 2 tol rounds to x, so a window holds only the keys equal to x
         c = filling_coordinates(EndParameter(1e-300 * (1 + 1j), 1j))
         assert math.isfinite(c.x) and c.x > 1e300
         coords = [c, FillingCoordinate.finite(-c.x, -c.y), FillingCoordinate.finite(c.x, 1.0)]
