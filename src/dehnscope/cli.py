@@ -86,7 +86,7 @@ def _class_payload(m: MobiusTransform, tol: float) -> dict:
 
 
 def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _emit_rows(rows, columns: list[str], fmt: str) -> None:

@@ -304,34 +304,30 @@ def _coincident_pairs(ws, cusp, x, y, tol: float) -> list[tuple[int, int]]:
 
     ws, cusp, x and y are arrays of the samples, their cusp flags and their
     finite coordinates with the canonical sign (read where cusp is false).
-    A sort-and-sweep on x: the finite samples are sorted by x once, and two
-    searchsorted calls find the samples in each one's window
-    [x - 2 tol, x + 2 tol].  A pair that passes the float test below is
-    within 2 tol in exact x, and rounding is monotone, so each sample of
-    such a pair finds the other.  That holds for a pair that matches through
-    the identification of (x, y) with (-x, -y) as well: x >= 0, so a float
-    sum x_i + x_j within tol puts both x in [0, 2 tol].  The cusp samples
-    share one bucket: they are at distance 0 from each other.  Each
-    candidate pair gets the exact tests of FillingCoordinate.distance, in
-    Python floats.
+    A sort-and-sweep on x: the finite samples are sorted by x once, and one
+    searchsorted call finds, for the sample at each sorted position, the
+    later positions in its window [x, x + 2 tol].  A pair that passes the
+    float test below is within 2 tol in exact x, and rounding is monotone,
+    so the lower member of such a pair finds the other.  That holds for a
+    pair that matches through the identification of (x, y) with (-x, -y) as
+    well: x >= 0, so a float sum x_i + x_j within tol puts both x in
+    [0, 2 tol].  The cusp samples share one bucket: they are at distance 0
+    from each other.  Each candidate pair gets the exact tests of
+    FillingCoordinate.distance, in Python floats.
     """
     import numpy as np
 
     fin = np.flatnonzero(~cusp)
-    xf = x[fin]
-    order = np.argsort(xf)
-    keys, owners = xf[order], fin[order]
-    with np.errstate(over="ignore"):  # a window edge past the float range is +-inf
-        lo = np.searchsorted(keys, xf - 2.0 * tol, "left")
-        hi = np.searchsorted(keys, xf + 2.0 * tol, "right")
-    counts = hi - lo
-    first = np.repeat(fin, counts)
-    second = owners[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    owners = fin[np.argsort(x[fin])]
+    keys = x[owners]
+    with np.errstate(over="ignore"):  # a window edge past the float range is +inf
+        hi = np.searchsorted(keys, keys + 2.0 * tol, "right")
+    counts = hi - np.arange(1, keys.size + 1)  # the window of sorted position p starts at p + 1
+    near = owners[np.repeat(hi - np.cumsum(counts), counts) + np.arange(counts.sum())]
+    first, second = np.sort([np.repeat(owners, counts), near], axis=0)
     cusps = np.flatnonzero(cusp)
     upper = np.triu_indices(cusps.size, 1)
     first, second = np.concatenate([first, cusps[upper[0]]]), np.concatenate([second, cusps[upper[1]]])
-    later = second > first
-    first, second = first[later], second[later]
     left = zip(*(arr[first].tolist() for arr in (ws, cusp, x, y)))
     right = zip(*(arr[second].tolist() for arr in (ws, cusp, x, y)))
     return sorted(

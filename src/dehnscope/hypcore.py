@@ -259,18 +259,6 @@ def hyp_distance(p: H3Point, q: H3Point) -> float:
     return math.acosh(max(_cosh_distance(abs(p.z - q.z), p.t, q.t), 1.0))
 
 
-def hyp_distances(z1: np.ndarray, t1: np.ndarray, z2: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """hyp_distance between the points (z1, t1) and (z2, t2) of equal-length arrays.
-
-    math.acosh runs over the list of arguments because np.arccosh rounds
-    differently on a sizeable share of inputs.
-    """
-    import numpy as np
-
-    arg = np.maximum(_cosh_distance(modulus(z1 - z2), t1, t2), 1.0)
-    return np.array(list(map(math.acosh, arg.tolist())))
-
-
 def classify(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> IsomClass:
     """Classify by trace: tr^2 = 4 parabolic/identity, tr^2 in [0,4) real elliptic."""
     tr = m.trace()

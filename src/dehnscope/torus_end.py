@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .config import ARRAY_BLOCK, DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL, positive_finite
-from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, apply_h3, hyp_distances, modulus
+from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, _cosh_distance, apply_h3, modulus
 
 
 class ZeroA(ValueError):
@@ -413,6 +413,9 @@ def holonomy_representation(s: EndParameter):
     return holonomy(s, 1, 0), holonomy(s, 0, 1)
 
 
+_RECHECK_SLACK = 1e-12  # about 4500 ulps of a ratio
+
+
 def estimate_bilipschitz(
     s1: EndParameter,
     s2: EndParameter,
@@ -427,7 +430,12 @@ def estimate_bilipschitz(
     and returns the worst ratio of hyperbolic distances, symmetrized to >= 1.
     Deterministic for a fixed seed.  The points are drawn and developed in
     blocks of ARRAY_BLOCK, each block starting from the last point of the
-    one before; the draws are the same as one draw of all samples.
+    one before; the draws are the same as one draw of all samples.  Only
+    the ratios within _RECHECK_SLACK of the extremes under np.arccosh are
+    recomputed with math.acosh: the two differ by at most 2 ulps, which
+    moves a ratio by a few ulps, so the exact extremes are among them and
+    the result is that of math.acosh on every pair.  Raises OverflowError
+    when a parameter's developed samples leave the float range.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -443,13 +451,21 @@ def estimate_bilipschitz(
     for start in range(0, samples, ARRAY_BLOCK):
         fresh = lo + rng.uniform(size=(min(ARRAY_BLOCK, samples - start), 3)) * span
         pts = np.concatenate((pts[-1:], fresh))
-        x, y, t = pts.T
-        (z1, t1), (z2, t2) = (_chart(s, x, y, t, chart) for s in (s1, s2))
-        d1 = hyp_distances(z1[:-1], t1[:-1], z1[1:], t1[1:])
-        d2 = hyp_distances(z2[:-1], t2[:-1], z2[1:], t2[1:])
-        keep = (d1 > 0.0) & (d2 > 0.0)
-        r = d2[keep] / d1[keep]
-        worst = max(worst, float(r.max(initial=1.0)), float((1.0 / r).max(initial=1.0)))
+        cosh = []
+        for s in (s1, s2):
+            with np.errstate(all="ignore"):
+                z, h = _chart(s, *pts.T, chart)
+                cosh.append(np.maximum(_cosh_distance(modulus(z[:-1] - z[1:]), h[:-1], h[1:]), 1.0))
+            if not np.isfinite(cosh[-1]).all():
+                raise OverflowError(f"the developed samples of a = {s.a}, b = {s.b} leave the float range")
+        keep = (cosh[0] > 1.0) & (cosh[1] > 1.0)  # exactly the pairs at positive distance under both
+        if keep.any():
+            c1, c2 = cosh[0][keep], cosh[1][keep]
+            r = np.arccosh(c2) / np.arccosh(c1)
+            near = (r >= r.max() * (1.0 - _RECHECK_SLACK)) | (r <= r.min() * (1.0 + _RECHECK_SLACK))
+            d1, d2 = (np.array(list(map(math.acosh, c[near].tolist()))) for c in (c1, c2))
+            q = d2 / d1
+            worst = max(worst, float(q.max()), float((1.0 / q).max()))
     return worst
 
 

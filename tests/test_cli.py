@@ -412,6 +412,15 @@ class TestBilipschitzCommand:
         assert code == 0
         assert json.loads(out)["khat"] == 1.0
 
+    @pytest.mark.parametrize("a1, named", [("700,0", "a = (700+0j)"), ("-800,0", "a = (-800+0j)")])
+    def test_developed_points_past_the_float_range_exit_2(self, capsys, a1, named):
+        # e^{700 x} and e^{-800 x} leave the float range on the box: the distances are not finite
+        code = main(["bilipschitz", f"--a1={a1}", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
+                     "--region", "0:1,0:1,1:2", "--samples", "100"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{named}, b = 1j leave the float range" in captured.err
+
 
 class TestConfig:
     def test_config_controls_output_format(self, capsys, tmp_path):

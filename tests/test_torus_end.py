@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,7 @@ from dehnscope.torus_end import (
     EndRegion,
     FillingCoordinate,
     ZeroA,
+    _chart,
     canonical_sign_pair,
     classify_completion,
     complex_length,
@@ -511,6 +513,92 @@ class TestBilipschitz:
         got = estimate_bilipschitz(s1, s2, self.REGION, samples, seed=seed, chart=chart)
         want = self.per_point_reference(s1, s2, self.REGION, samples, seed, chart)
         assert abs(got - want) <= 1e-13 * want
+
+    @staticmethod
+    def region_samples(region, samples, seed):
+        """The (x, y, t) arrays of one draw of all samples, as estimate_bilipschitz draws them."""
+        lo = np.array([region.x0, region.y0, region.t0])
+        span = np.array([region.x1 - region.x0, region.y1 - region.y0, region.t1 - region.t0])
+        return (lo + np.random.default_rng(seed).uniform(size=(samples, 3)) * span).T
+
+    @classmethod
+    def array_reference(cls, s1, s2, region, samples, seed, chart):
+        """The chart on arrays of all samples, then math.acosh on every consecutive pair."""
+        x, y, t = cls.region_samples(region, samples, seed)
+        dists = []
+        for s in (s1, s2):
+            z, h = _chart(s, x, y, t, chart)
+            dz, dt = z[:-1] - z[1:], h[:-1] - h[1:]
+            dm = np.hypot(dz.real, dz.imag)
+            cosh = 1.0 + (dm * dm + dt * dt) / (2.0 * h[:-1] * h[1:])
+            dists.append(np.array([math.acosh(c) for c in np.maximum(cosh, 1.0).tolist()]))
+        d1, d2 = dists
+        keep = (d1 > 0.0) & (d2 > 0.0)
+        r = d2[keep] / d1[keep]
+        return max(1.0, float(r.max(initial=1.0)), float((1.0 / r).max(initial=1.0)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a1=st.one_of(
+            st.builds(lambda k, delta: TWO_PI_I * k + delta, st.sampled_from([1, -1, 2]), st.sampled_from([0.0, 1e-9])),
+            st.builds(complex, st.floats(-3.0, 3.0), st.floats(-8.0, 8.0)),
+        ),
+        a2=st.one_of(st.just(None), st.just(0j), st.builds(complex, st.floats(-3.0, 3.0), st.floats(-8.0, 8.0))),
+        b=st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.3, 2.0)),
+        chart=st.sampled_from(["printed", "corrected"]),
+        tiny=st.booleans(),
+        samples=st.integers(2, ARRAY_BLOCK + 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a2 = None is s2 = s1: every ratio is 1 and every pair is recomputed
+    @example(a1=TWO_PI_I, a2=None, b=1j, chart="printed", tiny=False, samples=ARRAY_BLOCK + 3, seed=1)
+    @example(a1=0.1 + 0.6j, a2=0j, b=1j, chart="corrected", tiny=False, samples=ARRAY_BLOCK + 1, seed=2)
+    # a box 1e-9 wide: cosh d rounds to 1 and the pairs are dropped
+    @example(a1=0.1 + 0.6j, a2=0j, b=1j, chart="printed", tiny=True, samples=500, seed=3)
+    def test_matches_acosh_on_every_pair(self, a1, a2, b, chart, tiny, samples, seed):
+        s1 = EndParameter(a1, b)
+        s2 = s1 if a2 is None else EndParameter(a2, b)
+        region = EndRegion(0.3, 0.3 + 1e-9, 0.6, 0.6 + 1e-9, 1.5, 1.5 + 1e-9) if tiny else self.REGION
+        got = estimate_bilipschitz(s1, s2, region, samples, seed=seed, chart=chart)
+        assert got == self.array_reference(s1, s2, region, samples, seed, chart)
+
+    @pytest.mark.parametrize(
+        "s1, s2, samples, seed, chart",
+        [
+            (EndParameter(TWO_PI_I / (1 + 10j), 1j), EndParameter(0.0, 1j), 300, 0, "printed"),
+            (EndParameter(0.1 + 0.6j, 1j), EndParameter(0.0, 1j), 200, 7, "printed"),
+            (EndParameter(0.5 + 0.5j, 0.3 + 1.2j), EndParameter(0.3 + 0.8j, 0.3 + 1.2j), 200, 4, "corrected"),
+        ],
+    )
+    def test_matches_30_digit_reference(self, s1, s2, samples, seed, chart):
+        x, y, t = self.region_samples(self.REGION, samples, seed)
+        with mpmath.workdps(30):
+            pts = [[mp_develop(s, *p, chart) for p in zip(x.tolist(), y.tolist(), t.tolist())] for s in (s1, s2)]
+            d1, d2 = ([mp_distance(p, q) for p, q in zip(dev[:-1], dev[1:])] for dev in pts)
+            ratios = [e2 / e1 for e1, e2 in zip(d1, d2)]
+            want = max(max(ratios), 1 / min(ratios))
+        got = estimate_bilipschitz(s1, s2, self.REGION, samples, seed=seed, chart=chart)
+        assert abs(got - want) <= 1e-13 * want
+
+
+def mp_develop(s, x, y, t, chart):
+    """The chart of develop in mpmath at the working precision, off the pole locus."""
+    a, b, t = mpmath.mpc(s.a), mpmath.mpc(s.b), mpmath.mpf(t)
+    if a == 0:
+        return x + b * y, t
+    z0 = 1 / (1 - mpmath.exp(a))
+    ph = -z0 * mpmath.exp(x * a + y * a * b)
+    if chart == "printed":
+        den = mpmath.sqrt(t * t + abs(ph) ** 2)
+        return z0 + ph * abs(ph) / den, t * abs(ph) / den
+    den = mpmath.sqrt(1 + t * t)
+    return z0 + ph / den, t * abs(ph) / den
+
+
+def mp_distance(p, q):
+    """hyp_distance in mpmath between two (z, t) points."""
+    (zp, tp), (zq, tq) = p, q
+    return mpmath.acosh(1 + (abs(zp - zq) ** 2 + (tp - tq) ** 2) / (2 * tp * tq))
 
 
 class TestContinuityAtInfinity:
