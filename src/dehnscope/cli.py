@@ -231,7 +231,7 @@ def _load_representation(path: str) -> cochain.MarkedRepresentation:
     try:
         with open(path) as fh:
             return cochain.MarkedRepresentation.from_dict(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"cannot load representation from {path!r}: {exc}") from exc
 
 

@@ -10,6 +10,7 @@ vector fields on the sphere.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -41,7 +42,7 @@ class MarkedRepresentation:
         object.__setattr__(self, "relators", tuple(tuple(w) for w in self.relators))
         for word in self.relators:
             img = self.evaluate_word(word)
-            if img.distance(MobiusTransform.identity()) > 1e-9:
+            if not img.distance(MobiusTransform.identity()) <= 1e-9:  # a NaN distance fails too
                 raise ValueError(f"relator {word} does not evaluate to +-identity")
 
     def generator(self, letter: int) -> MobiusTransform:
@@ -121,11 +122,11 @@ def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = 1e-9):
     """(bool, max relator residual): the extension over every relator must vanish.
 
     tol may be 0 (exact vanishing); a negative or NaN tol raises ValueError.
+    A NaN or infinite residual is reported and fails.
     """
     positive_finite("tol", tol, allow_zero=True)
-    worst = 0.0
-    for word in rep.relators:
-        worst = max(worst, extend_cocycle(rep, c, word).norm())
+    residuals = (extend_cocycle(rep, c, word).norm() for word in rep.relators)
+    worst = max(residuals, default=0.0, key=lambda r: (math.isnan(r), r))  # a NaN ranks above every number
     return worst <= tol, worst
 
 
@@ -185,7 +186,7 @@ def _numerical_rank(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
     import numpy as np
 
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    if sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rtol * sv[0]))
 
@@ -197,10 +198,7 @@ def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
     of v -> (v - Ad rho(g_i) v)_i, both by numerical rank.
     """
     positive_finite("rtol", rtol)
-    k = len(rep.generators)
-    if k == 0:
-        return 0, 0, 0
-    dim_z = 3 * k - _numerical_rank(_relator_jacobian(rep), rtol)
+    dim_z = 3 * len(rep.generators) - _numerical_rank(_relator_jacobian(rep), rtol)
     dim_b = _numerical_rank(_coboundary_matrix(rep), rtol)
     return dim_z, dim_b, dim_z - dim_b
 

@@ -13,8 +13,7 @@ import operator
 from dataclasses import dataclass
 
 from .config import ARRAY_BLOCK, NEWTON_MAX_ITER, NEWTON_TOL, positive_finite
-from .hypcore import MobiusTransform
-from .torus_end import EndParameter, _filling_arrays, _quotient_distance, holonomy
+from .torus_end import EndParameter, _aligned_holonomy, _filling_arrays, _quotient_distance, holonomy
 
 TWO_PI_I = 2j * math.pi
 
@@ -337,20 +336,6 @@ def _coincident_pairs(ws, cusp, x, y, tol: float) -> list[tuple[int, int]]:
     )
 
 
-def _aligned_holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
-    """g rho(g1^m g2^n) g^-1 for the aligner g of cusp_distance, in closed form.
-
-    With c = a(m + bn), p = e^{c/2} and E = e^c - 1 it is
-    [[p - E/(2p), E/(a p)], [(a/2)(p - 1/p - E/(2p)), E/(2p) + 1/p]]; sigma
-    cancels, so the value is finite for every a != 0, on the pole locus too.
-    """
-    c = s.a * (m + s.b * n)
-    p = cmath.exp(c / 2.0)
-    e = cmath.exp(c) - 1.0
-    h = e / (2.0 * p)
-    return MobiusTransform(p - h, e / (s.a * p), s.a / 2.0 * (p - 1.0 / p - h), h + 1.0 / p)
-
-
 def cusp_distance(s: EndParameter, aligned: bool = True) -> float:
     """Worst generator-holonomy distance from s to the cusp (0, b).
 
@@ -359,12 +344,11 @@ def cusp_distance(s: EndParameter, aligned: bool = True) -> float:
     sigma = a/(e^a - 1), which pushes the degenerating axis fixed point z0
     off to infinity; this measures distance between conjugacy classes, the
     sense in which filled holonomies approach the cusp.  The conjugates are
-    taken from their closed form (_aligned_holonomy), which has no pole at
-    e^a = 1.  With aligned=False the raw normalized matrices are compared
-    (their distance decays like |a|/2 instead of |a|^2/4).
+    taken from their closed form (torus_end._aligned_holonomy), which has no
+    pole at e^a = 1 and is the cusp holonomy at a = 0.  With aligned=False the
+    raw normalized matrices are compared (their distance decays like |a|/2
+    instead of |a|^2/4).
     """
-    if s.a == 0:
-        return 0.0
     cusp_gens = (holonomy(EndParameter(0.0, s.b), 1, 0), holonomy(EndParameter(0.0, s.b), 0, 1))
     gens = _aligned_holonomy if aligned else holonomy
     return max(gens(s, m, n).distance(c) for (m, n), c in zip(((1, 0), (0, 1)), cusp_gens))

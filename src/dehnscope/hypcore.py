@@ -64,10 +64,13 @@ class MobiusTransform:
 
     @staticmethod
     def from_entries(a11, a12, a21, a22) -> "MobiusTransform":
-        """Normalize nonsingular entries of any numeric type to determinant 1, stored as Python complex numbers."""
+        """Normalize entries of any numeric type to determinant 1, stored as Python complex numbers.
+
+        ValueError if the determinant is 0 or not finite (a NaN or infinite entry, or an overflow).
+        """
         det = a11 * a22 - a12 * a21
-        if det == 0:
-            raise ValueError("matrix is singular")
+        if det == 0 or not cmath.isfinite(det):
+            raise ValueError(f"matrix is singular or not finite: determinant {det}")
         s = 1.0 / cmath.sqrt(det)
         return MobiusTransform(complex(a11 * s), complex(a12 * s), complex(a21 * s), complex(a22 * s))
 
@@ -168,12 +171,14 @@ class SL2Vector:
 
     @staticmethod
     def from_matrix(rows) -> "SL2Vector":
-        """From a traceless 2x2 array or nested list of rows; ValueError otherwise."""
+        """From a finite traceless 2x2 array or nested list of rows; ValueError otherwise."""
         try:
             (x, y), (w, d) = rows
         except (TypeError, ValueError) as exc:
             raise ValueError("sl2 vector must be a 2x2 matrix") from exc
         x, y, w, d = complex(x), complex(y), complex(w), complex(d)
+        if not all(map(cmath.isfinite, (x, y, w, d))):
+            raise ValueError("sl2 vector entries must be finite")
         if abs(x + d) > 1e-12 * max(1.0, abs(x), abs(y), abs(w), abs(d)):
             raise ValueError("sl2 vector must be traceless")
         return SL2Vector(x, y, w)
@@ -304,8 +309,6 @@ def complex_translation_length(m: MobiusTransform, tol: float = CLASSIFY_TOL) ->
     ell = _reduce_im(2.0 * cmath.log(_large_eigenvalue(tr)))
     if ell.real < 0 or (ell.real == 0 and ell.imag < 0):
         ell = _reduce_im(-ell)
-    if ell.real == 0 and ell.imag < 0:
-        ell = complex(0.0, -ell.imag)
     return ell
 
 
@@ -340,9 +343,7 @@ def fixed_points(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> tuple[Extende
 
 
 def _ordered(z1, z2):
-    """Deterministic ordering of fixed points; INFINITY sorts last."""
-    if isinstance(z1, _Infinity):
-        return (z2, INFINITY)
+    """Deterministic ordering of fixed points z1 (finite) and z2; INFINITY sorts last."""
     if isinstance(z2, _Infinity):
         return (z1, INFINITY)
     if (z1.real, z1.imag) <= (z2.real, z2.imag):

@@ -249,6 +249,19 @@ def holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
     return MobiusTransform(ec2, tau / ec2, 0.0, 1.0 / ec2)
 
 
+def _aligned_holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
+    """g rho(g1^m g2^n) g^-1 for the aligner g = diag(sigma^-1/2, sigma^1/2) . [[1, 0], [a/(2 sigma), 1]].
+
+    With sigma = a/(e^a - 1) and c = a(m + bn) this is exp((c/2) X) for
+    X = [[0, 2/a], [a/2, 0]], X^2 = I: cosh(c/2) I + sinh(c/2) X.  sigma
+    cancels, so there is no pole on e^a = 1, and at a = 0 the value is the
+    cusp holonomy z -> z + m + nb.
+    """
+    w = m + s.b * n
+    ch, sh = cmath.cosh(s.a * w / 2.0), cmath.sinh(s.a * w / 2.0)
+    return MobiusTransform(ch, 2.0 * sh / s.a if s.a else w, s.a / 2.0 * sh, ch)
+
+
 def complex_length(s: EndParameter, x: float, y: float) -> complex:
     """Total complex length a(x + by) of the (x, y)-class, canonical up to sign.
 

@@ -356,6 +356,8 @@ class TestCocycleCommand:
 
     REP = {"generators": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]], "relators": []}
     VALUES = {"values": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}
+    G_HUGE = [[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [1e-200, 0.0]]
+    G_SHIFT = [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
     @pytest.mark.parametrize(
         "rep, values, what",
@@ -365,8 +367,18 @@ class TestCocycleCommand:
             (REP, {"values": [[[None, 0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, "cocycle values"),
             (REP, {"values": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}, "cocycle values"),
             ({"generators": [[[None, 0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}, VALUES, "representation"),
+            (REP, {"values": [[[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, "cocycle values"),
+            ({"generators": [[[math.nan, 0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}, VALUES, "representation"),
+            ({"generators": [[[math.inf, 0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}, VALUES, "representation"),
+            # g1 g2 g1^-1 has an entry 1e400 = inf, and inf * 0 makes the relator image NaN
+            ({"generators": [G_HUGE, G_SHIFT], "relators": [[1, 2, -1, -2]]}, VALUES, "representation"),
+            # normalized to diag(1e100, 1e-100): the relator's Frobenius distance overflows a float
+            ({"generators": [[[1e200, 0], [0, 0], [0, 0], [1, 0]], G_SHIFT], "relators": [[1, 2, -1, -2]]}, VALUES, "representation"),
         ],
-        ids=["values-3-entries", "values-5-entries", "values-null", "values-trace", "rep-null"],
+        ids=[
+            "values-3-entries", "values-5-entries", "values-null", "values-trace", "rep-null",
+            "values-nan", "rep-nan", "rep-infinity", "rep-relator-nan", "rep-relator-overflow",
+        ],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, rep, values, what):
         rep_file, val_file = tmp_path / "rep.json", tmp_path / "values.json"

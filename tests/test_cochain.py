@@ -123,6 +123,13 @@ class TestIsCocycle:
         with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
             is_cocycle(z2_rep(), Cocycle.zero(2), tol=tol)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_value_fails(self, bad):
+        # max(0.0, nan) is 0.0: a NaN residual must not drop out of the maximum
+        c = Cocycle((SL2Vector(bad, 0j, 0j), SL2Vector.zero()))
+        ok, residual = is_cocycle(z2_rep(), c)
+        assert not ok and not math.isfinite(residual)
+
     def test_coboundaries(self):
         rng = np.random.default_rng(4)
         rep = z2_rep()
@@ -251,6 +258,11 @@ class TestH1Dimension:
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
             MarkedRepresentation((random_mobius(rng), random_mobius(rng)), Z2_RELATOR)
+
+    def test_nan_relator_image_rejected(self):
+        # a NaN distance to the identity compares False against the tolerance either way
+        with pytest.raises(ValueError, match="does not evaluate"):
+            MarkedRepresentation((MobiusTransform(math.nan, 0, 0, 1), MobiusTransform.identity()), Z2_RELATOR)
 
 
 class TestTangentCocycle:

@@ -33,6 +33,7 @@ from dehnscope.torus_end import (
     filling_coordinates,
     holonomy,
 )
+from mp_reference import mp_cusp_distance
 
 TWO_PI_I = 2j * math.pi
 
@@ -510,6 +511,12 @@ class TestCuspDistance:
 
     def test_cusp_itself(self):
         assert cusp_distance(EndParameter(0.0, 1j)) == 0.0
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_60_digit_reference(self, k):
+        # the distance falls like n^-2, so an absolute bound asks for its leading digits at every n
+        (s,) = filling_sequence(1j, 1, 0, [10**k])
+        assert abs(cusp_distance(s) - float(mp_cusp_distance(s.a, s.b))) <= 1e-15
 
     @pytest.mark.parametrize("k", [1, -1, 2])
     def test_aligned_continuous_across_pole_locus(self, k):

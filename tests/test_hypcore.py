@@ -342,6 +342,15 @@ class TestNormalization:
         reference = min(np.linalg.norm(a - b), np.linalg.norm(a + b))
         assert abs(d - reference) <= 4 * np.spacing(reference)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [(0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 1.0), (1.0, 1j * math.inf, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200)],
+        ids=["singular", "nan", "inf", "complex-inf", "overflow"],
+    )
+    def test_determinant_zero_or_not_finite_rejected(self, entries):
+        with pytest.raises(ValueError, match="singular or not finite"):
+            MobiusTransform.from_entries(*entries)
+
     def test_sl2_trace_validation(self):
         with pytest.raises(ValueError):
             SL2Vector.from_matrix(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
@@ -355,6 +364,15 @@ class TestSL2Vector:
     )
     def test_from_matrix_rejects_a_trace(self, rows):
         with pytest.raises(ValueError, match="traceless"):
+            SL2Vector.from_matrix(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[math.nan, 0.0], [0.0, math.nan]], [[0.0, math.inf], [0.0, 0.0]], [[1.0, 0.0], [complex(0.0, -math.inf), -1.0]]],
+        ids=["nan", "inf", "complex-inf"],
+    )
+    def test_from_matrix_rejects_non_finite_entries(self, rows):
+        with pytest.raises(ValueError, match="finite"):
             SL2Vector.from_matrix(rows)
 
     @pytest.mark.parametrize(

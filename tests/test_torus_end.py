@@ -26,6 +26,7 @@ from dehnscope.torus_end import (
     EndRegion,
     FillingCoordinate,
     ZeroA,
+    _aligned_holonomy,
     _chart,
     canonical_sign_pair,
     classify_completion,
@@ -40,6 +41,7 @@ from dehnscope.torus_end import (
     phi,
     z0_of,
 )
+from mp_reference import mp_aligned_holonomy, mp_develop, mp_distance
 
 TWO_PI_I = 2j * math.pi
 
@@ -199,6 +201,42 @@ class TestHolonomy:
         for s in params:
             z0 = z0_of(s.a)
             assert abs(holonomy(s, 1, 0)(z0) - z0) <= 1e-12 * max(1.0, abs(z0))
+
+
+ALIGNED_PHASE = st.floats(0.0, 2.0 * math.pi)
+#: |a| log-uniform in [1e-12, 10], or a = 2*pi*i*k + delta next to the pole locus
+ALIGNED_A = st.one_of(
+    st.builds(lambda e, t: 10.0**e * cmath.exp(1j * t), st.floats(-12.0, 1.0), ALIGNED_PHASE),
+    st.builds(
+        lambda k, e, t: TWO_PI_I * k + 10.0**e * cmath.exp(1j * t),
+        st.sampled_from([1, -1, 2, -2, 3]),
+        st.floats(-15.0, -3.0),
+        ALIGNED_PHASE,
+    ),
+)
+
+
+class TestAlignedHolonomy:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=ALIGNED_A,
+        b=st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.2, 2.0)),
+        mn=st.sampled_from([(1, 0), (0, 1), (2, -1)]),
+    )
+    # |a| = 1e-12: an e^c - 1 formed by subtraction would keep only 4 digits
+    @example(a=1e-12 * cmath.exp(0.3j), b=0.3 + 1.2j, mn=(0, 1))
+    @example(a=2 * TWO_PI_I, b=1j, mn=(1, 0))
+    def test_matches_60_digit_reference(self, a, b, mn):
+        got = _aligned_holonomy(EndParameter(a, b), *mn).entries()
+        ref = mp_aligned_holonomy(a, b, *mn)
+        want = [complex(ref[i, j]) for i in (0, 1) for j in (0, 1)]
+        scale = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("mn", [(1, 0), (0, 1), (2, -1)])
+    def test_cusp_holonomy_at_zero(self, mn):
+        s = EndParameter(0.0, 0.3 + 1.2j)
+        assert _aligned_holonomy(s, *mn).distance(holonomy(s, *mn)) == 0.0
 
 
 class TestComplexLength:
@@ -579,26 +617,6 @@ class TestBilipschitz:
             want = max(max(ratios), 1 / min(ratios))
         got = estimate_bilipschitz(s1, s2, self.REGION, samples, seed=seed, chart=chart)
         assert abs(got - want) <= 1e-13 * want
-
-
-def mp_develop(s, x, y, t, chart):
-    """The chart of develop in mpmath at the working precision, off the pole locus."""
-    a, b, t = mpmath.mpc(s.a), mpmath.mpc(s.b), mpmath.mpf(t)
-    if a == 0:
-        return x + b * y, t
-    z0 = 1 / (1 - mpmath.exp(a))
-    ph = -z0 * mpmath.exp(x * a + y * a * b)
-    if chart == "printed":
-        den = mpmath.sqrt(t * t + abs(ph) ** 2)
-        return z0 + ph * abs(ph) / den, t * abs(ph) / den
-    den = mpmath.sqrt(1 + t * t)
-    return z0 + ph / den, t * abs(ph) / den
-
-
-def mp_distance(p, q):
-    """hyp_distance in mpmath between two (z, t) points."""
-    (zp, tp), (zq, tq) = p, q
-    return mpmath.acosh(1 + (abs(zp - zq) ** 2 + (tp - tq) ** 2) / (2 * tp * tq))
 
 
 class TestContinuityAtInfinity:
