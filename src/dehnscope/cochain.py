@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import RANK_RTOL, positive_finite
-from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, right_translate
+from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_rows, right_translate
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+#: the start of every walk and the target of the relator check; MobiusTransform is immutable, so one is shared
+_IDENTITY = MobiusTransform.identity()
 
 
 class BadWord(ValueError):
@@ -32,31 +36,50 @@ class StepTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class MarkedRepresentation:
-    """Generator images and relator words (letters +-(i+1)) of a marked group."""
+    """Generator images and relator words (letters +-(i+1)) of a marked group.
+
+    The relator check keeps what it computes: the generator inverses and,
+    per relator, its walk, the prefix products I, g1, g1 g2, ... of its
+    letters.  The coboundary matrix and its singular values are kept once
+    first asked for.  None of these fields takes part in ==, hash or repr.
+    """
 
     generators: tuple
     relators: tuple
+    _inverses: tuple = field(init=False, repr=False, compare=False)
+    _walks: tuple = field(init=False, repr=False, compare=False)
+    #: (matrix, singular values) of the coboundary map, set by _coboundary_spectrum
+    _coboundary: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relators", tuple(tuple(w) for w in self.relators))
+        object.__setattr__(self, "_inverses", tuple(g.inverse() for g in self.generators))
+        walks = []
         for word in self.relators:
-            img = self.evaluate_word(word)
-            if not img.distance(MobiusTransform.identity()) <= 1e-9:  # a NaN distance fails too
+            walk = self._walk(word)
+            if not walk[-1].distance(_IDENTITY) <= 1e-9:  # a NaN distance fails too
                 raise ValueError(f"relator {word} does not evaluate to +-identity")
+            walks.append(walk)
+        object.__setattr__(self, "_walks", tuple(walks))
 
     def generator(self, letter: int) -> MobiusTransform:
         idx = abs(letter) - 1
         if letter == 0 or idx >= len(self.generators):
             raise BadWord(f"letter {letter} outside generator range")
-        g = self.generators[idx]
-        return g if letter > 0 else g.inverse()
+        return self.generators[idx] if letter > 0 else self._inverses[idx]
+
+    def _walk(self, word: Sequence[int]) -> tuple:
+        """Prefix products I, g1, g1 g2, ... of the word's letters, the whole word last."""
+        prefix = _IDENTITY
+        walk = [prefix]
+        for letter in word:
+            prefix = prefix @ self.generator(letter)
+            walk.append(prefix)
+        return tuple(walk)
 
     def evaluate_word(self, word: Sequence[int]) -> MobiusTransform:
-        acc = MobiusTransform.identity()
-        for letter in word:
-            acc = acc @ self.generator(letter)
-        return acc
+        return self._walk(word)[-1]
 
     def to_dict(self) -> dict:
         gens = []
@@ -98,69 +121,96 @@ class Cocycle:
         return np.array([c for v in self.values for c in v.coords()], dtype=complex)
 
 
+def _check_generator_count(rep: MarkedRepresentation, c: Cocycle) -> None:
+    if len(c.values) != len(rep.generators):
+        raise ValueError("cocycle and representation have different generator counts")
+
+
+def _fold(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int], walk: tuple) -> SL2Vector:
+    """Sum of Ad(prefix) z(letter) over the word's letters, prefix = walk[j]; see extend_cocycle."""
+    acc = SL2Vector.zero()
+    for letter, prefix in zip(word, walk):
+        if letter > 0:
+            zl = c.values[letter - 1]
+        else:
+            zl = -adjoint(rep.generator(letter), c.values[-letter - 1])
+        acc = acc + adjoint(prefix, zl)
+    return acc
+
+
 def extend_cocycle(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int]) -> SL2Vector:
     """Left fold of z(gh) = z(g) + Ad rho(g) z(h) over the word.
 
     Inverse letters use z(g^-1) = -Ad rho(g)^-1 z(g).
     """
-    if len(c.values) != len(rep.generators):
-        raise ValueError("cocycle and representation have different generator counts")
-    acc = SL2Vector.zero()
-    prefix = MobiusTransform.identity()
-    for letter in word:
-        g = rep.generator(letter)
-        if letter > 0:
-            zl = c.values[letter - 1]
-        else:
-            zl = -adjoint(g, c.values[-letter - 1])
-        acc = acc + adjoint(prefix, zl)
-        prefix = prefix @ g
-    return acc
+    _check_generator_count(rep, c)
+    return _fold(rep, c, word, rep._walk(word))
 
 
 def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = 1e-9):
     """(bool, max relator residual): the extension over every relator must vanish.
 
-    tol may be 0 (exact vanishing); a negative or NaN tol raises ValueError.
+    tol may be 0 (exact vanishing); a negative or NaN tol raises ValueError, and
+    so does a cocycle whose value count is not the generator count.
     A NaN or infinite residual is reported and fails.
     """
     positive_finite("tol", tol, allow_zero=True)
-    residuals = (extend_cocycle(rep, c, word).norm() for word in rep.relators)
+    _check_generator_count(rep, c)
+    residuals = (_fold(rep, c, word, walk).norm() for word, walk in zip(rep.relators, rep._walks))
     worst = max(residuals, default=0.0, key=lambda r: (math.isnan(r), r))  # a NaN ranks above every number
     return worst <= tol, worst
 
 
-def _coboundary_matrix(rep: MarkedRepresentation) -> np.ndarray:
-    """The map v -> (v - Ad rho(g_i) v)_i as a (3k, 3) matrix.
+#: rows of the 3x3 identity, complex so that e - x subtracts as numpy's complex128 does
+_UNIT_ROWS = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
 
-    Column alpha is Cocycle.coboundary(rep, e_alpha).coords().
+
+def _coboundary_spectrum(rep: MarkedRepresentation) -> tuple:
+    """(matrix, singular values) of the map v -> (v - Ad rho(g_i) v)_i, computed once per rep.
+
+    The matrix is (3k, 3); column alpha is Cocycle.coboundary(rep, e_alpha).coords().
     """
-    import numpy as np
+    if rep._coboundary is None:
+        import numpy as np
 
-    blocks = [np.eye(3, dtype=complex) - adjoint_matrix(g) for g in rep.generators]
-    return np.vstack(blocks) if blocks else np.zeros((0, 3), dtype=complex)
+        rows = [
+            [e - x for e, x in zip(unit, ad)] for g in rep.generators for unit, ad in zip(_UNIT_ROWS, adjoint_rows(g))
+        ]
+        mat = np.array(rows, dtype=complex).reshape(-1, 3)
+        sv = _singular_values(mat)
+        mat.setflags(write=False)  # every caller shares these two arrays
+        sv.setflags(write=False)
+        # one assignment publishes the matrix and its spectrum together
+        object.__setattr__(rep, "_coboundary", (mat, sv))
+    return rep._coboundary
 
 
 def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:
     """The linearized relator map z -> (extend_cocycle(rep, z, w))_w by Fox calculus.
 
-    Walking each relator once, a letter g_i at prefix u adds Ad(u) to column
-    block i and a letter g_i^-1 adds -Ad(u g_i^-1).
+    Along each relator's walk, a letter g_i at prefix u adds Ad(u) to column
+    block i and a letter g_i^-1 adds -Ad(u g_i^-1), in letter order.
     """
     import numpy as np
 
-    jac = np.zeros((3 * len(rep.relators), 3 * len(rep.generators)), dtype=complex)
-    for r, word in enumerate(rep.relators):
-        rows = jac[3 * r : 3 * r + 3]
-        prefix = MobiusTransform.identity()
-        for letter in word:
-            block = slice(3 * abs(letter) - 3, 3 * abs(letter))
-            if letter > 0:
-                rows[:, block] += adjoint_matrix(prefix)
-            prefix = prefix @ rep.generator(letter)
-            if letter < 0:
-                rows[:, block] -= adjoint_matrix(prefix)
-    return jac
+    # summed in Python complex arithmetic, which rounds as numpy's complex128 does
+    k = len(rep.generators)
+    rows = []
+    for word, walk in zip(rep.relators, rep._walks):
+        block = [[0j] * (3 * k) for _ in range(3)]
+        for j, letter in enumerate(word):
+            col = 3 * abs(letter) - 3
+            for row, (x0, x1, x2) in zip(block, adjoint_rows(walk[j] if letter > 0 else walk[j + 1])):
+                if letter > 0:
+                    row[col] += x0
+                    row[col + 1] += x1
+                    row[col + 2] += x2
+                else:
+                    row[col] -= x0
+                    row[col + 1] -= x1
+                    row[col + 2] -= x2
+        rows += block
+    return np.array(rows, dtype=complex).reshape(3 * len(rep.relators), 3 * k)
 
 
 def solve_coboundary(rep: MarkedRepresentation, c: Cocycle):
@@ -169,26 +219,31 @@ def solve_coboundary(rep: MarkedRepresentation, c: Cocycle):
     Returns (v, residual) where residual is the Euclidean norm of the stacked
     defect; a residual at roundoff scale certifies c as a coboundary.
     """
+    _check_generator_count(rep, c)
     if not rep.generators:
         return SL2Vector.zero(), 0.0
     import numpy as np
 
-    A = _coboundary_matrix(rep)
+    A, _ = _coboundary_spectrum(rep)
     rhs = c.coords()
     v_coords, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     residual = float(np.linalg.norm(A @ v_coords - rhs))
     return SL2Vector.from_coords(v_coords), residual
 
 
-def _numerical_rank(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    if mat.size == 0:
-        return 0
+def _singular_values(mat: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0.0:
+    return np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
+
+
+def _rank(sv: np.ndarray, rtol: float) -> int:
+    """Number of singular values above rtol times the largest; 0 for none or all zero."""
+    sv = sv.tolist()
+    if not sv or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    cutoff = rtol * sv[0]
+    return sum(s > cutoff for s in sv)
 
 
 def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
@@ -198,34 +253,43 @@ def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
     of v -> (v - Ad rho(g_i) v)_i, both by numerical rank.
     """
     positive_finite("rtol", rtol)
-    dim_z = 3 * len(rep.generators) - _numerical_rank(_relator_jacobian(rep), rtol)
-    dim_b = _numerical_rank(_coboundary_matrix(rep), rtol)
+    dim_z = 3 * len(rep.generators) - _rank(_singular_values(_relator_jacobian(rep)), rtol)
+    dim_b = _rank(_coboundary_spectrum(rep)[1], rtol)
     return dim_z, dim_b, dim_z - dim_b
 
 
 def class_rank(rep: MarkedRepresentation, cocycles: Sequence[Cocycle], rtol: float = RANK_RTOL) -> int:
     """Rank of the given cocycles in H^1: rank([B-basis | cocycles]) - rank(B-basis); 0 for no cocycles."""
     positive_finite("rtol", rtol)
-    columns = [c.coords() for c in cocycles]
-    if not columns:
+    cocycles = list(cocycles)
+    if not cocycles:
         return 0
     import numpy as np
 
-    b_mat = _coboundary_matrix(rep)
-    joint = np.hstack([b_mat, np.array(columns).T])
-    return _numerical_rank(joint, rtol) - _numerical_rank(b_mat, rtol)
+    for c in cocycles:
+        _check_generator_count(rep, c)
+    b_mat, b_sv = _coboundary_spectrum(rep)
+    joint = np.hstack([b_mat, np.array([c.coords() for c in cocycles]).T])
+    return _rank(_singular_values(joint), rtol) - _rank(b_sv, rtol)
 
 
 def tangent_cocycle(path: Callable[[float], MarkedRepresentation], h: float) -> Cocycle:
     """Cocycle z(g_i) = (d/dw rho_w(g_i)) rho_0(g_i)^-1 by central differences.
 
     Signs of the +-h samples are aligned to the center representation before
-    differencing.  The result is projected to traceless.
+    differencing.  The result is projected to traceless.  ValueError if a
+    sample has another generator count than the center.
     """
     positive_finite("step h", h)
     rep0 = path(0.0)
     rep_p = path(h)
     rep_m = path(-h)
+    for side, sample in (("+h", rep_p), ("-h", rep_m)):
+        if len(sample.generators) != len(rep0.generators):
+            raise ValueError(
+                f"path samples have different generator counts: {len(rep0.generators)} at 0, "
+                f"{len(sample.generators)} at {side}"
+            )
     values = []
     for g0, gp, gm in zip(rep0.generators, rep_p.generators, rep_m.generators):
         sp, sm = (1.0 if minus <= plus else -1.0 for minus, plus in (gp.frobenius_gaps(g0), gm.frobenius_gaps(g0)))

@@ -117,9 +117,12 @@ class MobiusTransform:
         return self.a11 + self.a22
 
     def frobenius_gaps(self, other: "MobiusTransform") -> tuple[float, float]:
-        """Squared Frobenius norms (|A - B|^2, |A + B|^2) of the two sign choices."""
-        pairs = tuple(zip(self.entries(), other.entries()))
-        return sum(abs(x - y) ** 2 for x, y in pairs), sum(abs(x + y) ** 2 for x, y in pairs)
+        """Squared Frobenius norms (|A - B|^2, |A + B|^2) of the two sign choices, summed in entry order."""
+        a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
+        b11, b12, b21, b22 = other.a11, other.a12, other.a21, other.a22
+        minus = abs(a11 - b11) ** 2 + abs(a12 - b12) ** 2 + abs(a21 - b21) ** 2 + abs(a22 - b22) ** 2
+        plus = abs(a11 + b11) ** 2 + abs(a12 + b12) ** 2 + abs(a21 + b21) ** 2 + abs(a22 + b22) ** 2
+        return minus, plus
 
     def distance(self, other: "MobiusTransform") -> float:
         """Sign-insensitive Frobenius distance, a metric on PSL(2,C) matrices."""
@@ -351,22 +354,27 @@ def _ordered(z1, z2):
     return (z2, z1)
 
 
-def _ad_rows(m: MobiusTransform) -> tuple:
-    """Rows of Ad(m) on (x, y, w) for m = [[a, b], [c, d]]; quadratic, so the sign of m drops out."""
+def adjoint_rows(m: MobiusTransform) -> tuple:
+    """Rows of Ad(m) on (x, y, w) for m = [[a, b], [c, d]], as Python numbers.
+
+    Quadratic in the entries, so the sign of m drops out.
+    """
     a, b, c, d = m.entries()
     return (a * d + b * c, -a * c, b * d), (-2.0 * a * b, a * a, -b * b), (2.0 * c * d, -c * c, d * d)
 
 
 def adjoint(m: MobiusTransform, v: SL2Vector) -> SL2Vector:
     """Ad(m) v = m v m^-1, traceless by construction."""
-    return SL2Vector(*(r0 * v.x + r1 * v.y + r2 * v.w for r0, r1, r2 in _ad_rows(m)))
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = adjoint_rows(m)
+    x, y, w = v.x, v.y, v.w
+    return SL2Vector(a0 * x + a1 * y + a2 * w, b0 * x + b1 * y + b2 * w, c0 * x + c1 * y + c2 * w)
 
 
 def adjoint_matrix(m: MobiusTransform) -> np.ndarray:
     """Ad(m) as a 3x3 complex matrix in the coordinates of SL2Vector.coords."""
     import numpy as np
 
-    return np.array(_ad_rows(m), dtype=complex)
+    return np.array(adjoint_rows(m), dtype=complex)
 
 
 def right_translate(dm, m: MobiusTransform) -> SL2Vector:

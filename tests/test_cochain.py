@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dehnscope.cochain import (
     solve_coboundary,
     strain,
     tangent_cocycle,
+    _coboundary_spectrum,
     _relator_jacobian,
 )
 from dehnscope.hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix
@@ -49,6 +51,36 @@ def random_mobius(rng) -> MobiusTransform:
         e = rng.normal(size=4) + 1j * rng.normal(size=4)
         if abs(e[0] * e[3] - e[1] * e[2]) > 0.1:
             return MobiusTransform.from_entries(*e)
+
+
+def fox_jacobian_loop(rep: MarkedRepresentation) -> np.ndarray:
+    """Reference Fox calculus: walk each relator again, one Ad matrix per letter."""
+    jac = np.zeros((3 * len(rep.relators), 3 * len(rep.generators)), dtype=complex)
+    for r, word in enumerate(rep.relators):
+        rows = jac[3 * r : 3 * r + 3]
+        prefix = MobiusTransform.identity()
+        for letter in word:
+            block = slice(3 * abs(letter) - 3, 3 * abs(letter))
+            if letter > 0:
+                rows[:, block] += adjoint_matrix(prefix)
+            prefix = prefix @ rep.generator(letter)
+            if letter < 0:
+                rows[:, block] -= adjoint_matrix(prefix)
+    return jac
+
+
+#: end parameters whose holonomy is a loxodromic commuting pair
+end_a = st.complex_numbers(max_magnitude=1.5)
+end_b = st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.3, 2.0))
+#: relator sets of a commuting pair: every word with zero exponent sum per generator,
+#: with inverse and repeated letters
+commuting_relators = st.lists(
+    st.lists(st.sampled_from([1, 2, -1, -2]), min_size=1, max_size=5).flatmap(
+        lambda w: st.permutations([-x for x in w]).map(lambda inv: tuple(w) + tuple(inv))
+    ),
+    min_size=1,
+    max_size=3,
+)
 
 
 class TestExtendCocycle:
@@ -137,6 +169,15 @@ class TestIsCocycle:
             ok, residual = is_cocycle(rep, Cocycle.coboundary(rep, random_sl2(rng)))
             assert ok and residual < 1e-12
 
+    @pytest.mark.parametrize("call", [is_cocycle, solve_coboundary])
+    def test_generator_count_mismatch_is_named(self, call):
+        # a relator-free rep used to pass any cocycle through is_cocycle, and lstsq named no count
+        free = MarkedRepresentation((MobiusTransform.identity(),), ())
+        trivial = MarkedRepresentation((), ())
+        for rep, c in ((free, Cocycle.zero(2)), (z2_rep(), Cocycle.zero(1)), (trivial, Cocycle.zero(1))):
+            with pytest.raises(ValueError, match="different generator counts"):
+                call(rep, c)
+
     def test_random_values_generically_fail(self):
         rng = np.random.default_rng(5)
         rep = z2_rep()
@@ -204,13 +245,34 @@ class TestH1Dimension:
         assert class_rank(z2_rep(), []) == 0
         assert class_rank(z2_rep(), iter(())) == 0
 
+    def test_generator_count_mismatch_is_named(self):
+        # numpy used to raise its own unnamed error: "all the input array dimensions ..." or "inhomogeneous shape"
+        rep = z2_rep()
+        for family in ([Cocycle.zero(1)], [Cocycle.zero(2), Cocycle.zero(3)], iter([Cocycle.zero(3)])):
+            with pytest.raises(ValueError, match="different generator counts"):
+                class_rank(rep, family)
+
     def test_trivial_group(self):
-        assert h1_dimension(MarkedRepresentation((), ())) == (0, 0, 0)
+        trivial = MarkedRepresentation((), ())
+        assert h1_dimension(trivial) == (0, 0, 0)
+        assert is_cocycle(trivial, Cocycle(())) == (True, 0.0)
+        assert class_rank(trivial, [Cocycle(())]) == 0
+        assert solve_coboundary(trivial, Cocycle(())) == (SL2Vector.zero(), 0.0)
+        assert _relator_jacobian(trivial).shape == (0, 0)
+        assert _relator_jacobian(MarkedRepresentation((), ((), ()))).shape == (6, 0)
+
+    def test_empty_relator_word(self):
+        rep = MarkedRepresentation((random_mobius(np.random.default_rng(13)),), ((),))
+        assert not _relator_jacobian(rep).any() and _relator_jacobian(rep).shape == (3, 3)
+        assert h1_dimension(rep) == (3, 2, 1)
 
     def test_free_group_rank_two(self):
         rng = np.random.default_rng(7)
         rep = MarkedRepresentation((random_mobius(rng), random_mobius(rng)), ())
         assert h1_dimension(rep) == (6, 3, 3)
+        c = Cocycle((random_sl2(rng), random_sl2(rng)))
+        assert is_cocycle(rep, c) == (True, 0.0)
+        assert class_rank(rep, [c]) == 1
 
     def test_euler_relation_and_conjugation_invariance(self):
         rng = np.random.default_rng(8)
@@ -224,20 +286,11 @@ class TestH1Dimension:
             assert h1_dimension(conj) == base
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        a=st.complex_numbers(max_magnitude=1.5),
-        b=st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.3, 2.0)),
-        relators=st.lists(
-            # a commuting pair satisfies every word with zero exponent sum per generator
-            st.lists(st.sampled_from([1, 2, -1, -2]), min_size=1, max_size=5).flatmap(
-                lambda w: st.permutations([-x for x in w]).map(lambda inv: tuple(w) + tuple(inv))
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-    )
+    @given(a=end_a, b=end_b, relators=commuting_relators)
     def test_relator_jacobian_matches_extend_cocycle(self, a, b, relators):
         rep = MarkedRepresentation(holonomy_representation(EndParameter(a, b)), relators)
+        # the stored walks, summed in Python complex arithmetic, give the bits of a fresh walk over numpy Ad matrices
+        assert np.array_equal(_relator_jacobian(rep), fox_jacobian_loop(rep))
         cols = []
         for i in range(2):
             for alpha in range(3):
@@ -333,6 +386,14 @@ class TestTangentCocycle:
         for sides in ((True,), (False,), (True, False)):
             assert np.array_equal(tangent_cocycle(flipped(sides), 1e-5).coords(), expect)
 
+    def test_generator_count_mismatch_rejected(self):
+        # zipping the samples used to drop the extra generator: a 1-value cocycle for a 2-generator center
+        def path(w):
+            return z2_rep() if w == 0.0 else MarkedRepresentation(z2_rep().generators[:1], ())
+
+        with pytest.raises(ValueError, match="different generator counts: 2 at 0, 1 at [+]h"):
+            tangent_cocycle(path, 1e-5)
+
     def test_step_too_small(self):
         # the perturbation survives into the last mantissa bits but sits
         # below the cancellation threshold
@@ -342,6 +403,74 @@ class TestTangentCocycle:
 
         with pytest.raises(StepTooSmall):
             tangent_cocycle(path, 1e-5)
+
+
+class TestStoredWork:
+    """The walks and the coboundary spectrum a representation keeps: counted, and invisible."""
+
+    def test_one_coboundary_svd_per_representation(self, monkeypatch):
+        rep = z2_rep()
+        z = tangent_cocycle(lambda w: z2_rep(1.0 + w, 1j), 1e-5)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert h1_dimension(rep) == (4, 2, 2)
+        assert class_rank(rep, [z]) == 1
+        # the relator Jacobian, the coboundary matrix once, and [B | z]
+        assert sorted(shapes) == [(3, 6), (6, 3), (6, 4)]
+
+    def test_each_relator_is_walked_once(self, monkeypatch):
+        gens = holonomy_representation(EndParameter(1.0, 1j))
+        products = []
+        matmul = MobiusTransform.__matmul__
+
+        def counting_matmul(self, other):
+            products.append(1)
+            return matmul(self, other)
+
+        monkeypatch.setattr(MobiusTransform, "__matmul__", counting_matmul)
+        rep = MarkedRepresentation(gens, Z2_RELATOR)
+        assert len(products) == 4
+        c = Cocycle.coboundary(rep, SL2Vector.from_coords((0.3, 1j, -0.5)))
+        h1_dimension(rep)
+        is_cocycle(rep, c)
+        class_rank(rep, [c])
+        assert len(products) == 4
+
+    def test_kept_work_is_invisible(self):
+        fresh, used = z2_rep(0.8 + 0.1j, 0.5 + 1.5j), z2_rep(0.8 + 0.1j, 0.5 + 1.5j)
+        for _ in range(2):
+            assert fresh == used and hash(fresh) == hash(used)
+            assert repr(fresh) == repr(used) and fresh.to_dict() == used.to_dict()
+            h1_dimension(used)
+        assert repr(fresh) == "MarkedRepresentation(generators=%r, relators=%r)" % (fresh.generators, Z2_RELATOR)
+
+    def test_kept_spectrum_is_read_only(self):
+        # every caller shares the kept arrays, so none may write to them
+        rep = z2_rep()
+        z = Cocycle.coboundary(rep, SL2Vector.from_coords((0.3, 1j, -0.5)))
+        first = solve_coboundary(rep, z)
+        assert all(not arr.flags.writeable for arr in _coboundary_spectrum(rep))
+        assert solve_coboundary(rep, z) == first and first[1] < 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=end_a,
+        b=end_b,
+        relators=commuting_relators,
+        coords=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=6, max_size=6),
+    )
+    def test_is_cocycle_residual_is_the_largest_extension(self, a, b, relators, coords):
+        rep = MarkedRepresentation(holonomy_representation(EndParameter(a, b)), relators)
+        c = Cocycle((SL2Vector.from_coords(coords[:3]), SL2Vector.from_coords(coords[3:])))
+        _, residual = is_cocycle(rep, c)
+        expect = max(extend_cocycle(rep, c, w).norm() for w in relators)
+        assert struct.pack("<d", residual) == struct.pack("<d", expect)
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dehnscope.hypcore import (
     SL2Vector,
     adjoint,
     adjoint_matrix,
+    adjoint_rows,
     apply_boundary,
     apply_h3,
     classify,
@@ -56,6 +58,12 @@ mobius = (
     .map(lambda e: MobiusTransform.from_entries(*e))
 )
 sl2_vectors = st.tuples(_entry, _entry, _entry).map(SL2Vector.from_coords)
+#: the 16 real parts of two raw matrices, with up to two of them replaced by a signed zero or a non-finite value
+_raw_parts = st.builds(
+    lambda parts, specials: [dict(specials).get(i, x) for i, x in enumerate(parts)],
+    st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
+    st.lists(st.tuples(st.integers(0, 15), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])), max_size=2),
+)
 
 
 class TestApplyBoundary:
@@ -295,6 +303,12 @@ class TestAdjoint:
         assert np.linalg.norm(sl2_array(adjoint(m, v)) - reference) <= tol
 
     @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=mobius, v=sl2_vectors)
+    def test_adjoint_is_the_row_products_bit_for_bit(self, m, v):
+        reference = SL2Vector(*(r0 * v.x + r1 * v.y + r2 * v.w for r0, r1, r2 in adjoint_rows(m)))
+        assert adjoint(m, v) == reference
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(m=mobius, n=mobius)
     def test_adjoint_matrix_is_a_homomorphism(self, m, n):
         am, an = adjoint_matrix(m), adjoint_matrix(n)
@@ -341,6 +355,16 @@ class TestNormalization:
         a, b = as_array(m), as_array(n)
         reference = min(np.linalg.norm(a - b), np.linalg.norm(a + b))
         assert abs(d - reference) <= 4 * np.spacing(reference)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parts=_raw_parts)
+    def test_frobenius_gaps_match_the_sum_form_bit_for_bit(self, parts):
+        # the explicit four-term sums add in the order sum() used (left to right from 0 before
+        # Python 3.12, which compensates float sums), so the relator check keeps its bits
+        m, n = (MobiusTransform(*(complex(re, im) for re, im in zip(p[::2], p[1::2]))) for p in (parts[:8], parts[8:]))
+        pairs = tuple(zip(m.entries(), n.entries()))
+        reference = sum(abs(x - y) ** 2 for x, y in pairs), sum(abs(x + y) ** 2 for x, y in pairs)
+        assert struct.pack("<2d", *m.frobenius_gaps(n)) == struct.pack("<2d", *reference)
 
     @pytest.mark.parametrize(
         "entries",
