@@ -2,7 +2,9 @@
 
 Conventions: complex flags are "re,im"; integer ranges "start..end" are
 inclusive; grids are "lo:hi:count".  Exit codes: 0 success, 1 a solve that
-declared failure (payload still emitted), 2 usage errors.
+declared failure (payload still emitted), 2 usage errors.  This module is
+the only one that reads or writes the wire formats: the flags, the path,
+representation and cocycle-values files, and the JSON/CSV payloads.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import sys
 from dataclasses import fields, replace
 
 from . import cochain, filling_solver, schwarzian_end, torus_end
-from .config import MAX_CLI_VALUES, RunConfig, finite_float, load_config
+from .config import COCYCLE_TOL, MAX_CLI_VALUES, RunConfig, finite_float, load_config
 from .hypcore import MobiusTransform, SL2Vector, classify, complex_translation_length
 from .schwarzian_end import GridSpec, parse_map
 from .torus_end import EndParameter, EndRegion
@@ -67,8 +70,84 @@ def _parse_region(text: str) -> EndRegion:
     return EndRegion(*(finite_float(v) for span in spans for v in span))
 
 
+def _parse_grid(text: str) -> GridSpec:
+    try:
+        (re0, re1, nre), (im0, im1, nim) = (part.split(":") for part in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"expected grid 're0:re1:n,im0:im1:m', got {text!r}") from exc
+    return GridSpec(finite_float(re0), finite_float(re1), int(nre), finite_float(im0), finite_float(im1), int(nim))
+
+
+def _real(value) -> float:
+    """A real JSON number; a bool is refused, though Python counts it an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
+def _complex(pair) -> complex:
+    """A complex number from [re, im], exactly two real JSON numbers."""
+    re, im = pair
+    return complex(_real(re), _real(im))
+
+
+def _letter(value) -> int:
+    """A relator letter, read with operator.index; a bool is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"relator letters must be integers, got {value!r}")
+    return operator.index(value)
+
+
+def _load(what: str, source: str, build, inline: bool = False):
+    """build(data) of the JSON in the file source, or in source itself if inline and an object; failures exit 2."""
+    try:
+        if inline and source.strip().startswith("{"):
+            data = json.loads(source)
+        else:
+            with open(source) as fh:
+                data = json.load(fh)
+        return build(data)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"cannot load {what} from {source!r}: {exc}") from exc
+
+
+def _path(data: dict) -> filling_solver.HolomorphicPath:
+    return filling_solver.HolomorphicPath(
+        tuple(map(_complex, data["a_coeffs"])),
+        tuple(map(_complex, data["b_coeffs"])),
+        _complex(data["center"]),
+        _real(data["radius"]),
+    )
+
+
+def _representation(data: dict) -> cochain.MarkedRepresentation:
+    gens = tuple(MobiusTransform.from_entries(*map(_complex, entries)) for entries in data["generators"])
+    relators = tuple(tuple(map(_letter, w)) for w in data.get("relators", []))
+    return cochain.MarkedRepresentation(gens, relators)
+
+
+def _cocycle_values(data: dict) -> cochain.Cocycle:
+    """One sl(2,C) value per generator, each as its four entries [re, im] in row order."""
+    vals = [[*map(_complex, entries)] for entries in data["values"]]
+    return cochain.Cocycle(tuple(SL2Vector.from_matrix((v[:2], v[2:])) for v in vals))
+
+
 def _cpx(z: complex) -> list[float]:
     return [z.real, z.imag]
+
+
+def _coordinate_payload(c: torus_end.FillingCoordinate) -> dict:
+    return {"type": "infinity"} if c.infinite else {"type": "finite", "x": c.x, "y": c.y}
+
+
+def _completion_payload(c: torus_end.CompletionClass) -> dict:
+    if c.kind in ("smooth", "cone"):
+        return {"kind": c.kind, "p": c.p, "q": c.q, "angle": c.angle}
+    return {"kind": c.kind}
+
+
+def _solve_payload(r: filling_solver.SolveReport) -> dict:
+    return {"w": _cpx(r.w), "residual": r.residual, "iterations": r.iterations, "converged": r.converged}
 
 
 def _mobius_payload(m: MobiusTransform) -> dict:
@@ -114,9 +193,10 @@ def cmd_holonomy(args, cfg: RunConfig) -> int:
 
 def cmd_fill(args, cfg: RunConfig) -> int:
     s = _parse_end(args.a, args.b)
-    payload = {"coordinates": torus_end.filling_coordinates(s).to_dict()}
+    payload = {"coordinates": _coordinate_payload(torus_end.filling_coordinates(s))}
     if args.classify:
-        payload["completion"] = torus_end.classify_completion(s, cfg.rational_tol, cfg.max_denominator).to_dict()
+        completion = torus_end.classify_completion(s, cfg.rational_tol, cfg.max_denominator)
+        payload["completion"] = _completion_payload(completion)
     _emit_json(payload)
     return 0
 
@@ -139,20 +219,8 @@ def cmd_sequence(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_path(text: str) -> filling_solver.HolomorphicPath:
-    try:
-        if text.strip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text) as fh:
-                data = json.load(fh)
-        return filling_solver.HolomorphicPath.from_dict(data)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"cannot load path spec from {text!r}: {exc}") from exc
-
-
 def cmd_solve(args, cfg: RunConfig) -> int:
-    path = _load_path(args.path)
+    path = _load("path spec", args.path, _path, inline=True)
     x, y, w0 = finite_float(args.x), finite_float(args.y), _parse_complex(args.w0)
     try:
         report = filling_solver.solve_on_path(
@@ -161,7 +229,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     except filling_solver.DomainExit as exc:
         _emit_json({"converged": False, "error": str(exc)})
         return FAILURE_EXIT
-    _emit_json(report.to_dict())
+    _emit_json(_solve_payload(report))
     return 0 if report.converged else FAILURE_EXIT
 
 
@@ -187,7 +255,7 @@ def cmd_crosssection(args, cfg: RunConfig) -> int:
 def cmd_schwarzian(args, cfg: RunConfig) -> int:
     f = parse_map(args.f)
     if args.depth or args.grid:
-        grid = GridSpec.parse(cfg.grid)
+        grid = _parse_grid(cfg.grid)
         _count("--grid", grid.nre * grid.nim)
     if args.depth:
         _emit_json({"injectivity_depth": schwarzian_end.injectivity_depth(f, grid)})
@@ -216,36 +284,19 @@ def cmd_theta_check(args, cfg: RunConfig) -> int:
     f = parse_map(args.f)
     u, v, t = (finite_float(w) for w in _fields(args.point, ",", 3, "point 'u,v,t'"))
     point = schwarzian_end.H3Point(complex(u, v), t)
-    report = schwarzian_end.jacobian_check(f, point, h=cfg.fd_step, richardson=args.richardson)
-    _emit_json(report.to_dict())
+    r = schwarzian_end.jacobian_check(f, point, h=cfg.fd_step, richardson=args.richardson)
+    _emit_json(
+        {"measured": list(r.measured), "predicted": list(r.predicted), "norm_at_foot": r.norm_at_foot, "depth": r.depth}
+    )
     return 0
 
 
-def _parse_sl2(entries) -> SL2Vector:
-    """An sl(2,C) value from its four entries [re, im] in row order."""
-    vals = [complex(re, im) for re, im in entries]
-    return SL2Vector.from_matrix((vals[:2], vals[2:]))
-
-
-def _load_representation(path: str) -> cochain.MarkedRepresentation:
-    try:
-        with open(path) as fh:
-            return cochain.MarkedRepresentation.from_dict(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"cannot load representation from {path!r}: {exc}") from exc
-
-
 def cmd_cocycle(args, cfg: RunConfig) -> int:
-    rep = _load_representation(args.rep)
+    rep = _load("representation", args.rep, _representation)
     dim_z, dim_b, dim_h = cochain.h1_dimension(rep, cfg.rank_rtol)
     payload: dict = {"dim_z1": dim_z, "dim_b1": dim_b, "dim_h1": dim_h}
     if args.values:
-        try:
-            with open(args.values) as fh:
-                data = json.load(fh)
-            c = cochain.Cocycle(tuple(_parse_sl2(entries) for entries in data["values"]))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"cannot load cocycle values from {args.values!r}: {exc}") from exc
+        c = _load("cocycle values", args.values, _cocycle_values)
         ok, residual = cochain.is_cocycle(rep, c, tol=finite_float(args.tol))
         payload["is_cocycle"] = ok
         payload["max_relator_residual"] = residual
@@ -331,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cocycle", help="cocycle checks and cohomology dimensions")
     p.add_argument("--rep", required=True, help="representation JSON file")
     p.add_argument("--values", help="cocycle values JSON file")
-    p.add_argument("--tol", default="1e-9")
+    p.add_argument("--tol", default=COCYCLE_TOL)
     p.set_defaults(func=cmd_cocycle)
 
     p = sub.add_parser("bilipschitz", help="sampled biLipschitz estimate between two end charts")

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .config import RANK_RTOL, positive_finite
+from .config import COCYCLE_TOL, RANK_RTOL, positive_finite
 from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_rows, right_translate
 
 if TYPE_CHECKING:
@@ -81,21 +81,6 @@ class MarkedRepresentation:
     def evaluate_word(self, word: Sequence[int]) -> MobiusTransform:
         return self._walk(word)[-1]
 
-    def to_dict(self) -> dict:
-        gens = []
-        for g in self.generators:
-            gens.append([[v.real, v.imag] for v in g.entries()])
-        return {"generators": gens, "relators": [list(w) for w in self.relators]}
-
-    @staticmethod
-    def from_dict(data: dict) -> "MarkedRepresentation":
-        gens = tuple(
-            MobiusTransform.from_entries(*(complex(re, im) for re, im in entries))
-            for entries in data["generators"]
-        )
-        relators = tuple(tuple(int(v) for v in w) for w in data.get("relators", []))
-        return MarkedRepresentation(gens, relators)
-
 
 @dataclass(frozen=True)
 class Cocycle:
@@ -147,7 +132,7 @@ def extend_cocycle(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int]) -
     return _fold(rep, c, word, rep._walk(word))
 
 
-def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = 1e-9):
+def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
     """(bool, max relator residual): the extension over every relator must vanish.
 
     tol may be 0 (exact vanishing); a negative or NaN tol raises ValueError, and

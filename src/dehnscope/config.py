@@ -21,6 +21,10 @@ NEWTON_MAX_ITER = 64
 # Relative singular-value cutoff for numerical ranks.
 RANK_RTOL = 1e-8
 
+# Largest relator residual for which cochain.is_cocycle accepts a cocycle;
+# also the default of `cocycle --tol`, which is not a RunConfig field.
+COCYCLE_TOL = 1e-9
+
 # Rational-direction detection in filling coordinates.
 RATIONAL_TOL = 1e-9
 MAX_DENOMINATOR = 10**6

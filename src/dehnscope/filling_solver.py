@@ -64,12 +64,13 @@ class HolomorphicPath:
             if not bw.imag > 0:
                 raise ValueError(f"Im b(w) must stay positive on the disc; b({w}) = {bw}")
 
-    def _grid(self, rings: int = 4, rays: int = 8):
+    def _grid(self):
+        """The centre, then 8 equally spaced points on each circle of radius radius * i / 4, i = 1..4."""
         pts = [self.center]
-        for i in range(1, rings + 1):
-            r = self.radius * i / rings
-            for k in range(rays):
-                pts.append(self.center + r * cmath.exp(2j * math.pi * k / rays))
+        for i in range(1, 5):
+            r = self.radius * i / 4
+            for k in range(8):
+                pts.append(self.center + r * cmath.exp(2j * math.pi * k / 8))
         return pts
 
     def contains(self, w: complex) -> bool:
@@ -87,23 +88,6 @@ class HolomorphicPath:
     def db(self, w: complex) -> complex:
         return _horner(_derivative_coeffs(self.b_coeffs), w)
 
-    def to_dict(self) -> dict:
-        return {
-            "a_coeffs": [[c.real, c.imag] for c in self.a_coeffs],
-            "b_coeffs": [[c.real, c.imag] for c in self.b_coeffs],
-            "center": [self.center.real, self.center.imag],
-            "radius": self.radius,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "HolomorphicPath":
-        return HolomorphicPath(
-            tuple(complex(re, im) for re, im in data["a_coeffs"]),
-            tuple(complex(re, im) for re, im in data["b_coeffs"]),
-            complex(data["center"][0], data["center"][1]),
-            float(data["radius"]),
-        )
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -114,14 +98,6 @@ class SolveReport:
     iterations: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "w": [self.w.real, self.w.imag],
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class ContinuityReport:
@@ -130,14 +106,6 @@ class ContinuityReport:
     max_jump: float
     injectivity_violations: tuple
     sample_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "max_jump": self.max_jump,
-            "injectivity_violations": [list(p) for p in self.injectivity_violations],
-            "violation_count": len(self.injectivity_violations),
-            "sample_count": self.sample_count,
-        }
 
 
 def solve_direct(b: complex, x: float, y: float) -> EndParameter:

@@ -462,17 +462,6 @@ class GridSpec:
             z.imag = v[k % self.nim]
             yield z
 
-    @staticmethod
-    def parse(text: str) -> "GridSpec":
-        """Parse "re0:re1:n,im0:im1:m"."""
-        try:
-            re_part, im_part = text.split(",")
-            re0, re1, nre = re_part.split(":")
-            im0, im1, nim = im_part.split(":")
-        except ValueError as exc:
-            raise ValueError(f"bad grid spec {text!r}") from exc
-        return GridSpec(finite_float(re0), finite_float(re1), int(nre), finite_float(im0), finite_float(im1), int(nim))
-
 
 def schwarzian_grid(f: ConformalMap, grid: GridSpec):
     """Arrays (z, SC f(z), (Im z)^2 |SC f(z)|) over the grid, block by block (see GridSpec.blocks)."""
@@ -504,14 +493,6 @@ class JacobianReport:
     norm_at_foot: float
     depth: float
     directions: np.ndarray  # right-singular vectors, rows, in (Re z, Im z, t) coords
-
-    def to_dict(self) -> dict:
-        return {
-            "measured": list(self.measured),
-            "predicted": list(self.predicted),
-            "norm_at_foot": self.norm_at_foot,
-            "depth": self.depth,
-        }
 
 
 def jacobian_check(

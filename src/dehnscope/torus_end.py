@@ -77,11 +77,6 @@ class FillingCoordinate:
         """Quotient metric on R^2/+-1 u {infinity}; mixed pairs are infinitely far."""
         return _quotient_distance(self.infinite, self.x, self.y, other.infinite, other.x, other.y)
 
-    def to_dict(self) -> dict:
-        if self.infinite:
-            return {"type": "infinity"}
-        return {"type": "finite", "x": self.x, "y": self.y}
-
 
 @dataclass(frozen=True)
 class CompletionClass:
@@ -100,12 +95,6 @@ class CompletionClass:
                 raise ValueError("meridian class must be primitive")
             if not self.angle > 0:
                 raise ValueError("cone angle must be positive")
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind in ("smooth", "cone"):
-            out.update({"p": self.p, "q": self.q, "angle": self.angle})
-        return out
 
 
 @dataclass(frozen=True)

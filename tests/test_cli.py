@@ -177,6 +177,18 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: cannot load path spec")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("center", [0, 3, 99]), ("radius", "5"), ("radius", True), ("a_coeffs", [[True, 0], [1, 0]])],
+        ids=["center-3-numbers", "radius-string", "radius-bool", "coefficient-bool"],
+    )
+    def test_path_fields_must_be_real_numbers(self, capsys, field, value):
+        # each of these used to be read (3i, 5.0, 1.0, 1 + 0i) and solved
+        path = json.dumps(dict(json.loads(self.PATH), **{field: value}))
+        assert main(["solve", "--path", path, "--x", "1", "--y", "1", "--w0", "0,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot load path spec")
+
     def test_domain_exit_exits_1_with_payload(self, capsys):
         tight = json.dumps(
             {"a_coeffs": [[0, 0], [1, 0]], "b_coeffs": [[0, 1]], "center": [0, 20], "radius": 0.5}
@@ -358,6 +370,9 @@ class TestCocycleCommand:
     VALUES = {"values": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}
     G_HUGE = [[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [1e-200, 0.0]]
     G_SHIFT = [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    # two commuting generators, so [1, 2, -1, -2] passes the relator check
+    G_SCALE = [[math.exp(0.5), 0.0], [0.0, 0.0], [0.0, 0.0], [math.exp(-0.5), 0.0]]
+    G_TURN = [[math.cos(0.5), math.sin(0.5)], [0.0, 0.0], [0.0, 0.0], [math.cos(0.5), -math.sin(0.5)]]
 
     @pytest.mark.parametrize(
         "rep, values, what",
@@ -374,10 +389,17 @@ class TestCocycleCommand:
             ({"generators": [G_HUGE, G_SHIFT], "relators": [[1, 2, -1, -2]]}, VALUES, "representation"),
             # normalized to diag(1e100, 1e-100): the relator's Frobenius distance overflows a float
             ({"generators": [[[1e200, 0], [0, 0], [0, 0], [1, 0]], G_SHIFT], "relators": [[1, 2, -1, -2]]}, VALUES, "representation"),
+            # relator letters were read by int(): 1.7, 2.2, -1.4, -2.9 became the valid 1, 2, -1, -2
+            ({"generators": [G_SCALE, G_TURN], "relators": [[1.7, 2.2, -1.4, -2.9]]}, VALUES, "representation"),
+            ({"generators": [G_SCALE, G_TURN], "relators": [[1.0, 2.0, -1.0, -2.0]]}, VALUES, "representation"),
+            ({"generators": [G_SCALE, G_TURN], "relators": [[True, 2, -1, -2]]}, VALUES, "representation"),
+            ({"generators": [G_SCALE, G_TURN], "relators": [["1", 2, -1, -2]]}, VALUES, "representation"),
+            (REP, {"values": [[[True, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}, "cocycle values"),
         ],
         ids=[
             "values-3-entries", "values-5-entries", "values-null", "values-trace", "rep-null",
             "values-nan", "rep-nan", "rep-infinity", "rep-relator-nan", "rep-relator-overflow",
+            "rep-letter-fractional", "rep-letter-float", "rep-letter-bool", "rep-letter-string", "values-bool",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, rep, values, what):

@@ -446,7 +446,7 @@ class TestStoredWork:
         fresh, used = z2_rep(0.8 + 0.1j, 0.5 + 1.5j), z2_rep(0.8 + 0.1j, 0.5 + 1.5j)
         for _ in range(2):
             assert fresh == used and hash(fresh) == hash(used)
-            assert repr(fresh) == repr(used) and fresh.to_dict() == used.to_dict()
+            assert repr(fresh) == repr(used)
             h1_dimension(used)
         assert repr(fresh) == "MarkedRepresentation(generators=%r, relators=%r)" % (fresh.generators, Z2_RELATOR)
 
@@ -477,9 +477,13 @@ class TestSerialization:
     def test_presentation_round_trip(self):
         import json
 
+        from dehnscope.cli import _cpx, _representation
+
         rep = z2_rep(0.8 + 0.1j, 0.5 + 1.5j)
-        data = json.loads(json.dumps(rep.to_dict()))
-        again = MarkedRepresentation.from_dict(data)
+        # the representation's JSON as a representation file holds it, read by the CLI's reader
+        payload = {"generators": [[_cpx(v) for v in g.entries()] for g in rep.generators], "relators": rep.relators}
+        data = json.loads(json.dumps(payload))
+        again = _representation(data)
         assert again.relators == rep.relators
         assert max(g.distance(h) for g, h in zip(again.generators, rep.generators)) < 1e-15
 

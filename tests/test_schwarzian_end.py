@@ -303,10 +303,13 @@ class TestInjectivityDepth:
         assert injectivity_depth(LogMap(), self.AXIS_GRID) == 0.0
 
     def test_grid_parse(self):
-        grid = GridSpec.parse("-0.5:0.5:41,0.25:3.0:40")
+        # the CLI's reader of --grid
+        from dehnscope.cli import _parse_grid
+
+        grid = _parse_grid("-0.5:0.5:41,0.25:3.0:40")
         assert grid == self.AXIS_GRID
         with pytest.raises(ValueError):
-            GridSpec.parse("1:2")
+            _parse_grid("1:2")
 
     @staticmethod
     def per_point_depth(f, grid):

@@ -640,19 +640,25 @@ class TestContinuityAtInfinity:
 
 
 class TestSerialization:
+    """The CLI's payloads of the coordinate and completion results."""
+
     def test_filling_coordinate_lossless(self):
         import json
+
+        from dehnscope.cli import _coordinate_payload
 
         cases = [
             (FillingCoordinate.infinity(), {"type": "infinity"}),
             (FillingCoordinate.finite(-0.3, 1.7), {"type": "finite", "x": 0.3, "y": -1.7}),
         ]
         for c, payload in cases:
-            assert c.to_dict() == payload
-            assert json.loads(json.dumps(c.to_dict())) == payload
+            assert _coordinate_payload(c) == payload
+            assert json.loads(json.dumps(_coordinate_payload(c))) == payload
 
     def test_completion_lossless(self):
         import json
+
+        from dehnscope.cli import _completion_payload
 
         cases = [
             (CompletionClass("cusp"), {"kind": "cusp"}),
@@ -662,8 +668,8 @@ class TestSerialization:
             (CompletionClass("irrational"), {"kind": "irrational"}),
         ]
         for comp, payload in cases:
-            assert comp.to_dict() == payload
-            assert json.loads(json.dumps(comp.to_dict())) == payload
+            assert _completion_payload(comp) == payload
+            assert json.loads(json.dumps(_completion_payload(comp))) == payload
 
 
 class TestTypes:
