@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import operator
 import sys
 from dataclasses import fields, replace
 
@@ -91,13 +90,6 @@ def _complex(pair) -> complex:
     return complex(_real(re), _real(im))
 
 
-def _letter(value) -> int:
-    """A relator letter, read with operator.index; a bool is refused."""
-    if isinstance(value, bool):
-        raise TypeError(f"relator letters must be integers, got {value!r}")
-    return operator.index(value)
-
-
 def _load(what: str, source: str, build, inline: bool = False):
     """build(data) of the JSON in the file source, or in source itself if inline and an object; failures exit 2."""
     try:
@@ -122,8 +114,7 @@ def _path(data: dict) -> filling_solver.HolomorphicPath:
 
 def _representation(data: dict) -> cochain.MarkedRepresentation:
     gens = tuple(MobiusTransform.from_entries(*map(_complex, entries)) for entries in data["generators"])
-    relators = tuple(tuple(map(_letter, w)) for w in data.get("relators", []))
-    return cochain.MarkedRepresentation(gens, relators)
+    return cochain.MarkedRepresentation(gens, data.get("relators", ()))
 
 
 def _cocycle_values(data: dict) -> cochain.Cocycle:

@@ -11,6 +11,7 @@ vector fields on the sphere.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -27,7 +28,7 @@ _IDENTITY = MobiusTransform.identity()
 
 
 class BadWord(ValueError):
-    """Raised for a word letter outside the generator index range."""
+    """Raised for a word letter that is not an integer +-(i+1) naming a generator."""
 
 
 class StepTooSmall(ValueError):
@@ -38,7 +39,7 @@ class StepTooSmall(ValueError):
 class MarkedRepresentation:
     """Generator images and relator words (letters +-(i+1)) of a marked group.
 
-    The relator check keeps what it computes: the generator inverses and,
+    The relator check keeps what it computes:
     per relator, its walk, the prefix products I, g1, g1 g2, ... of its
     letters.  The coboundary matrix and its singular values are kept once
     first asked for.  None of these fields takes part in ==, hash or repr.
@@ -46,15 +47,13 @@ class MarkedRepresentation:
 
     generators: tuple
     relators: tuple
-    _inverses: tuple = field(init=False, repr=False, compare=False)
     _walks: tuple = field(init=False, repr=False, compare=False)
     #: (matrix, singular values) of the coboundary map, set by _coboundary_spectrum
     _coboundary: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(tuple(w) for w in self.relators))
-        object.__setattr__(self, "_inverses", tuple(g.inverse() for g in self.generators))
+        object.__setattr__(self, "relators", tuple(tuple(map(self._letter, w)) for w in self.relators))
         walks = []
         for word in self.relators:
             walk = self._walk(word)
@@ -63,11 +62,20 @@ class MarkedRepresentation:
             walks.append(walk)
         object.__setattr__(self, "_walks", tuple(walks))
 
+    def _letter(self, value) -> int:
+        """A relator or word letter +-(i+1) naming a generator, read by operator.index; a bool is refused."""
+        try:
+            letter = operator.index(value)
+        except TypeError:
+            letter = 0
+        if isinstance(value, bool) or not 0 < abs(letter) <= len(self.generators):
+            raise BadWord(f"letter {value!r} is not an integer +-(i+1) with 0 <= i < {len(self.generators)}")
+        return letter
+
     def generator(self, letter: int) -> MobiusTransform:
-        idx = abs(letter) - 1
-        if letter == 0 or idx >= len(self.generators):
-            raise BadWord(f"letter {letter} outside generator range")
-        return self.generators[idx] if letter > 0 else self._inverses[idx]
+        letter = self._letter(letter)
+        g = self.generators[abs(letter) - 1]
+        return g if letter > 0 else g.inverse()
 
     def _walk(self, word: Sequence[int]) -> tuple:
         """Prefix products I, g1, g1 g2, ... of the word's letters, the whole word last."""
@@ -111,15 +119,21 @@ def _check_generator_count(rep: MarkedRepresentation, c: Cocycle) -> None:
         raise ValueError("cocycle and representation have different generator counts")
 
 
-def _fold(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int], walk: tuple) -> SL2Vector:
-    """Sum of Ad(prefix) z(letter) over the word's letters, prefix = walk[j]; see extend_cocycle."""
+def _fox_terms(word: Sequence[int], walk: tuple):
+    """The Fox rule: (sign, i, prefix) per letter, for the term sign Ad(prefix) z(g_i).
+
+    g_i at position j gives +Ad(walk[j]) z_i; g_i^-1 gives -Ad(walk[j+1]) z_i, as walk[j] g_i^-1 = walk[j+1].
+    """
+    for letter, before, after in zip(word, walk, walk[1:]):
+        yield (1, letter - 1, before) if letter > 0 else (-1, -letter - 1, after)
+
+
+def _fold(c: Cocycle, word: Sequence[int], walk: tuple) -> SL2Vector:
+    """Sum of the word's Fox terms applied to c; see extend_cocycle."""
     acc = SL2Vector.zero()
-    for letter, prefix in zip(word, walk):
-        if letter > 0:
-            zl = c.values[letter - 1]
-        else:
-            zl = -adjoint(rep.generator(letter), c.values[-letter - 1])
-        acc = acc + adjoint(prefix, zl)
+    for sign, i, prefix in _fox_terms(word, walk):
+        term = adjoint(prefix, c.values[i])
+        acc = acc + term if sign > 0 else acc - term
     return acc
 
 
@@ -129,7 +143,7 @@ def extend_cocycle(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int]) -
     Inverse letters use z(g^-1) = -Ad rho(g)^-1 z(g).
     """
     _check_generator_count(rep, c)
-    return _fold(rep, c, word, rep._walk(word))
+    return _fold(c, word, rep._walk(word))
 
 
 def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
@@ -141,7 +155,7 @@ def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
     """
     positive_finite("tol", tol, allow_zero=True)
     _check_generator_count(rep, c)
-    residuals = (_fold(rep, c, word, walk).norm() for word, walk in zip(rep.relators, rep._walks))
+    residuals = (_fold(c, word, walk).norm() for word, walk in zip(rep.relators, rep._walks))
     worst = max(residuals, default=0.0, key=lambda r: (math.isnan(r), r))  # a NaN ranks above every number
     return worst <= tol, worst
 
@@ -173,8 +187,7 @@ def _coboundary_spectrum(rep: MarkedRepresentation) -> tuple:
 def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:
     """The linearized relator map z -> (extend_cocycle(rep, z, w))_w by Fox calculus.
 
-    Along each relator's walk, a letter g_i at prefix u adds Ad(u) to column
-    block i and a letter g_i^-1 adds -Ad(u g_i^-1), in letter order.
+    Each relator's Fox terms (see _fox_terms) add sign Ad(prefix) to their generator's column block, in order.
     """
     import numpy as np
 
@@ -183,10 +196,10 @@ def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:
     rows = []
     for word, walk in zip(rep.relators, rep._walks):
         block = [[0j] * (3 * k) for _ in range(3)]
-        for j, letter in enumerate(word):
-            col = 3 * abs(letter) - 3
-            for row, (x0, x1, x2) in zip(block, adjoint_rows(walk[j] if letter > 0 else walk[j + 1])):
-                if letter > 0:
+        for sign, i, prefix in _fox_terms(word, walk):
+            col = 3 * i
+            for row, (x0, x1, x2) in zip(block, adjoint_rows(prefix)):
+                if sign > 0:
                     row[col] += x0
                     row[col + 1] += x1
                     row[col + 2] += x2

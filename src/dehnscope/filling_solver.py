@@ -57,6 +57,9 @@ class HolomorphicPath:
         object.__setattr__(self, "a_coeffs", tuple(complex(c) for c in self.a_coeffs))
         object.__setattr__(self, "b_coeffs", tuple(complex(c) for c in self.b_coeffs))
         object.__setattr__(self, "center", complex(self.center))
+        for name, values in (("a_coeffs", self.a_coeffs), ("b_coeffs", self.b_coeffs), ("center", (self.center,))):
+            if not all(map(cmath.isfinite, values)):
+                raise ValueError(f"path {name} must be finite, got {values}")
         if not self.radius > 0:
             raise ValueError("domain radius must be positive")
         for w in self._grid():

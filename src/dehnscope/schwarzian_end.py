@@ -57,7 +57,6 @@ class ConformalMap:
     a complex array and act on each entry, and the grid sweeps use that.
     """
 
-    name = "conformal"
     elementwise = False
 
     def value(self, z: complex) -> complex:
@@ -74,7 +73,6 @@ class ConformalMap:
 
 
 class IdentityMap(ConformalMap):
-    name = "identity"
     elementwise = True
 
     def value(self, z):
@@ -91,7 +89,6 @@ class IdentityMap(ConformalMap):
 
 
 class MobiusMap(ConformalMap):
-    name = "mobius"
     elementwise = True
 
     def __init__(self, m: MobiusTransform):
@@ -117,7 +114,6 @@ class MobiusMap(ConformalMap):
 
 
 class SquareMap(ConformalMap):
-    name = "square"
     elementwise = True
 
     def value(self, z):
@@ -134,7 +130,6 @@ class SquareMap(ConformalMap):
 
 
 class LogMap(ConformalMap):
-    name = "log"
     elementwise = True
 
     def value(self, z):
@@ -161,7 +156,6 @@ class PowerMap(ConformalMap):
 
     def __init__(self, c: complex):
         self.c = complex(c)
-        self.name = f"power:{self.c}"
 
     def value(self, z):
         return z ** self.c
@@ -186,8 +180,6 @@ class NumericMap(ConformalMap):
     grid sweeps apply `func` to arrays; otherwise (as for `cmath.sin`) they
     evaluate it point by point.
     """
-
-    name = "numeric"
 
     def __init__(self, func: Callable[[complex], complex], step: float, domain: tuple):
         if not step > 0:
@@ -239,7 +231,6 @@ class Compose(ConformalMap):
     def __init__(self, outer: ConformalMap, inner: ConformalMap):
         self.outer = outer
         self.inner = inner
-        self.name = f"{outer.name}*{inner.name}"
         self.elementwise = outer.elementwise and inner.elementwise
 
     def value(self, z):
@@ -530,6 +521,7 @@ def jacobian_check(
         J = (4.0 * jac(step / 2.0) - J) / 3.0
     t_img = theta(f, p).t
     _, sv, vt = np.linalg.svd(J * (p.t / t_img))
-    k = schwarzian_norm(f, fr.base) / math.cosh(fr.depth)
+    norm = schwarzian_norm(f, fr.base)
+    k = norm / math.cosh(fr.depth)
     predicted = tuple(sorted((1.0 + k, 1.0, abs(1.0 - k)), reverse=True))
-    return JacobianReport(tuple(sv), predicted, schwarzian_norm(f, fr.base), fr.depth, vt)
+    return JacobianReport(tuple(sv), predicted, norm, fr.depth, vt)

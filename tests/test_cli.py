@@ -109,6 +109,14 @@ class TestSequenceCommand:
         assert abs(float(first[1]) - math.pi) < 1e-12
         assert abs(float(first[2]) - math.pi) < 1e-12
 
+    def test_list_form(self, capsys):
+        code, out = run(capsys, "sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1,3,5")
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["n"] for row in rows] == [1, 3, 5]
+        _, ranged = run(capsys, "sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..5")
+        assert rows == json.loads(ranged)[::2]
+
     def test_csv_json_payload_equality(self, capsys):
         _, csv_out = run(
             capsys, "sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..4",
@@ -179,11 +187,17 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("center", [0, 3, 99]), ("radius", "5"), ("radius", True), ("a_coeffs", [[True, 0], [1, 0]])],
-        ids=["center-3-numbers", "radius-string", "radius-bool", "coefficient-bool"],
+        [
+            ("center", [0, 3, 99]),
+            ("radius", "5"),
+            ("radius", True),
+            ("a_coeffs", [[True, 0], [1, 0]]),
+            ("a_coeffs", [[math.nan, 0], [1, 0]]),
+        ],
+        ids=["center-3-numbers", "radius-string", "radius-bool", "coefficient-bool", "coefficient-nan"],
     )
     def test_path_fields_must_be_real_numbers(self, capsys, field, value):
-        # each of these used to be read (3i, 5.0, 1.0, 1 + 0i) and solved
+        # each of these used to be read (3i, 5.0, 1.0, 1 + 0i, NaN) and solved; the NaN solve exited 1
         path = json.dumps(dict(json.loads(self.PATH), **{field: value}))
         assert main(["solve", "--path", path, "--x", "1", "--y", "1", "--w0", "0,3"]) == 2
         captured = capsys.readouterr()
@@ -497,9 +511,13 @@ class TestConfig:
               "--region", "0:1,0:1,1:2", "--samples", "8", "--chart", "bogus"], "chart must be"),
             (["sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..3", "--format", "xml"],
              "output must be"),
+            (["sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "5..3"], "expected integers 'start..end'"),
+            (["schwarzian", "--f", "log"], "provide --z or --grid"),
+            (["crosssection", "--a", "1,0", "--b", "0,1", "--x", "1", "--y", "0"], "provide --eps or --eps-grid"),
         ],
         ids=["solve-tol", "solve-max-iter", "theta-check-h", "fill-tol-nan", "solve-tol-inf",
-             "bilipschitz-chart", "sequence-format"],
+             "bilipschitz-chart", "sequence-format", "sequence-n-decreasing", "schwarzian-no-point",
+             "crosssection-no-eps"],
     )
     def test_out_of_range_flag_exits_2_naming_field(self, capsys, argv, field):
         assert main(argv) == 2

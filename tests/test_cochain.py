@@ -116,6 +116,23 @@ class TestExtendCocycle:
         with pytest.raises(BadWord):
             extend_cocycle(rep, c, (0,))
 
+    @pytest.mark.parametrize("letter", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_non_integer_letter_is_bad_word(self, letter):
+        # True used to read as 1 from Python, and 1.0 to fail with an unnamed TypeError
+        rep = z2_rep()
+        with pytest.raises(BadWord):
+            MarkedRepresentation(rep.generators, ((letter, 2, -1, -2),))
+        with pytest.raises(BadWord):
+            extend_cocycle(rep, Cocycle.zero(2), (2, letter))
+        with pytest.raises(BadWord):
+            rep.generator(letter)
+
+    def test_numpy_integer_letters_are_read(self):
+        rep = MarkedRepresentation(z2_rep().generators, (tuple(np.array(Z2_RELATOR[0])),))
+        assert rep == z2_rep() and all(type(x) is int for x in rep.relators[0])
+        c = Cocycle.coboundary(rep, SL2Vector.from_coords((0.3, 1j, -0.5)))
+        assert extend_cocycle(rep, c, np.array([1, -2, 2])) == extend_cocycle(rep, c, (1, -2, 2))
+
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -168,6 +185,24 @@ class TestIsCocycle:
         for _ in range(5):
             ok, residual = is_cocycle(rep, Cocycle.coboundary(rep, random_sl2(rng)))
             assert ok and residual < 1e-12
+
+    def test_exact_coboundary_with_large_generators_passes(self):
+        # an inverse letter used to take Ad(g^-1), then Ad(prefix): here that left 1.16e-9 > COCYCLE_TOL
+        rep = z2_rep(complex(-2.3011962062808937, -1.3081959423788294), complex(-2.4778688148094687, 1.2851861704254084))
+        ok, residual = is_cocycle(rep, Cocycle.coboundary(rep, SL2Vector.from_coords((2, 2, 2))))
+        assert ok and residual <= 1e-11
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        a=end_a,
+        b=end_b,
+        coords=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=3, max_size=3),
+    )
+    def test_coboundary_residual_is_roundoff(self, a, b, coords):
+        rep = z2_rep(a, b)
+        c = Cocycle.coboundary(rep, SL2Vector.from_coords(coords))
+        _, residual = is_cocycle(rep, c)
+        assert residual <= 1e-13 * max(1.0, max(z.norm() for z in c.values))
 
     @pytest.mark.parametrize("call", [is_cocycle, solve_coboundary])
     def test_generator_count_mismatch_is_named(self, call):

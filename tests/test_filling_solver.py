@@ -159,6 +159,22 @@ class TestHolomorphicPath:
         with pytest.raises(ValueError):
             HolomorphicPath((), (1j,), center=0.0, radius=1.0)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("a_coeffs", dict(a_coeffs=(complex(math.nan, 0.0), 1.0))),
+            ("a_coeffs", dict(a_coeffs=(0.0, complex(0.0, math.inf)))),
+            ("b_coeffs", dict(b_coeffs=(1j, math.nan))),
+            ("center", dict(center=complex(math.nan, 3.0))),
+        ],
+        ids=["a-nan", "a-inf", "b-nan", "center-nan"],
+    )
+    def test_non_finite_coefficients_rejected(self, field, kwargs):
+        # a NaN in a(w) used to pass, as only Im b is spot-checked; the solve then left the disc at step 1
+        spec = dict(a_coeffs=(0.0, 1.0), b_coeffs=(1j,), center=3j, radius=5.0)
+        with pytest.raises(ValueError, match=f"path {field} must be finite"):
+            HolomorphicPath(**dict(spec, **kwargs))
+
 
 class TestFillingSequence:
     def test_first_term(self):
