@@ -140,10 +140,7 @@ class H3Point:
     t: float
 
     def __post_init__(self):
-        if not cmath.isfinite(self.z):
-            raise ValueError(f"z must be finite, got z = {self.z}")
-        if not 0 < self.t < math.inf:
-            raise ValueError(f"height t must be positive and finite, got t = {self.t}")
+        _h3_checked(self.z, self.t)
 
     def coords(self) -> tuple:
         """Euclidean coordinates (Re z, Im z, t)."""
@@ -225,6 +222,15 @@ class IsomClass:
             raise ValueError("loxodromic length must have positive real part")
 
 
+def _h3_checked(z, t) -> tuple:
+    """(z, t) when it is a point of H^3, finite z and 0 < t < inf; ValueError otherwise."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got z = {z}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"height t must be positive and finite, got t = {t}")
+    return z, t
+
+
 def apply_boundary(m: MobiusTransform, z: ExtendedComplex) -> ExtendedComplex:
     """Evaluate (a11 z + a12)/(a21 z + a22) with exact infinity conventions."""
     if isinstance(z, _Infinity):
@@ -243,10 +249,14 @@ def apply_h3(m: MobiusTransform, p: H3Point) -> H3Point:
     z' = ((a11 z + a12) conj(a21 z + a22) + a11 conj(a21) t^2) / D,
     t' = t / D,  D = |a21 z + a22|^2 + |a21|^2 t^2.
     """
-    w = m.a21 * p.z + m.a22
-    den = abs(w) ** 2 + abs(m.a21) ** 2 * p.t * p.t
-    zp = ((m.a11 * p.z + m.a12) * w.conjugate() + m.a11 * m.a21.conjugate() * p.t * p.t) / den
-    return H3Point(zp, p.t / den)
+    return H3Point(*_poincare(m, p.z, p.t))
+
+
+def _poincare(m: MobiusTransform, z: complex, t: float) -> tuple:
+    """The (z', t') of apply_h3 on the coordinates of a point, unchecked."""
+    w = m.a21 * z + m.a22
+    den = abs(w) ** 2 + abs(m.a21) ** 2 * t * t
+    return ((m.a11 * z + m.a12) * w.conjugate() + m.a11 * m.a21.conjugate() * t * t) / den, t / den
 
 
 def modulus(w: np.ndarray) -> np.ndarray:

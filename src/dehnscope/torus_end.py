@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import ARRAY_BLOCK, DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL, positive_finite
-from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, _cosh_distance, apply_h3, modulus
+from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, _cosh_distance, _h3_checked, _poincare, modulus
 
 
 class ZeroA(ValueError):
@@ -41,6 +41,8 @@ class EndParameter:
 
     a: complex
     b: complex
+    #: [1 - e^a, rho(g1), rho(g2)] as far as computed by _constant; not part of ==, hash or repr
+    _constants: list | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
@@ -151,9 +153,28 @@ def _affine_den(a: complex) -> complex | None:
     return None if abs(den) <= SINGULAR_LOCUS_TOL else den
 
 
-def _frame(a: complex) -> tuple[complex, complex]:
-    """(z0, c) with phi = -c e^{xa + yab}: c = z0 = 1/(1 - e^a), or z0 = 0 and c = 1 on the pole locus."""
-    den = _affine_den(a)
+def _constant(s: EndParameter, k: int = 0):
+    """Entry k of (den, rho(g1), rho(g2)) for s, computed on first use and kept on s.
+
+    den is _affine_den(s.a), or 0 (the exact 1 - e^0, refused by _frame) at a = 0.
+    Each image is holonomy's, filled in when first asked for, so neither can raise for the other.
+    """
+    kept = s._constants
+    if kept is None:
+        kept = [0 if s.a == 0 else _affine_den(s.a), None, None]
+        object.__setattr__(s, "_constants", kept)
+    if k and kept[k] is None:
+        kept[k] = holonomy(s, 2 - k, k - 1)
+    return kept[k]
+
+
+def _frame(a: complex, den: complex | None = 0) -> tuple[complex, complex]:
+    """(z0, c) with phi = -c e^{xa + yab}: c = z0 = 1/(1 - e^a), or z0 = 0 and c = 1 on the pole locus.
+
+    den is _affine_den(a) when the caller keeps it; den = 0, which _affine_den never returns, computes it here.
+    """
+    if den == 0:
+        den = _affine_den(a)
     return (0j, 1.0) if den is None else (1.0 / den,) * 2
 
 
@@ -167,7 +188,7 @@ def phi(s: EndParameter, x, y):
 
     x and y are real numbers, or arrays of them for an array of values.
     """
-    return _phi(s, _frame(s.a)[1], x, y)
+    return _phi(s, _frame(s.a, _constant(s))[1], x, y)
 
 
 def _phi(s: EndParameter, c, x, y):
@@ -193,16 +214,21 @@ def develop(s: EndParameter, x: float, y: float, t: float, chart: str = DEFAULT_
     is deck equivariant when |e^a| != 1 (the printed height picks up |e^a| on
     one side only); the printed one converges to the cusp chart as a -> 0.
     """
+    return H3Point(*_developed(s, x, y, t, chart))
+
+
+def _developed(s: EndParameter, x: float, y: float, t: float, chart: str):
+    """develop as (z, height), before H3Point's check."""
     if t < 1.0:
         raise ValueError("chart heights start at t = 1")
-    return H3Point(*_chart(s, x, y, t, chart))
+    return _chart(s, x, y, t, chart)
 
 
 def _chart(s: EndParameter, x, y, t, chart: str):
     """develop as (z, height), on real numbers or on arrays of sample coordinates."""
     if s.a == 0:
         return x + s.b * y, 1.0 * t  # a float height even for an integer t
-    z0, c = _frame(s.a)
+    z0, c = _frame(s.a, _constant(s))
     ph = _phi(s, c, x, y)
     if isinstance(ph, SCALAR_TYPES):
         ap, sqrt = abs(ph), math.sqrt
@@ -231,7 +257,7 @@ def holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
         return MobiusTransform(1.0, m + n * s.b, 0.0, 1.0)
     c = s.a * (m + s.b * n)
     ec2 = cmath.exp(c / 2.0)
-    den = _affine_den(s.a)
+    den = _constant(s)
     if den is None:
         return MobiusTransform(ec2, 0.0, 0.0, 1.0 / ec2)
     tau = (1.0 - cmath.exp(c)) / den
@@ -412,7 +438,7 @@ def end_isometric(s: EndParameter, sp: EndParameter, tol: float = 1e-12) -> bool
 
 def holonomy_representation(s: EndParameter):
     """Generator images (rho(g1), rho(g2)) of the Z^2 marking."""
-    return holonomy(s, 1, 0), holonomy(s, 0, 1)
+    return _constant(s, 1), _constant(s, 2)
 
 
 _RECHECK_SLACK = 1e-12  # about 4500 ulps of a ratio
@@ -479,14 +505,17 @@ def equivariance_residual(
     t: float,
     chart: str = DEFAULT_CHART,
 ) -> float:
-    """Euclidean residual |D(g p) - rho(g) D(p)| for a deck generator (1 or 2)."""
+    """Euclidean residual |D(g p) - rho(g) D(p)| for a deck generator (1 or 2).
+
+    develop, holonomy and apply_h3 composed on (z, t) pairs, with H3Point's check in their order.
+    """
     if generator == 1:
-        shifted = develop(s, x + 1.0, y, t, chart=chart)
-        rho = holonomy(s, 1, 0)
+        k, xs, ys = 1, x + 1.0, y
     elif generator == 2:
-        shifted = develop(s, x, y + 1.0, t, chart=chart)
-        rho = holonomy(s, 0, 1)
+        k, xs, ys = 2, x, y + 1.0
     else:
         raise ValueError("generator index must be 1 or 2")
-    mapped = apply_h3(rho, develop(s, x, y, t, chart=chart))
-    return math.hypot(abs(shifted.z - mapped.z), shifted.t - mapped.t)
+    zs, ts = _h3_checked(*_developed(s, xs, ys, t, chart))
+    rho = _constant(s, k)
+    zm, tm = _h3_checked(*_poincare(rho, *_h3_checked(*_developed(s, x, y, t, chart))))
+    return math.hypot(abs(zs - zm), ts - tm)

@@ -26,6 +26,23 @@ def mp_develop(s, x, y, t, chart):
     return z0 + ph / den, t * abs(ph) / den
 
 
+def mp_holonomy(a, b, m, n):
+    """rho(g1^m g2^n) in the printed frame at DPS digits, as its entries (a11, a12, a21, a22).
+
+    z -> e^c z + (1 - e^c)/(1 - e^a) with c = a(m + bn), normalized to
+    determinant 1 as [[e^{c/2}, tau e^{-c/2}], [0, e^{-c/2}]]; z -> z + m + nb
+    at a = 0.  Off the pole locus e^a = 1 only.
+    """
+    with mpmath.workdps(DPS):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        if a == 0:
+            return mpmath.mpc(1), m + n * b, mpmath.mpc(0), mpmath.mpc(1)
+        c = a * (m + b * n)
+        tau = (1 - mpmath.exp(c)) / (1 - mpmath.exp(a))
+        p = mpmath.exp(c / 2)
+        return p, tau / p, mpmath.mpc(0), 1 / p
+
+
 def mp_distance(p, q):
     """hyp_distance in mpmath between two (z, t) points."""
     (zp, tp), (zq, tq) = p, q

@@ -127,6 +127,17 @@ class TestExtendCocycle:
         with pytest.raises(BadWord):
             rep.generator(letter)
 
+    def test_iterator_word_is_read_once(self):
+        # the word used to be iterated twice, so a one-shot iterator gave the zero vector
+        rep = z2_rep()
+        c = Cocycle.coboundary(rep, SL2Vector.from_coords((0.3, 1j, -0.5)))
+        expect = extend_cocycle(rep, c, (1, 2, -1))
+        assert expect.norm() > 0.1
+        assert extend_cocycle(rep, c, iter((1, 2, -1))) == expect
+        assert extend_cocycle(rep, c, (w for w in (1, 2, -1))) == expect
+        with pytest.raises(BadWord):
+            extend_cocycle(rep, c, iter((1, True)))
+
     def test_numpy_integer_letters_are_read(self):
         rep = MarkedRepresentation(z2_rep().generators, (tuple(np.array(Z2_RELATOR[0])),))
         assert rep == z2_rep() and all(type(x) is int for x in rep.relators[0])
@@ -428,6 +439,25 @@ class TestTangentCocycle:
 
         with pytest.raises(ValueError, match="different generator counts: 2 at 0, 1 at [+]h"):
             tangent_cocycle(path, 1e-5)
+
+    def test_given_center_is_used_as_is(self):
+        # a caller that holds the center saves the path(0.0) call, with the same bits
+        calls = []
+
+        def path(w):
+            calls.append(w)
+            return z2_rep(0.8 + w, 0.5 + 1j * (1.5 - w))
+
+        expect = tangent_cocycle(path, 1e-5)
+        assert calls == [0.0, 1e-5, -1e-5]
+        calls.clear()
+        center = path(0.0)
+        calls.clear()
+        got = tangent_cocycle(path, 1e-5, center=center)
+        assert calls == [1e-5, -1e-5]
+        assert got.coords().tobytes() == expect.coords().tobytes()
+        # used as given, so a different center gives a different cocycle
+        assert tangent_cocycle(path, 1e-5, center=z2_rep(0.9, 0.5 + 1.5j)) != expect
 
     def test_step_too_small(self):
         # the perturbation survives into the last mantissa bits but sits

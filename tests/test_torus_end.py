@@ -1,7 +1,9 @@
 """Tests for cone structures on torus ends: charts, holonomy, filling data."""
 
 import cmath
+import dataclasses
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -9,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dehnscope import torus_end
 from dehnscope.config import ARRAY_BLOCK
 from dehnscope.hypcore import (
     INFINITY,
     MobiusTransform,
+    apply_h3,
     classify,
     complex_translation_length,
     fixed_points,
@@ -38,10 +42,11 @@ from dehnscope.torus_end import (
     estimate_bilipschitz,
     filling_coordinates,
     holonomy,
+    holonomy_representation,
     phi,
     z0_of,
 )
-from mp_reference import mp_aligned_holonomy, mp_develop, mp_distance
+from mp_reference import DPS, mp_aligned_holonomy, mp_develop, mp_distance, mp_holonomy
 
 TWO_PI_I = 2j * math.pi
 
@@ -237,6 +242,213 @@ class TestAlignedHolonomy:
     def test_cusp_holonomy_at_zero(self, mn):
         s = EndParameter(0.0, 0.3 + 1.2j)
         assert _aligned_holonomy(s, *mn).distance(holonomy(s, *mn)) == 0.0
+
+
+def composed_residual(s, generator, x, y, t, chart):
+    """equivariance_residual composed from develop, holonomy and apply_h3, as it was once written."""
+    if generator == 1:
+        shifted = develop(s, x + 1.0, y, t, chart=chart)
+        rho = holonomy(s, 1, 0)
+    elif generator == 2:
+        shifted = develop(s, x, y + 1.0, t, chart=chart)
+        rho = holonomy(s, 0, 1)
+    else:
+        raise ValueError("generator index must be 1 or 2")
+    mapped = apply_h3(rho, develop(s, x, y, t, chart=chart))
+    return math.hypot(abs(shifted.z - mapped.z), shifted.t - mapped.t)
+
+
+def bits(*values) -> bytes:
+    """The IEEE bytes of complex values, so that -0.0, 0.0 and NaN payloads are told apart."""
+    return struct.pack(f"<{2 * len(values)}d", *(p for v in values for p in (complex(v).real, complex(v).imag)))
+
+
+def outcome(call, *args):
+    """The bytes of a call's residual, or its error's type and message."""
+    try:
+        return bits(call(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+#: a = 0, a = 2*pi*i*k + delta with delta = 0 or |delta| log-uniform in [1e-15, 1e-3], or a off the locus
+EQUIVARIANCE_A = st.one_of(
+    st.just(0j),
+    st.builds(
+        lambda k, e, t: TWO_PI_I * k + (0.0 if e is None else 10.0**e * cmath.exp(1j * t)),
+        st.sampled_from([1, -1, 2, -2, 3]),
+        st.none() | st.floats(-15.0, -3.0),
+        ALIGNED_PHASE,
+    ),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-7.0, 7.0)),
+)
+END_B = st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.2, 2.0))
+CHART_POINT = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(1.0, 3.0))
+
+
+class TestEquivarianceOnCoordinates:
+    """equivariance_residual on (z, t) pairs and kept constants, against the public composition."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        a=EQUIVARIANCE_A,
+        b=END_B,
+        points=st.lists(CHART_POINT, min_size=1, max_size=4),
+        chart=st.sampled_from(["printed", "corrected"]),
+        gen=st.sampled_from([1, 2]),
+    )
+    @example(a=0j, b=1j, points=[(0.3, -0.2, 1.5)], chart="printed", gen=2)
+    @example(a=TWO_PI_I + 5e-14, b=0.3 + 1.2j, points=[(-0.0, -0.0, 1.0)], chart="corrected", gen=1)
+    def test_bits_match_the_composition(self, a, b, points, chart, gen):
+        s = EndParameter(a, b)  # kept constants from the first point on
+        for x, y, t in points:
+            got = equivariance_residual(s, gen, x, y, t, chart=chart)
+            assert bits(got) == bits(composed_residual(EndParameter(a, b), gen, x, y, t, chart))
+
+    @pytest.mark.parametrize(
+        "a, gen, point, chart",
+        [
+            (0.7 + 0.4j, 1, (0.2, 0.3, 0.5), "corrected"),  # t < 1
+            (0j, 2, (0.2, 0.3, 0.999), "printed"),
+            (0.7 + 0.4j, 3, (0.2, 0.3, 1.5), "corrected"),  # no such generator, checked before t
+            (0.7 + 0.4j, 0, (0.2, 0.3, 0.5), "corrected"),
+            (-800.0, 1, (0.2, 0.3, 1.5), "corrected"),  # e^{-800 (x + 1)} underflows: height 0
+            (-800.0, 2, (0.95, 0.3, 1.5), "printed"),
+            (0.7 + 0.4j, 1, (0.2, 0.3, math.inf), "corrected"),
+            (0.7 + 0.4j, 2, (math.nan, 0.3, 1.5), "corrected"),
+            (0.7 + 0.4j, 1, (0.2, 0.3, 1.5), "bogus"),
+        ],
+    )
+    def test_errors_match_the_composition(self, a, gen, point, chart):
+        want = outcome(composed_residual, EndParameter(a, 1j), gen, *point, chart)
+        assert isinstance(want, tuple)
+        assert outcome(equivariance_residual, EndParameter(a, 1j), gen, *point, chart) == want
+
+    @pytest.mark.parametrize("image, message", [((math.nan, 1.0), "z must be finite"), ((0j, 0.0), "height t")])
+    def test_mapped_point_is_checked(self, monkeypatch, image, message):
+        # no holonomy image found leaves H^3 after both developed points passed, so the kernel is replaced
+        monkeypatch.setattr(torus_end, "_poincare", lambda m, z, t: image)
+        with pytest.raises(ValueError, match=message):
+            equivariance_residual(EndParameter(0.7 + 0.4j, 1j), 1, 0.2, 0.3, 1.5)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=EQUIVARIANCE_A, b=END_B, point=CHART_POINT)
+    def test_kept_constants_change_no_bit(self, a, b, point):
+        used, x, y, t = EndParameter(a, b), *point
+        for gen in (1, 2):
+            equivariance_residual(used, gen, x, y, t)
+        for m in range(-2, 3):
+            for n in range(-2, 3):
+                assert bits(*holonomy(used, m, n).entries()) == bits(*holonomy(EndParameter(a, b), m, n).entries())
+        fresh = holonomy_representation(EndParameter(a, b))
+        assert [bits(*g.entries()) for g in holonomy_representation(used)] == [bits(*g.entries()) for g in fresh]
+        for chart in ("printed", "corrected"):
+            p, q = develop(used, x, y, t, chart), develop(EndParameter(a, b), x, y, t, chart)
+            assert bits(p.z, p.t) == bits(q.z, q.t)
+        if a != 0:
+            assert bits(phi(used, x, y)) == bits(phi(EndParameter(a, b), x, y))
+
+
+class TestKeptConstants:
+    """1 - e^a and the generator images, computed once per parameter: counted, and invisible."""
+
+    def test_forty_residuals_compute_each_constant_once(self, monkeypatch):
+        dens, images = [], []
+        affine_den, hol = torus_end._affine_den, torus_end.holonomy
+
+        def counting_den(a):
+            dens.append(a)
+            return affine_den(a)
+
+        def counting_holonomy(s, m, n):
+            images.append((m, n))
+            return hol(s, m, n)
+
+        monkeypatch.setattr(torus_end, "_affine_den", counting_den)
+        monkeypatch.setattr(torus_end, "holonomy", counting_holonomy)
+        s = EndParameter(0.7 + 0.4j, 0.5 + 1j)
+        rng = np.random.default_rng(19)
+        for k in range(40):
+            x, y, t = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(1.0, 2.0)
+            equivariance_residual(s, 1 + k % 2, x, y, t)
+        assert dens == [s.a] and images == [(1, 0), (0, 1)]
+        holonomy_representation(s)
+        develop(s, 0.3, 0.4, 1.5)
+        assert dens == [s.a] and images == [(1, 0), (0, 1)]
+
+    def test_nothing_is_computed_at_the_cusp(self, monkeypatch):
+        dens = []
+        monkeypatch.setattr(torus_end, "_affine_den", lambda a: dens.append(a))
+        s = EndParameter(0.0, 1j)
+        for gen in (1, 2):
+            assert equivariance_residual(s, gen, 0.3, 0.4, 1.5) == 0.0
+        assert dens == []
+
+    def test_kept_constants_are_invisible(self):
+        fresh, used = EndParameter(0.8 + 0.1j, 0.5 + 1.5j), EndParameter(0.8 + 0.1j, 0.5 + 1.5j)
+        for _ in range(2):
+            assert fresh == used and hash(fresh) == hash(used)
+            assert repr(fresh) == repr(used) == "EndParameter(a=(0.8+0.1j), b=(0.5+1.5j))"
+            equivariance_residual(used, 2, 0.3, 0.4, 1.5)
+        moved = dataclasses.replace(used, a=-0.3 + 1.1j)
+        again = EndParameter(-0.3 + 1.1j, 0.5 + 1.5j)
+        assert moved == again
+        assert bits(*holonomy(moved, 0, 1).entries()) == bits(*holonomy(again, 0, 1).entries())
+        assert equivariance_residual(moved, 1, 0.3, 0.4, 1.5) == equivariance_residual(again, 1, 0.3, 0.4, 1.5)
+
+
+U = 2.0**-53
+#: a off the pole locus, within the range the 60-digit oracles below are drawn from
+ORACLE_A = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-7.0, 7.0)).filter(lambda a: abs(1 - cmath.exp(a)) > 1e-6)
+ORACLE_MN = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda mn: mn != (0, 0))
+
+
+class TestPrintedFrameOracle:
+    """holonomy and develop on parameters with kept constants, against 60-digit references.
+
+    Both bounds follow the cancellation in (1 - e^c)/(1 - e^a).  With c = a(m + bn),
+    L = |a|(|m| + |n||b|) bounds the rounding of c, and 1 - e^c and 1 - e^a
+    amplify a relative error e^c (1 + eps) by |e^c|/|1 - e^c| and |e^a|/|1 - e^a|.
+    Counting a few roundings per operation, every holonomy entry is within
+        16 u (1 + L) (1 + |e^c|/|1 - e^c| + |e^a|/|1 - e^a|)
+    of the reference entry, relative, with u = 2^-53; develop is within
+        32 u (1 + |x||a| + |y||a||b| + |e^a|/|1 - e^a|)
+    times |z0| + |phi| for z and times t' for the height, as phi = -z0 e^{xa + yab}.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=ORACLE_A, b=END_B, mn=ORACLE_MN)
+    @example(a=0j, b=0.3 + 1.2j, mn=(2, -1))
+    @example(a=1e-6 + TWO_PI_I, b=1j, mn=(1, 0))
+    def test_holonomy(self, a, b, mn):
+        s = EndParameter(a, b)
+        holonomy_representation(s)
+        got = holonomy(s, *mn).entries()
+        want = mp_holonomy(a, b, *mn)
+        with mpmath.workdps(DPS):
+            if a == 0:
+                amplify = 1.0
+            else:
+                ec, ea = mpmath.exp(mpmath.mpc(a) * (mn[0] + mpmath.mpc(b) * mn[1])), mpmath.exp(mpmath.mpc(a))
+                amplify = float(1 + abs(ec) / abs(1 - ec) + abs(ea) / abs(1 - ea))
+            rel = 16 * U * (1 + abs(a) * (abs(mn[0]) + abs(mn[1]) * abs(b))) * amplify
+            for g, w in zip(got, want):
+                assert float(abs(g - w)) <= rel * float(abs(w))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=ORACLE_A, b=END_B, point=CHART_POINT, chart=st.sampled_from(["printed", "corrected"]))
+    def test_develop(self, a, b, point, chart):
+        s, (x, y, t) = EndParameter(a, b), point
+        equivariance_residual(s, 1, x, y, t)
+        p = develop(s, x, y, t, chart)
+        with mpmath.workdps(DPS):
+            z, h = mp_develop(s, x, y, t, chart)
+            ea = mpmath.exp(mpmath.mpc(a))
+            z0 = 1 / (1 - ea)
+            ph = abs(z0 * mpmath.exp(x * mpmath.mpc(a) + y * mpmath.mpc(a) * mpmath.mpc(b)))
+            rel = 32 * U * float(1 + abs(x * a) + abs(y * a) * abs(b) + abs(ea) / abs(1 - ea))
+            assert float(abs(p.z - z)) <= rel * float(abs(z0) + ph)
+            assert float(abs(p.t - h)) <= rel * float(h)
 
 
 class TestComplexLength:
