@@ -273,18 +273,15 @@ def class_rank(rep: MarkedRepresentation, cocycles: Sequence[Cocycle], rtol: flo
     return _rank(_singular_values(joint), rtol) - _rank(b_sv, rtol)
 
 
-def tangent_cocycle(
-    path: Callable[[float], MarkedRepresentation], h: float, center: MarkedRepresentation | None = None
-) -> Cocycle:
+def tangent_cocycle(path: Callable[[float], MarkedRepresentation], h: float) -> Cocycle:
     """Cocycle z(g_i) = (d/dw rho_w(g_i)) rho_0(g_i)^-1 by central differences.
 
-    center is rho_0 when the caller holds it, used as given; path(0.0) otherwise.
     Signs of the +-h samples are aligned to the center representation before
     differencing.  The result is projected to traceless.  ValueError if a
     sample has another generator count than the center.
     """
     positive_finite("step h", h)
-    rep0 = path(0.0) if center is None else center
+    rep0 = path(0.0)
     rep_p = path(h)
     rep_m = path(-h)
     for side, sample in (("+h", rep_p), ("-h", rep_m)):

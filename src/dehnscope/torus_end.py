@@ -41,8 +41,8 @@ class EndParameter:
 
     a: complex
     b: complex
-    #: [1 - e^a, rho(g1), rho(g2)] as far as computed by _constant; not part of ==, hash or repr
-    _constants: list | None = field(init=False, repr=False, compare=False, default=None)
+    #: {0: 1 - e^a, 1: rho(g1), 2: rho(g2)} as far as computed by _constant; not part of ==, hash or repr
+    _constants: dict | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
@@ -154,33 +154,29 @@ def _affine_den(a: complex) -> complex | None:
 
 
 def _constant(s: EndParameter, k: int = 0):
-    """Entry k of (den, rho(g1), rho(g2)) for s, computed on first use and kept on s.
+    """Entry k of (_affine_den(s.a), rho(g1), rho(g2)) for s, computed on first use and kept on s.
 
-    den is _affine_den(s.a), or 0 (the exact 1 - e^0, refused by _frame) at a = 0.
-    Each image is holonomy's, filled in when first asked for, so neither can raise for the other.
+    Each entry is filled in when first asked for, so none can raise for another.
     """
     kept = s._constants
     if kept is None:
-        kept = [0 if s.a == 0 else _affine_den(s.a), None, None]
-        object.__setattr__(s, "_constants", kept)
-    if k and kept[k] is None:
-        kept[k] = holonomy(s, 2 - k, k - 1)
+        object.__setattr__(s, "_constants", kept := {})
+    if k not in kept:
+        kept[k] = holonomy(s, 2 - k, k - 1) if k else _affine_den(s.a)
     return kept[k]
 
 
-def _frame(a: complex, den: complex | None = 0) -> tuple[complex, complex]:
-    """(z0, c) with phi = -c e^{xa + yab}: c = z0 = 1/(1 - e^a), or z0 = 0 and c = 1 on the pole locus.
+def _frame(den: complex | None) -> tuple[complex, complex]:
+    """(z0, c) with phi = -c e^{xa + yab}, given den = _affine_den(a).
 
-    den is _affine_den(a) when the caller keeps it; den = 0, which _affine_den never returns, computes it here.
+    c = z0 = 1/(1 - e^a), or z0 = 0 and c = 1 on the pole locus (den None).
     """
-    if den == 0:
-        den = _affine_den(a)
     return (0j, 1.0) if den is None else (1.0 / den,) * 2
 
 
 def z0_of(a: complex) -> complex:
     """Finite fixed point of the holonomy: 1/(1 - e^a), or 0 on the pole locus."""
-    return _frame(a)[0]
+    return _frame(_affine_den(a))[0]
 
 
 def phi(s: EndParameter, x, y):
@@ -188,7 +184,7 @@ def phi(s: EndParameter, x, y):
 
     x and y are real numbers, or arrays of them for an array of values.
     """
-    return _phi(s, _frame(s.a, _constant(s))[1], x, y)
+    return _phi(s, _frame(_constant(s))[1], x, y)
 
 
 def _phi(s: EndParameter, c, x, y):
@@ -228,7 +224,7 @@ def _chart(s: EndParameter, x, y, t, chart: str):
     """develop as (z, height), on real numbers or on arrays of sample coordinates."""
     if s.a == 0:
         return x + s.b * y, 1.0 * t  # a float height even for an integer t
-    z0, c = _frame(s.a, _constant(s))
+    z0, c = _frame(_constant(s))
     ph = _phi(s, c, x, y)
     if isinstance(ph, SCALAR_TYPES):
         ap, sqrt = abs(ph), math.sqrt
@@ -257,7 +253,7 @@ def holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
         return MobiusTransform(1.0, m + n * s.b, 0.0, 1.0)
     c = s.a * (m + s.b * n)
     ec2 = cmath.exp(c / 2.0)
-    den = _constant(s)
+    den = _affine_den(s.a) if s._constants is None else _constant(s)  # one-off calls keep nothing
     if den is None:
         return MobiusTransform(ec2, 0.0, 0.0, 1.0 / ec2)
     tau = (1.0 - cmath.exp(c)) / den
@@ -437,7 +433,9 @@ def end_isometric(s: EndParameter, sp: EndParameter, tol: float = 1e-12) -> bool
 
 
 def holonomy_representation(s: EndParameter):
-    """Generator images (rho(g1), rho(g2)) of the Z^2 marking."""
+    """Generator images (rho(g1), rho(g2)) of the Z^2 marking; the kept ones if s keeps constants."""
+    if s._constants is None:
+        return holonomy(s, 1, 0), holonomy(s, 0, 1)
     return _constant(s, 1), _constant(s, 2)
 
 

@@ -440,25 +440,6 @@ class TestTangentCocycle:
         with pytest.raises(ValueError, match="different generator counts: 2 at 0, 1 at [+]h"):
             tangent_cocycle(path, 1e-5)
 
-    def test_given_center_is_used_as_is(self):
-        # a caller that holds the center saves the path(0.0) call, with the same bits
-        calls = []
-
-        def path(w):
-            calls.append(w)
-            return z2_rep(0.8 + w, 0.5 + 1j * (1.5 - w))
-
-        expect = tangent_cocycle(path, 1e-5)
-        assert calls == [0.0, 1e-5, -1e-5]
-        calls.clear()
-        center = path(0.0)
-        calls.clear()
-        got = tangent_cocycle(path, 1e-5, center=center)
-        assert calls == [1e-5, -1e-5]
-        assert got.coords().tobytes() == expect.coords().tobytes()
-        # used as given, so a different center gives a different cocycle
-        assert tangent_cocycle(path, 1e-5, center=z2_rep(0.9, 0.5 + 1.5j)) != expect
-
     def test_step_too_small(self):
         # the perturbation survives into the last mantissa bits but sits
         # below the cancellation threshold

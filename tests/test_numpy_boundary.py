@@ -28,7 +28,7 @@ from dehnscope.schwarzian_end import (
     schwarzian_grid,
     schwarzian_norm,
 )
-from dehnscope.torus_end import EndParameter, _chart, _frame, develop, phi
+from dehnscope.torus_end import EndParameter, _affine_den, _chart, _frame, develop, phi
 
 PACKAGE = Path(dehnscope.__file__).parent
 
@@ -162,7 +162,7 @@ class TestArrayBranch:
     def test_phi_and_chart(self, a, b, pts):
         s = EndParameter(a, b)
         x, y, t = np.array(pts).T
-        z0, c = _frame(a)
+        z0, c = _frame(_affine_den(a))
         ph = -c * np.exp(x * s.a + y * s.a * s.b)
         np.testing.assert_array_equal(phi(s, x, y), ph)
         ap = np.hypot(ph.real, ph.imag)

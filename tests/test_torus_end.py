@@ -376,6 +376,15 @@ class TestKeptConstants:
         develop(s, 0.3, 0.4, 1.5)
         assert dens == [s.a] and images == [(1, 0), (0, 1)]
 
+    def test_one_off_holonomies_keep_nothing(self):
+        # a parameter built for one holonomy_representation, as in a filling solve, pays for no kept entries
+        s = EndParameter(0.7 + 0.4j, 0.5 + 1j)
+        holonomy_representation(s)
+        holonomy(s, 2, -1)
+        assert s._constants is None
+        equivariance_residual(s, 1, 0.3, 0.4, 1.5)
+        assert s._constants is not None
+
     def test_nothing_is_computed_at_the_cusp(self, monkeypatch):
         dens = []
         monkeypatch.setattr(torus_end, "_affine_den", lambda a: dens.append(a))
