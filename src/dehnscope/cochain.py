@@ -72,22 +72,18 @@ class MarkedRepresentation:
             raise BadWord(f"letter {value!r} is not an integer +-(i+1) with 0 <= i < {len(self.generators)}")
         return letter
 
-    def generator(self, letter: int) -> MobiusTransform:
-        letter = self._letter(letter)
-        g = self.generators[abs(letter) - 1]
-        return g if letter > 0 else g.inverse()
-
-    def _walk(self, word: Sequence[int]) -> tuple:
-        """Prefix products I, g1, g1 g2, ... of the word's letters, the whole word last."""
+    def _walk(self, letters) -> tuple:
+        """Prefix products I, g1, g1 g2, ... of letters read by _letter, the whole word last."""
         prefix = _IDENTITY
         walk = [prefix]
-        for letter in word:
-            prefix = prefix @ self.generator(letter)
+        for letter in letters:
+            g = self.generators[abs(letter) - 1]
+            prefix = prefix @ (g if letter > 0 else g.inverse())
             walk.append(prefix)
         return tuple(walk)
 
     def evaluate_word(self, word: Sequence[int]) -> MobiusTransform:
-        return self._walk(word)[-1]
+        return self._walk(map(self._letter, word))[-1]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ import operator
 from dataclasses import dataclass
 
 from .config import ARRAY_BLOCK, NEWTON_MAX_ITER, NEWTON_TOL, positive_finite
-from .torus_end import EndParameter, _aligned_holonomy, _filling_arrays, _quotient_distance, holonomy
+from .torus_end import EndParameter, _aligned_holonomy, _filling_arrays, _quotient_distance
+from .torus_end import holonomy, holonomy_representation
 
 TWO_PI_I = 2j * math.pi
 
@@ -320,6 +321,6 @@ def cusp_distance(s: EndParameter, aligned: bool = True) -> float:
     raw normalized matrices are compared (their distance decays like |a|/2
     instead of |a|^2/4).
     """
-    cusp_gens = (holonomy(EndParameter(0.0, s.b), 1, 0), holonomy(EndParameter(0.0, s.b), 0, 1))
+    cusp_gens = holonomy_representation(EndParameter(0.0, s.b))
     gens = _aligned_holonomy if aligned else holonomy
     return max(gens(s, m, n).distance(c) for (m, n), c in zip(((1, 0), (0, 1)), cusp_gens))

@@ -348,9 +348,9 @@ def _schwarzian_array(f: ConformalMap, z: np.ndarray) -> np.ndarray:
         f1 = np.broadcast_to(f.deriv(z), z.shape)
         sc = _schwarzian_from(f1, f.deriv2(z), f.deriv3(z))
     # an entry where f' is critical or not finite, or SC is not finite, is
-    # redone by the scalar path, which raises its named error
-    for w in z[(modulus(f1) <= CRITICAL_TOL) | ~np.isfinite(f1) | ~np.isfinite(sc)].tolist():
-        schwarzian(f, w)
+    # redone by the scalar path, which raises its named error or gives the value
+    redo = np.flatnonzero((modulus(f1) <= CRITICAL_TOL) | ~np.isfinite(f1) | ~np.isfinite(sc))
+    sc[redo] = [schwarzian(f, w) for w in z[redo].tolist()]
     return sc
 
 
@@ -358,8 +358,9 @@ def osculating_mobius(f: ConformalMap, z: complex) -> MobiusTransform:
     """The unique Mobius transformation sharing the 2-jet of f at z.
 
     M(w) = f(z) + f'(z)(w - z) / (1 - (f''(z)/(2 f'(z)))(w - z)).
-    The jets f, f', f'' at z pass the guard of _jets.
+    The jets f, f', f'' at z pass the guard of _jets; z as in schwarzian.
     """
+    z = complex(z)
     f1, fz, f2 = _jets(f, z, f.value, f.deriv2)
     a = f1 - fz * f2 / (2.0 * f1)
     b = fz

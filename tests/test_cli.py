@@ -270,6 +270,16 @@ class TestSchwarzianCommand:
             assert abs(complex(r["sc_re"], r["sc_im"]) - sc) < 1e-15
             assert abs(r["norm"] - r["z_im"] ** 2 * abs(sc)) < 1e-15
 
+    def test_grid_row_at_a_pole_is_the_point_value(self, capsys):
+        # numpy's jets are inf/NaN at this map's pole, where the row used to print NaN, which is not JSON
+        f = "mobius:1.0,0.0,0.5,0.0,0.3,0.0,0.135,-0.41346153846153844"
+        code, out = run(capsys, "schwarzian", "--f", f, "--grid=-0.5:0.5:21,0.25:3:40")
+        assert code == 0 and "NaN" not in out
+        (row,) = [r for r in json.loads(out) if (r["z_re"], r["z_im"]) == (-0.45, 1.3782051282051282)]
+        code, out = run(capsys, "schwarzian", "--f", f, "--z=-0.45,1.3782051282051282")
+        point = json.loads(out)
+        assert code == 0 and [row["sc_re"], row["sc_im"]] == point["sc"] and row["norm"] == point["norm"]
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_grid_error_leaves_stdout_empty(self, capsys, fmt):
         # z -> z^0 is constant: every grid point is critical
@@ -554,6 +564,10 @@ class TestConfig:
             capsys, "--config", str(cfg), "fill", "--a", "0,0", "--b", "0,1"
         )
         assert code == 2
+        cfg.write_text(json.dumps([{"seed": 5}]))
+        assert main(["--config", str(cfg), "fill", "--a", "0,0", "--b", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config file must contain a JSON object" in captured.err
 
     @pytest.mark.parametrize(
         "data",

@@ -63,7 +63,8 @@ def fox_jacobian_loop(rep: MarkedRepresentation) -> np.ndarray:
             block = slice(3 * abs(letter) - 3, 3 * abs(letter))
             if letter > 0:
                 rows[:, block] += adjoint_matrix(prefix)
-            prefix = prefix @ rep.generator(letter)
+            g = rep.generators[abs(letter) - 1]
+            prefix = prefix @ (g if letter > 0 else g.inverse())
             if letter < 0:
                 rows[:, block] -= adjoint_matrix(prefix)
     return jac
@@ -125,7 +126,7 @@ class TestExtendCocycle:
         with pytest.raises(BadWord):
             extend_cocycle(rep, Cocycle.zero(2), (2, letter))
         with pytest.raises(BadWord):
-            rep.generator(letter)
+            rep.evaluate_word((letter,))
 
     def test_iterator_word_is_read_once(self):
         # the word used to be iterated twice, so a one-shot iterator gave the zero vector
@@ -487,6 +488,25 @@ class TestStoredWork:
         is_cocycle(rep, c)
         class_rank(rep, [c])
         assert len(products) == 4
+
+    def test_each_letter_is_read_once(self, monkeypatch):
+        gens = holonomy_representation(EndParameter(1.0, 1j))
+        reads = []
+        read = MarkedRepresentation._letter
+
+        def counting_letter(self, value):
+            reads.append(value)
+            return read(self, value)
+
+        monkeypatch.setattr(MarkedRepresentation, "_letter", counting_letter)
+        rep = MarkedRepresentation(gens, Z2_RELATOR)
+        assert reads == [1, 2, -1, -2]
+        reads.clear()
+        extend_cocycle(rep, Cocycle.zero(2), (1, -2, 2))
+        assert reads == [1, -2, 2]
+        reads.clear()
+        rep.evaluate_word((2, -1))
+        assert reads == [2, -1]
 
     def test_kept_work_is_invisible(self):
         fresh, used = z2_rep(0.8 + 0.1j, 0.5 + 1.5j), z2_rep(0.8 + 0.1j, 0.5 + 1.5j)

@@ -133,6 +133,13 @@ class TestSolveOnPath:
         with pytest.raises(DomainExit):
             solve_on_path(IDENTITY_PATH, 1.0, 0.0, w0=100 + 0j)
 
+    def test_constant_path_stops_before_the_first_step(self):
+        # F(w) = 1 * (1 + i * 0) - 2 pi i is constant, so F' = 0 at the start
+        path = HolomorphicPath((1.0,), (1j,), center=0j, radius=1.0)
+        report = solve_on_path(path, 1.0, 0.0, 0j)
+        assert (report.w, report.iterations, report.converged) == (0j, 0, False)
+        assert report.residual == abs(1.0 - TWO_PI_I)
+
 
 class TestHolomorphicPath:
     def test_modulus_validation(self):
@@ -142,6 +149,9 @@ class TestHolomorphicPath:
         # constant modulus in the lower half plane
         with pytest.raises(ValueError):
             HolomorphicPath((1.0,), (-1j,), center=0.0, radius=1.0)
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="domain radius must be positive"):
+                HolomorphicPath((1.0,), (1j,), center=0.0, radius=radius)
 
     def test_serialization_round_trip(self):
         # the path's JSON as a path file holds it, loaded by the CLI's reader
@@ -216,6 +226,8 @@ class TestFillingSequence:
             filling_sequence(1j, 2, 4, [1])
         with pytest.raises(ValueError):
             filling_sequence(1j, 1, 0, [])
+        with pytest.raises(ValueError, match="first basis column must be the declared meridian class"):
+            filling_sequence(1j, 1, 0, [1], basis=[[0, 1], [1, 0]])
         # integer determinant 2; a float determinant reads 1.49 and rounds to 1
         with pytest.raises(ValueError, match="unimodular"):
             filling_sequence(
@@ -353,6 +365,9 @@ class TestCoordinateContinuity:
     def test_sample_count_is_an_index(self):
         with pytest.raises(TypeError):
             verify_coordinate_continuity(IDENTITY_PATH, 20.0)
+        for count in (1, 0):
+            with pytest.raises(ValueError, match="need at least two samples"):
+                verify_coordinate_continuity(IDENTITY_PATH, count)
         report = verify_coordinate_continuity(IDENTITY_PATH, np.int64(20))
         assert type(report.sample_count) is int and report.sample_count == 20
 
@@ -529,6 +544,20 @@ class TestCuspDistance:
 
     def test_cusp_itself(self):
         assert cusp_distance(EndParameter(0.0, 1j)) == 0.0
+
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_one_cusp_parameter_per_call(self, monkeypatch, aligned):
+        s = EndParameter(TWO_PI_I / (1 + 5j), 1j)
+        built = []
+        init = EndParameter.__post_init__
+
+        def counting_init(self):
+            built.append((self.a, self.b))
+            init(self)
+
+        monkeypatch.setattr(EndParameter, "__post_init__", counting_init)
+        cusp_distance(s, aligned=aligned)
+        assert built == [(0.0, 1j)]
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_60_digit_reference(self, k):

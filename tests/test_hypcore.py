@@ -13,6 +13,7 @@ from dehnscope.hypcore import (
     INFINITY,
     H3Point,
     IdentityInput,
+    IsomClass,
     MobiusTransform,
     ParabolicInput,
     SL2Vector,
@@ -173,6 +174,16 @@ class TestClassify:
         assert cls.kind == "elliptic"
         assert abs(cls.angle - theta) < 1e-12
 
+    def test_isom_class_validation(self):
+        with pytest.raises(ValueError, match="unknown kind 'shear'"):
+            IsomClass("shear")
+        for angle in (0.0, 2 * math.pi, -1.0, math.nan):
+            with pytest.raises(ValueError, match="elliptic angle must lie in"):
+                IsomClass("elliptic", angle=angle)
+        for length in (0j, -1 + 1j, complex(math.nan, 0.0)):
+            with pytest.raises(ValueError, match="loxodromic length must have positive real part"):
+                IsomClass("loxodromic", length=length)
+
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(21)
         samples = [
@@ -241,6 +252,12 @@ class TestFixedPoints:
         z0, inf = fixed_points(m)
         assert abs(z0 - 0.5) < 1e-12
         assert inf is INFINITY
+
+    def test_parabolic_with_finite_fixed_point(self):
+        # z -> (2z + 1) / (-z): trace 2, and (a - d) / (2c) = -1
+        m = MobiusTransform.from_matrix([[2, 1], [-1, 0]])
+        assert fixed_points(m) == (-1,)
+        assert apply_boundary(m, -1 + 0j) == -1
 
     def test_inversion(self):
         pts = fixed_points(MobiusTransform.inversion())

@@ -23,6 +23,7 @@ from dehnscope.schwarzian_end import (
     GridSpec,
     LogMap,
     MobiusMap,
+    osculating_mobius,
     parse_map,
     schwarzian,
     schwarzian_grid,
@@ -120,14 +121,16 @@ class TestNumberBranch:
             assert _bits(got.z, got.t) == _bits(want.z, want.t)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(m=_mobius, z=_upper, spec=st.sampled_from(["identity", "square", "log", "power:1.7,0.2"]))
+    @given(m=_mobius, z=_upper, spec=st.sampled_from(["identity", "square", "log", "power:1.7,0.2", "power:2.3,0.1"]))
     def test_schwarzian_and_norm(self, m, z, spec):
+        # osculating_mobius too: it takes its point as schwarzian does
         for f in (MobiusMap(m), parse_map(spec)):
             try:
-                want = schwarzian(f, z), schwarzian_norm(f, z)
+                want = schwarzian(f, z), schwarzian_norm(f, z), *osculating_mobius(f, z).entries()
             except CriticalPoint:
                 continue
             got = schwarzian(f, np.complex128(z)), schwarzian_norm(f, np.complex128(z))
+            got += osculating_mobius(f, np.complex128(z)).entries()
             assert _bits(*got) == _bits(*want)
             assert type(got[0]) is complex and type(got[1]) is float
 

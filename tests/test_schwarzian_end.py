@@ -2,16 +2,19 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dehnscope import schwarzian_end
 from dehnscope.hypcore import H3Point, MobiusTransform, apply_boundary, apply_h3, hyp_distance
 from dehnscope.schwarzian_end import (
     Compose,
     CriticalPoint,
+    FramedPoint,
     GridSpec,
     IdentityMap,
     LogMap,
@@ -31,6 +34,7 @@ from dehnscope.schwarzian_end import (
     osculating_mobius,
     parse_map,
     schwarzian,
+    schwarzian_grid,
     schwarzian_norm,
     theta,
 )
@@ -81,6 +85,11 @@ class TestSchwarzian:
             schwarzian(PowerMap(1e308), z)
         with pytest.raises(NonFiniteSchwarzian):
             injectivity_depth(PowerMap(1e308), GridSpec(z.real, z.real, 1, z.imag, z.imag, 1))
+
+    def test_overflowing_schwarzian_of_finite_jets_raises(self):
+        # z^1.05 near 0: the three jets are finite, but the third over the first overflows
+        with pytest.raises(NonFiniteSchwarzian, match=r"is not finite: \(inf"):
+            schwarzian(PowerMap(1.05), 1e-155j)
 
     def test_infinite_slope_raises_on_every_path(self):
         # f' = inf with f'' = f''' = 0 gives SC = 0 in floating point; the jet guard
@@ -193,6 +202,23 @@ class TestOsculating:
                 jet(1j)
 
 
+class TestOsculatingValueJets:
+    """osculating_mobius reads f itself, so it runs the value jets of Compose and NumericMap."""
+
+    def test_post_mobius_composes(self):
+        for f in (PowerMap(2.5), LogMap(), SquareMap()):
+            for z in (0.3 + 1.1j, -1.0 + 0.5j):
+                got = osculating_mobius(Compose(MobiusMap(TEST_MOBIUS), f), z)
+                want = TEST_MOBIUS @ osculating_mobius(f, z)
+                assert got.distance(want) <= 1e-14 * max(map(abs, want.entries()))
+
+    def test_numeric_cube_matches_power(self):
+        cube = NumericMap(lambda z: z * z * z, 1e-3, (0.1, 3.0, 1.5, 2.5))
+        for z in (0.5 + 2j, 1.0 + 1.5j, 2.0 + 1.7j):
+            want = osculating_mobius(PowerMap(3.0), z)
+            assert osculating_mobius(cube, z).distance(want) <= 1e-9 * max(map(abs, want.entries()))
+
+
 class TestFootPoint:
     def test_on_plane(self):
         fr = foot_point(H3Point(0.7 + 0j, 1.3))
@@ -233,6 +259,16 @@ class TestFootPoint:
     def test_wrong_side(self):
         with pytest.raises(WrongSide):
             foot_point(H3Point(-1j, 1.0))
+        for base in (1.0 + 0j, 1.0 - 1j):
+            with pytest.raises(ValueError, match="foot must lie in the upper half plane"):
+                framed_point(base, 0.5)
+
+    def test_inconsistent_frame_rejected(self):
+        fr = framed_point(0.4 + 1.7j, 0.9)
+        with pytest.raises(ValueError, match="stored foot disagrees"):
+            FramedPoint(fr.point, fr.depth, fr.base + 1e-9)
+        with pytest.raises(ValueError, match="stored depth disagrees"):
+            FramedPoint(fr.point, fr.depth + 1e-9, fr.base)
 
 
 class TestTheta:
@@ -310,6 +346,12 @@ class TestInjectivityDepth:
         assert grid == self.AXIS_GRID
         with pytest.raises(ValueError):
             _parse_grid("1:2")
+        for nre, nim in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="grid counts must be >= 1"):
+                GridSpec(0.0, 1.0, nre, 0.5, 1.0, nim)
+        for re0, re1, im0, im1 in ((1.0, 0.0, 0.5, 1.0), (0.0, 1.0, 1.0, 0.5), (0.0, 1.0, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="grid rectangle must be ordered and lie in U"):
+                GridSpec(re0, re1, 3, im0, im1, 3)
 
     @staticmethod
     def per_point_depth(f, grid):
@@ -336,6 +378,34 @@ class TestInjectivityDepth:
         sine = NumericMap(lambda z: cmath.sin(z - 2j), 1e-3, (0.1, 3.0, 1.5, 2.5))
         assert not sine.elementwise
         assert injectivity_depth(sine, grid) == self.per_point_depth(sine, grid)
+
+    def test_redone_entries_are_the_point_values(self):
+        # Mobius maps with their pole on a grid point: at some such entries numpy's
+        # jets are inf or NaN where the scalar path gives a finite value
+        grid = GridSpec(-1.0, 1.0, 9, 0.5, 2.0, 7)
+        points = list(grid.points())
+        rng = np.random.default_rng(0)
+        redone = 0
+        for _ in range(300):
+            pole = points[rng.integers(len(points))]
+            a, b, c = (complex(*rng.normal(size=2)) for _ in range(3))
+            d = -c * pole
+            if abs(a * d - b * c) < 0.1:
+                continue
+            f = MobiusMap(MobiusTransform.from_entries(a, b, c, d))
+            with mock.patch.object(schwarzian_end, "schwarzian", wraps=schwarzian) as redo:
+                try:
+                    blocks = list(schwarzian_grid(f, grid))
+                except (CriticalPoint, NonFiniteSchwarzian):
+                    continue
+            at = {call.args[1] for call in redo.call_args_list}
+            redone += len(at)
+            for z, sc, norm in blocks:
+                for w, got, got_norm in zip(z.tolist(), sc.tolist(), norm.tolist()):
+                    assert cmath.isfinite(got)
+                    if w in at:
+                        assert (got, got_norm) == (schwarzian(f, w), schwarzian_norm(f, w))
+        assert redone > 0
 
     @pytest.mark.parametrize("sin", [np.sin, cmath.sin])
     def test_grid_through_critical_point(self, sin):
@@ -473,6 +543,9 @@ class TestNumericMap:
         assert abs(schwarzian(nm, z) - (-3.0 / (2 * z * z))) < 1e-6
 
     def test_domain_validation(self):
+        for step in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="finite-difference step must be positive"):
+                NumericMap(lambda z: z, step, (-1.0, 1.0, 0.5, 2.0))
         with pytest.raises(ValueError):
             NumericMap(lambda z: z, 1e-3, (-1.0, 1.0, -0.5, 2.0))
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dehnscope import torus_end
-from dehnscope.config import ARRAY_BLOCK
+from dehnscope.config import ARRAY_BLOCK, RATIONAL_TOL
 from dehnscope.hypcore import (
     INFINITY,
     MobiusTransform,
@@ -548,11 +548,25 @@ class TestClassifyCompletion:
         got = classify_completion(EndParameter(a, 1j))
         assert got.kind == "undetermined"
 
+    def test_rational_direction_with_a_translation_part_is_undetermined(self):
+        # (x, y) = (1, 1 + 5e-10) reads as the direction (1, 1), but with b near -1
+        # the length a(1 + b) of that class keeps a real part of 5e-7 of its modulus
+        b = -1 + 1e-3j
+        a = TWO_PI_I / (1 + b * (1 + 5e-10))
+        ell = a * (1 + b)
+        assert abs(ell.real) > RATIONAL_TOL * abs(ell)
+        assert classify_completion(EndParameter(a, b)).kind == "undetermined"
+
     @pytest.mark.parametrize("tol", [math.nan, -1e-9, 0.0, math.inf])
     def test_bad_tolerance_rejected(self, tol):
         # a NaN tolerance used to classify the smooth (1, 0) filling as a cone
         with pytest.raises(ValueError, match="rational_tolerance must be positive and finite"):
             classify_completion(EndParameter(TWO_PI_I, 1j), tol, 100)
+
+    @pytest.mark.parametrize("max_denominator", [0, -3])
+    def test_bad_max_denominator_rejected(self, max_denominator):
+        with pytest.raises(ValueError, match="max denominator must be >= 1"):
+            classify_completion(EndParameter(TWO_PI_I, 1j), 1e-9, max_denominator)
 
     def test_smooth_iff_meridian_trivial(self):
         rng = np.random.default_rng(14)
@@ -644,6 +658,9 @@ class TestCrossSection:
     def test_cusp_rejected(self):
         with pytest.raises(ZeroA):
             cross_section_length(EndParameter(0.0, 1j), 1.0, 0.0, 0.5)
+        for eps in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="tube radius must be positive"):
+                cross_section_length(EndParameter(1.0, 1j), 1.0, 0.0, eps)
 
 
 def tube_length_oracle(s: EndParameter, x: float, y: float, eps: float, steps: int = 10**4) -> float:
@@ -715,6 +732,9 @@ class TestBilipschitz:
             estimate_bilipschitz(
                 EndParameter(1.0, 1j), EndParameter(0.5, 1j), region, 10, seed=0
             )
+        for samples in (1, 0):
+            with pytest.raises(ValueError, match="need at least two samples"):
+                estimate_bilipschitz(EndParameter(1.0, 1j), EndParameter(0.5, 1j), self.REGION, samples)
 
     def test_printed_chart_convergence_toward_cusp(self):
         cusp = EndParameter(0.0, 1j)
@@ -925,6 +945,10 @@ class TestTypes:
     def test_completion_validation(self):
         with pytest.raises(ValueError):
             CompletionClass("cone", p=2, q=4, angle=1.0)
+        for kind in ("smooth", "cone"):
+            for angle in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="cone angle must be positive"):
+                    CompletionClass(kind, p=1, q=0, angle=angle)
         with pytest.raises(ValueError):
             CompletionClass("nonsense")
 
