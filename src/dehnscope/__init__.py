@@ -13,7 +13,6 @@ from .hypcore import (
     apply_h3,
     classify,
     complex_translation_length,
-    fixed_points,
     hyp_distance,
     length_distance,
 )
@@ -26,7 +25,6 @@ from .torus_end import (
     complex_length,
     cross_section_length,
     develop,
-    end_isometric,
     equivariance_residual,
     estimate_bilipschitz,
     filling_coordinates,

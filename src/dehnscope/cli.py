@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import fields, replace
 
@@ -159,16 +160,30 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _csv_cell(value) -> str:
+    if not isinstance(value, float):
+        return str(value)
+    if not math.isfinite(value):
+        raise ValueError(f"row value {value!r} is not finite")
+    return repr(value)
+
+
 def _emit_rows(rows, columns: list[str], fmt: str) -> None:
-    """Write rows one at a time, as CSV or as the text json.dumps gives their list."""
+    """Write rows one at a time, as CSV or as the text json.dumps gives their list.
+
+    A non-finite value raises ValueError before its row is written, as in _emit_json; the
+    CSV header goes out with the first row, so an error there leaves stdout empty.
+    """
     if fmt == "csv":
-        sys.stdout.write(",".join(columns) + "\n")
+        head = ",".join(columns) + "\n"
         for row in rows:
-            sys.stdout.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
+            sys.stdout.write(head + ",".join(_csv_cell(row[c]) for c in columns) + "\n")
+            head = ""
+        sys.stdout.write(head)
         return
     sep = "["
     for row in rows:
-        sys.stdout.write(sep + json.dumps(row, sort_keys=True))
+        sys.stdout.write(sep + json.dumps(row, sort_keys=True, allow_nan=False))
         sep = ", "
     sys.stdout.write("[]\n" if sep == "[" else "]\n")
 

@@ -61,8 +61,7 @@ class HolomorphicPath:
         for name, values in (("a_coeffs", self.a_coeffs), ("b_coeffs", self.b_coeffs), ("center", (self.center,))):
             if not all(map(cmath.isfinite, values)):
                 raise ValueError(f"path {name} must be finite, got {values}")
-        if not self.radius > 0:
-            raise ValueError("domain radius must be positive")
+        positive_finite("domain radius", self.radius)
         for w in self._grid():
             bw = self.b(w)
             if not bw.imag > 0:
@@ -183,32 +182,17 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def filling_sequence(
-    b: complex,
-    p: int,
-    q: int,
-    n_list,
-    basis=None,
-) -> list[EndParameter]:
+def filling_sequence(b: complex, p: int, q: int, n_list) -> list[EndParameter]:
     """Parameters filling the (1, n)-classes in the basis where (p, q) is the meridian.
 
-    `basis` is a unimodular integer matrix, given as a 2x2 nested sequence of
-    rows, whose first column is the declared meridian class; when omitted it
-    is completed canonically by the extended Euclidean algorithm.  Each
-    returned parameter is solve_direct at the coordinates basis . (1, n).
-    Entries and n are read with operator.index, so the arithmetic is exact in
-    Python integers and a float entry raises TypeError.
+    The basis is unimodular_completion(p, q), whose first column is (p, q).
+    Each returned parameter is solve_direct at the coordinates basis . (1, n).
+    p, q and n are read with operator.index, so the arithmetic is exact in
+    Python integers and a float raises TypeError.
     """
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
-    if basis is None:
-        basis = unimodular_completion(p, q)
-    (b11, b12), (b21, b22) = basis
-    b11, b12, b21, b22 = map(operator.index, (b11, b12, b21, b22))
-    if abs(b11 * b22 - b12 * b21) != 1:
-        raise ValueError("basis change must be unimodular")
-    if b11 != p or b21 != q:
-        raise ValueError("first basis column must be the declared meridian class")
+    (b11, b12), (b21, b22) = unimodular_completion(p, q)
     out = []
     for n in map(operator.index, n_list):
         out.append(solve_direct(b, float(b11 + b12 * n), float(b21 + b22 * n)))

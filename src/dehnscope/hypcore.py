@@ -29,10 +29,6 @@ class ParabolicInput(ValueError):
     """Raised when an operation needs a non-parabolic, non-identity element."""
 
 
-class IdentityInput(ValueError):
-    """Raised when an operation needs a non-identity element."""
-
-
 class _Infinity:
     """The point at infinity of the Riemann sphere."""
 
@@ -88,16 +84,6 @@ class MobiusTransform:
     def translation(c: complex) -> "MobiusTransform":
         """z -> z + c."""
         return MobiusTransform(1.0, complex(c), 0.0, 1.0)
-
-    @staticmethod
-    def scaling(m: complex) -> "MobiusTransform":
-        """z -> m z for m != 0."""
-        return MobiusTransform.from_entries(m, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def inversion() -> "MobiusTransform":
-        """z -> 1/z."""
-        return MobiusTransform.from_entries(0.0, 1.0, 1.0, 0.0)
 
     def entries(self) -> tuple:
         return self.a11, self.a12, self.a21, self.a22
@@ -333,35 +319,6 @@ def length_distance(l1: complex, l2: complex) -> float:
         k = round(d.imag / (2.0 * math.pi))
         best = min(best, abs(d - complex(0.0, 2.0 * math.pi * k)))
     return best
-
-
-def fixed_points(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> tuple[ExtendedComplex, ...]:
-    """Roots of the fixed-point equation; two for loxodromic/elliptic, one for parabolic."""
-    ident = MobiusTransform.identity()
-    if m.distance(ident) < tol:
-        raise IdentityInput("every point is fixed by the identity")
-    a, b, c, d = m.a11, m.a12, m.a21, m.a22
-    tr = a + d
-    parabolic = abs(tr * tr - 4.0) < tol
-    if c == 0:
-        # infinity is fixed; z -> (a z + b)/d
-        if parabolic:
-            return (INFINITY,)
-        return _ordered(b / (d - a), INFINITY)
-    disc = tr * tr - 4.0  # = (a - d)^2 + 4 b c
-    if parabolic:
-        return ((a - d) / (2.0 * c),)
-    root = cmath.sqrt(disc)
-    return _ordered((a - d + root) / (2.0 * c), (a - d - root) / (2.0 * c))
-
-
-def _ordered(z1, z2):
-    """Deterministic ordering of fixed points z1 (finite) and z2; INFINITY sorts last."""
-    if isinstance(z2, _Infinity):
-        return (z1, INFINITY)
-    if (z1.real, z1.imag) <= (z2.real, z2.imag):
-        return (z1, z2)
-    return (z2, z1)
 
 
 def adjoint_rows(m: MobiusTransform) -> tuple:

@@ -258,11 +258,6 @@ def PostMobius(m: MobiusTransform, f: ConformalMap) -> Compose:
     return Compose(MobiusMap(m), f)
 
 
-def PreMobius(f: ConformalMap, m: MobiusTransform) -> Compose:
-    """f o m; used to exercise norm invariance."""
-    return Compose(f, MobiusMap(m))
-
-
 def parse_map(spec: str) -> ConformalMap:
     """Catalog names: identity, square, log, power:<re[,im]>, mobius:<8 floats>."""
     if spec == "identity":

@@ -425,18 +425,9 @@ def cross_section_length(s: EndParameter, x: float, y: float, eps: float) -> flo
     return math.hypot(ell.real * math.cosh(eps), ell.imag * math.sinh(eps))
 
 
-def end_isometric(s: EndParameter, sp: EndParameter, tol: float = 1e-12) -> bool:
-    """True iff the ends are isometric: b = b' and a' = +-a (within tol)."""
-    if abs(s.b - sp.b) > tol:
-        return False
-    return min(abs(s.a - sp.a), abs(s.a + sp.a)) <= tol
-
-
 def holonomy_representation(s: EndParameter):
-    """Generator images (rho(g1), rho(g2)) of the Z^2 marking; the kept ones if s keeps constants."""
-    if s._constants is None:
-        return holonomy(s, 1, 0), holonomy(s, 0, 1)
-    return _constant(s, 1), _constant(s, 2)
+    """Generator images (rho(g1), rho(g2)) of the Z^2 marking."""
+    return holonomy(s, 1, 0), holonomy(s, 0, 1)
 
 
 _RECHECK_SLACK = 1e-12  # about 4500 ulps of a ratio

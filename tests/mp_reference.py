@@ -82,3 +82,41 @@ def mp_cusp_distance(a, b):
             gap = min(mpmath.mnorm(h - cusp, "f"), mpmath.mnorm(h + cusp, "f"))
             worst = max(worst, gap)
         return worst
+
+
+def mp_filling_xy(a, b):
+    """The real (x, y) with a(x + by) = 2*pi*i at DPS digits, for a != 0 and Im b > 0.
+
+    x + by = w := 2*pi*i/a; the imaginary part gives y = Im w / Im b, and the
+    real part x = Re w - Re b * y.
+    """
+    with mpmath.workdps(DPS):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        w = 2j * mpmath.pi / a
+        y = w.imag / b.imag
+        return w.real - b.real * y, y
+
+
+def mp_cross_section_length(a, b, x, y, eps):
+    """Length of the (x, y)-curve on the tube of radius eps at DPS digits.
+
+    With l = a(x + by): sqrt(Re(l)^2 cosh(eps)^2 + Im(l)^2 sinh(eps)^2).
+    """
+    with mpmath.workdps(DPS):
+        ell = mpmath.mpc(a) * (x + mpmath.mpc(b) * y)
+        eps = mpmath.mpf(eps)
+        return mpmath.sqrt((ell.real * mpmath.cosh(eps)) ** 2 + (ell.imag * mpmath.sinh(eps)) ** 2)
+
+
+def mp_adjoint(entries, coords):
+    """Ad(m) v = m v m^-1 at DPS digits, as the coordinates (x, y, w) of [[x, y], [w, -x]].
+
+    m = [[a, b], [c, d]] is taken to have determinant 1, so m^-1 = [[d, -b], [-c, a]];
+    v = [[x, y], [w, -x]] for coords (x, y, w).
+    """
+    with mpmath.workdps(DPS):
+        a, b, c, d = map(mpmath.mpc, entries)
+        x, y, w = map(mpmath.mpc, coords)
+        m = mpmath.matrix([[a, b], [c, d]])
+        conj = m * mpmath.matrix([[x, y], [w, -x]]) * mpmath.matrix([[d, -b], [-c, a]])
+        return conj[0, 0], conj[0, 1], conj[1, 0]

@@ -203,6 +203,13 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: cannot load path spec")
 
+    def test_infinite_radius_is_named(self, capsys):
+        # JSON Infinity used to fail the spot check of Im b at the non-finite grid point (inf+nanj)
+        path = json.dumps(dict(json.loads(self.PATH), radius=math.inf))
+        assert main(["solve", "--path", path, "--x", "1", "--y", "1", "--w0", "0,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "domain radius must be positive and finite, got inf" in captured.err
+
     def test_domain_exit_exits_1_with_payload(self, capsys):
         tight = json.dumps(
             {"a_coeffs": [[0, 0], [1, 0]], "b_coeffs": [[0, 1]], "center": [0, 20], "radius": 0.5}
@@ -335,6 +342,29 @@ def test_non_finite_schwarzian_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Schwarzian" in captured.err and "not finite" in captured.err
+
+
+CROSSSECTION = ["crosssection", "--b", "0,1", "--x", "10", "--y", "0"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_row_exits_2(capsys, fmt):
+    # the length a * x * cosh(eps) is 1e309 or more for every eps: no row and no header is written
+    assert main([*CROSSSECTION, "--a", "1e308,0", "--eps-grid", "0.1:1:3", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rows_stop_at_the_first_non_finite_value(capsys, fmt):
+    # with a * x = 1e306 the length is finite at eps = 0.1 and 5.05 and overflows at eps = 10
+    assert main([*CROSSSECTION, "--a", "1e305,0", "--eps-grid", "0.1:10:3", "--format", fmt]) == 2
+    out = capsys.readouterr().out
+    want = {
+        "json": '[{"eps": 0.1, "length": 1.0050041680558034e+306}, {"eps": 5.05, "length": 7.80144369099206e+307}',
+        "csv": "eps,length\n0.1,1.0050041680558034e+306\n5.05,7.80144369099206e+307\n",
+    }
+    assert out == want[fmt]
 
 
 class TestThetaCheckCommand:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dehnscope.hypcore import (
     INFINITY,
     H3Point,
-    IdentityInput,
     IsomClass,
     MobiusTransform,
     ParabolicInput,
@@ -24,11 +23,11 @@ from dehnscope.hypcore import (
     apply_h3,
     classify,
     complex_translation_length,
-    fixed_points,
     hyp_distance,
     length_distance,
     right_translate,
 )
+from mp_reference import mp_adjoint
 
 
 def random_mobius(rng) -> MobiusTransform:
@@ -77,7 +76,7 @@ class TestApplyBoundary:
         assert abs(apply_boundary(m, 0.0) - 1.0) < 1e-12
 
     def test_pole_conventions(self):
-        inv = MobiusTransform.inversion()
+        inv = MobiusTransform.from_entries(0.0, 1.0, 1.0, 0.0)  # z -> 1/z
         assert apply_boundary(inv, INFINITY) == 0
         assert apply_boundary(inv, 0.0) is INFINITY
         assert apply_boundary(MobiusTransform.translation(2.0), INFINITY) is INFINITY
@@ -89,7 +88,7 @@ class TestApplyH3:
         assert p.z == 1j and p.t == 1.0
 
     def test_vertical_scaling(self):
-        m = MobiusTransform.scaling(math.e)
+        m = MobiusTransform.from_entries(math.e, 0.0, 0.0, 1.0)  # z -> e z
         p = apply_h3(m, H3Point(0.0, 1.0))
         assert abs(p.z) < 1e-12
         assert abs(p.t - math.e) < 1e-12
@@ -243,39 +242,39 @@ class TestComplexTranslationLength:
 
 
 class TestFixedPoints:
+    """Fixed points of the boundary action, from the roots of a21 z^2 + (a22 - a11) z - a12 = 0."""
+
     def test_translation(self):
-        assert fixed_points(MobiusTransform.translation(1.0)) == (INFINITY,)
+        assert apply_boundary(MobiusTransform.translation(1.0), INFINITY) is INFINITY
 
     def test_half_turn_affine(self):
         # z -> e^a z + 1 with a = pi*i fixes 1/(1 - e^a) = 1/2 and infinity
         m = MobiusTransform.from_entries(cmath.exp(1j * math.pi), 1.0, 0.0, 1.0)
-        z0, inf = fixed_points(m)
-        assert abs(z0 - 0.5) < 1e-12
-        assert inf is INFINITY
+        assert abs(apply_boundary(m, 0.5) - 0.5) < 1e-12
+        assert apply_boundary(m, INFINITY) is INFINITY
 
     def test_parabolic_with_finite_fixed_point(self):
-        # z -> (2z + 1) / (-z): trace 2, and (a - d) / (2c) = -1
+        # z -> (2z + 1) / (-z): trace 2, and the double root (a - d) / (2c) = -1
         m = MobiusTransform.from_matrix([[2, 1], [-1, 0]])
-        assert fixed_points(m) == (-1,)
+        assert classify(m).kind == "parabolic"
         assert apply_boundary(m, -1 + 0j) == -1
+        assert apply_boundary(m, INFINITY) == -2
 
     def test_inversion(self):
-        pts = fixed_points(MobiusTransform.inversion())
-        assert abs(pts[0] + 1.0) < 1e-12 and abs(pts[1] - 1.0) < 1e-12
+        inv = MobiusTransform.from_entries(0.0, 1.0, 1.0, 0.0)  # z -> 1/z
+        assert abs(apply_boundary(inv, -1.0 + 0j) + 1.0) < 1e-12
+        assert abs(apply_boundary(inv, 1.0 + 0j) - 1.0) < 1e-12
 
-    def test_identity_rejected(self):
-        with pytest.raises(IdentityInput):
-            fixed_points(MobiusTransform.identity())
-
-    def test_fixed_points_are_fixed(self):
+    def test_roots_are_fixed(self):
         rng = np.random.default_rng(41)
         for _ in range(30):
             m = random_mobius(rng)
+            a, b, c, d = m.entries()
             if abs(m.trace() ** 2 - 4.0) < 1e-6:
                 continue
-            for z in fixed_points(m):
-                if isinstance(z, complex):
-                    assert abs(apply_boundary(m, z) - z) < 1e-6 * max(1.0, abs(z) ** 2)
+            root = cmath.sqrt(m.trace() ** 2 - 4.0)  # the discriminant (a - d)^2 + 4bc
+            for z in ((a - d + root) / (2.0 * c), (a - d - root) / (2.0 * c)):
+                assert abs(apply_boundary(m, z) - z) < 1e-6 * max(1.0, abs(z) ** 2)
 
 
 class TestHypDistance:
@@ -331,6 +330,23 @@ class TestAdjoint:
         am, an = adjoint_matrix(m), adjoint_matrix(n)
         tol = 1e-12 * np.linalg.norm(am) * np.linalg.norm(an)
         assert np.linalg.norm(adjoint_matrix(m @ n) - am @ an) <= tol
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=mobius, v=sl2_vectors)
+    def test_matches_60_digit_oracle(self, m, v):
+        """Ad(m) v against mp_adjoint, with the bound derived from the roundings of adjoint_rows and adjoint.
+
+        With mu = max |m_ij|, each entry of adjoint_rows is at most two complex products of
+        entries, times an exact 2 or -1, so it is at most 2 mu^2 and within 7 u mu^2 of exact
+        (sqrt 5 u per complex product and u per sum, u = 2^-53).  Each coordinate of Ad(m) v
+        sums three products r_j v_j: the row error and the rounding of each product give
+        (7 + 2 sqrt 5) u mu^2 |v_j|, and the two sums u each of at most 2 mu^2 (|x| + |y| + |w|).
+        That is below 16 u mu^2 (|x| + |y| + |w|) per coordinate, to first order in u.
+        """
+        mu = max(map(abs, m.entries()))
+        bound = 16 * 2.0**-53 * mu * mu * sum(map(abs, v.coords()))
+        for got, want in zip(adjoint(m, v).coords(), mp_adjoint(m.entries(), v.coords())):
+            assert float(abs(got - want)) <= bound
 
     def test_sign_insensitive(self):
         rng = np.random.default_rng(52)

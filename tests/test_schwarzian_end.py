@@ -23,7 +23,6 @@ from dehnscope.schwarzian_end import (
     NumericMap,
     PostMobius,
     PowerMap,
-    PreMobius,
     SquareMap,
     StepTooLarge,
     WrongSide,
@@ -155,7 +154,7 @@ class TestSchwarzianNorm:
                     w = apply_boundary(g, z)
                     if not isinstance(w, complex) or w.imag < 0.05:
                         continue
-                    lhs = schwarzian_norm(PreMobius(f, g), z)
+                    lhs = schwarzian_norm(Compose(f, MobiusMap(g)), z)
                     rhs = schwarzian_norm(f, w)
                     assert abs(lhs - rhs) < 1e-9 * max(1.0, rhs)
 
@@ -303,8 +302,8 @@ class TestTheta:
         f = PowerMap(c)
         rng = np.random.default_rng(14)
         for lam in (0.7, 1.9):
-            gamma = MobiusTransform.scaling(lam)
-            rho = MobiusTransform.scaling(lam ** c)
+            gamma = MobiusTransform.from_entries(lam, 0.0, 0.0, 1.0)
+            rho = MobiusTransform.from_entries(lam ** c, 0.0, 0.0, 1.0)
             for z in sample_points(rng, 5):
                 lhs = osculating_mobius(f, lam * z)
                 rhs = rho @ osculating_mobius(f, z) @ gamma.inverse()
@@ -315,7 +314,7 @@ class TestTheta:
         f = PowerMap(c)
         rng = np.random.default_rng(15)
         for lam in (0.7, 1.9):
-            rho = MobiusTransform.scaling(lam ** c)
+            rho = MobiusTransform.from_entries(lam ** c, 0.0, 0.0, 1.0)
             for _ in range(5):
                 p = H3Point(complex(rng.normal(), abs(rng.normal()) + 0.1), math.exp(rng.normal()))
                 scaled = H3Point(lam * p.z, lam * p.t)
@@ -360,7 +359,7 @@ class TestInjectivityDepth:
     def test_array_pass_matches_per_point(self):
         grid = GridSpec(-2.0, 2.0, 31, 0.1, 3.0, 29)
         maps = [IdentityMap(), MobiusMap(TEST_MOBIUS), *CATALOG, PowerMap(3.0)]
-        maps += [PostMobius(TEST_MOBIUS, PowerMap(2.5)), PreMobius(PowerMap(2.5), TEST_MOBIUS)]
+        maps += [PostMobius(TEST_MOBIUS, PowerMap(2.5)), Compose(PowerMap(2.5), MobiusMap(TEST_MOBIUS))]
         maps += [Compose(SquareMap(), LogMap())]
         for f in maps:
             assert f.elementwise

@@ -16,10 +16,10 @@ from dehnscope.config import ARRAY_BLOCK, RATIONAL_TOL
 from dehnscope.hypcore import (
     INFINITY,
     MobiusTransform,
+    apply_boundary,
     apply_h3,
     classify,
     complex_translation_length,
-    fixed_points,
     hyp_distance,
     length_distance,
 )
@@ -37,7 +37,6 @@ from dehnscope.torus_end import (
     complex_length,
     cross_section_length,
     develop,
-    end_isometric,
     equivariance_residual,
     estimate_bilipschitz,
     filling_coordinates,
@@ -46,7 +45,15 @@ from dehnscope.torus_end import (
     phi,
     z0_of,
 )
-from mp_reference import DPS, mp_aligned_holonomy, mp_develop, mp_distance, mp_holonomy
+from mp_reference import (
+    DPS,
+    mp_aligned_holonomy,
+    mp_cross_section_length,
+    mp_develop,
+    mp_distance,
+    mp_filling_xy,
+    mp_holonomy,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -158,8 +165,7 @@ class TestHolonomy:
     def test_half_turn_generator(self):
         s = EndParameter(1j * math.pi, 1j)
         m = holonomy(s, 1, 0)
-        z0, inf = fixed_points(m)
-        assert abs(z0 - 0.5) < 1e-12 and inf is INFINITY
+        assert abs(apply_boundary(m, 0.5) - 0.5) < 1e-12 and apply_boundary(m, INFINITY) is INFINITY
         cls = classify(m)
         assert cls.kind == "elliptic" and abs(cls.angle - math.pi) < 1e-12
 
@@ -372,7 +378,6 @@ class TestKeptConstants:
             x, y, t = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(1.0, 2.0)
             equivariance_residual(s, 1 + k % 2, x, y, t)
         assert dens == [s.a] and images == [(1, 0), (0, 1)]
-        holonomy_representation(s)
         develop(s, 0.3, 0.4, 1.5)
         assert dens == [s.a] and images == [(1, 0), (0, 1)]
 
@@ -639,6 +644,43 @@ class TestClassifyCompletion:
             checked += 1
 
 
+def far_from_underflow(lo: float, hi: float):
+    """Floats in [lo, hi] that are 0 or above 1e-150 in size, so that the rounding bounds below stay relative."""
+    return st.floats(lo, hi).filter(lambda v: v == 0 or abs(v) > 1e-150)
+
+
+#: a away from the cusp, over several turns of 2*pi*i; the filling coordinates are 2*pi*i/a over x + by
+ORACLE_FILL_A = st.builds(complex, far_from_underflow(-7.0, 7.0), far_from_underflow(-20.0, 20.0)).filter(
+    lambda a: abs(a) > 1e-3
+)
+
+
+class TestFillingOracle:
+    """filling_coordinates against the 60-digit mp_filling_xy.
+
+    w = 2*pi*i/a has a zero real numerator, so CPython's complex division forms each part of
+    w by products and quotients of the parts of a and a sum of two terms of one sign, without
+    cancellation: each part is within 7 u of exact, relative, with the rounding of 2*pi and
+    u = 2^-53.  y = Im w / Im b adds one rounding, so |y - y_ref| <= 8 u |y_ref|.
+    x = Re w - Re b y can cancel; its error is at most that of the two terms and of the
+    difference, 7 u |Re w| + 9 u |Re b||y| + u |x|, so with |x| <= |Re w| + |Re b||y|
+        |x - x_ref| <= 16 u (|2 pi i/a| + |Re b||y|).
+    The sign of the reference is matched to the canonical sign of the result.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=ORACLE_FILL_A, b=END_B)
+    @example(a=TWO_PI_I, b=1j)
+    @example(a=TWO_PI_I / (1 + 1e-12j), b=0.9 + 1.1j)
+    def test_filling_coordinates(self, a, b):
+        got = filling_coordinates(EndParameter(a, b))
+        x, y = mp_filling_xy(a, b)
+        if x * got.x + y * got.y < 0:
+            x, y = -x, -y
+        assert float(abs(got.y - y)) <= 8 * U * float(abs(y))
+        assert float(abs(got.x - x)) <= 16 * U * (abs(2j * math.pi / a) + abs(b.real) * float(abs(y)))
+
+
 class TestCrossSection:
     def test_pure_translation(self):
         s = EndParameter(1.0, 1j)
@@ -694,21 +736,27 @@ class TestCrossSectionOracle:
             numeric = tube_length_oracle(s, x, y, eps)
             assert abs(closed - numeric) <= 1e-6 * max(closed, 1e-9)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        a=ORACLE_FILL_A,
+        b=END_B,
+        xy=st.tuples(far_from_underflow(-3.0, 3.0), far_from_underflow(-3.0, 3.0)),
+        eps=st.floats(1e-3, 5.0),
+    )
+    def test_matches_60_digit_oracle(self, a, b, xy, eps):
+        """cross_section_length against mp_cross_section_length.
 
-class TestEndIsometric:
-    def test_sign_flip(self):
-        s = EndParameter(0.7 + 0.2j, 1j)
-        assert end_isometric(s, EndParameter(-s.a, s.b))
-
-    def test_reflexive(self):
-        s = EndParameter(0.7 + 0.2j, 1j)
-        assert end_isometric(s, s)
-
-    def test_different_modulus(self):
-        assert not end_isometric(EndParameter(1j * math.pi, 1j), EndParameter(1j * math.pi, 2j))
-
-    def test_different_exponent(self):
-        assert not end_isometric(EndParameter(1.0, 1j), EndParameter(1.1, 1j))
+        x + by is formed within 2 u (|x| + |b||y|) per part and l = a(x + by) within
+        4 u |a|(|x| + |b||y|) per part, u = 2^-53.  hypot(Re l cosh eps, Im l sinh eps)
+        moves by at most cosh eps times the error of l, and the roundings of cosh, sinh,
+        the two products and hypot add a few u of the length, which is at most
+        |l| cosh eps <= |a|(|x| + |b||y|) cosh eps.  Together the length is within
+            16 u |a|(|x| + |b||y|) cosh eps.
+        """
+        (x, y), s = xy, EndParameter(a, b)
+        want = mp_cross_section_length(a, b, x, y, eps)
+        bound = 16 * U * abs(a) * (abs(x) + abs(b) * abs(y)) * math.cosh(eps)
+        assert float(abs(cross_section_length(s, x, y, eps) - want)) <= bound
 
 
 class TestBilipschitz:
