@@ -10,7 +10,6 @@ representation and cocycle-values files, and the JSON/CSV payloads.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -268,12 +267,9 @@ def cmd_schwarzian(args, cfg: RunConfig) -> int:
         return 0
     if args.grid:
         columns = ["z_re", "z_im", "sc_re", "sc_im", "norm"]
-        blocks = schwarzian_end.schwarzian_grid(f, grid)
-        # the first block is evaluated before any output, so an error in it leaves stdout empty
-        first = next(blocks)
         rows = (
             dict(zip(columns, values))
-            for z, sc, norm in itertools.chain([first], blocks)
+            for z, sc, norm in schwarzian_end.schwarzian_grid(f, grid)
             for values in zip(*(part.tolist() for part in (z.real, z.imag, sc.real, sc.imag, norm)))
         )
         _emit_rows(rows, columns, cfg.output)

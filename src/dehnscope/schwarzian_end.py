@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .config import ARRAY_BLOCK, CRITICAL_TOL, FD_STEP, finite_float, positive_finite
 from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, apply_h3, modulus
@@ -53,8 +53,10 @@ class NonFiniteSchwarzian(ValueError):
 class ConformalMap:
     """Holomorphic map with exact (or declared-step numeric) jets up to order 3.
 
-    The jets take a complex number; when `elementwise` is true they also take
-    a complex array and act on each entry, and the grid sweeps use that.
+    `jets(z)` yields f'(z), f''(z) and f'''(z) in turn, each computed only
+    when asked for.  The value and the jets take a complex number; when
+    `elementwise` is true they also take a complex array and act on each
+    entry, and the grid sweeps use that.
     """
 
     elementwise = False
@@ -62,13 +64,7 @@ class ConformalMap:
     def value(self, z: complex) -> complex:
         raise NotImplementedError
 
-    def deriv(self, z: complex) -> complex:
-        raise NotImplementedError
-
-    def deriv2(self, z: complex) -> complex:
-        raise NotImplementedError
-
-    def deriv3(self, z: complex) -> complex:
+    def jets(self, z: complex) -> Iterator[complex]:
         raise NotImplementedError
 
 
@@ -78,14 +74,10 @@ class IdentityMap(ConformalMap):
     def value(self, z):
         return z
 
-    def deriv(self, z):
-        return 1.0 + 0j
-
-    def deriv2(self, z):
-        return 0j
-
-    def deriv3(self, z):
-        return 0j
+    def jets(self, z):
+        yield 1.0 + 0j
+        yield 0j
+        yield 0j
 
 
 class MobiusMap(ConformalMap):
@@ -103,14 +95,11 @@ class MobiusMap(ConformalMap):
             raise CriticalPoint("pole of the Mobius map")
         return den
 
-    def deriv(self, z):
-        return 1.0 / self._den(z) ** 2  # det = 1
-
-    def deriv2(self, z):
-        return -2.0 * self.m.a21 / self._den(z) ** 3
-
-    def deriv3(self, z):
-        return 6.0 * self.m.a21 ** 2 / self._den(z) ** 4
+    def jets(self, z):
+        den = self._den(z)
+        yield 1.0 / den ** 2  # det = 1
+        yield -2.0 * self.m.a21 / den ** 3
+        yield 6.0 * self.m.a21 ** 2 / den ** 4
 
 
 class SquareMap(ConformalMap):
@@ -119,14 +108,10 @@ class SquareMap(ConformalMap):
     def value(self, z):
         return z * z
 
-    def deriv(self, z):
-        return 2.0 * z
-
-    def deriv2(self, z):
-        return 2.0 + 0j
-
-    def deriv3(self, z):
-        return 0j
+    def jets(self, z):
+        yield 2.0 * z
+        yield 2.0 + 0j
+        yield 0j
 
 
 class LogMap(ConformalMap):
@@ -139,14 +124,10 @@ class LogMap(ConformalMap):
 
         return np.log(z)
 
-    def deriv(self, z):
-        return 1.0 / z
-
-    def deriv2(self, z):
-        return -1.0 / (z * z)
-
-    def deriv3(self, z):
-        return 2.0 / (z * z * z)
+    def jets(self, z):
+        yield 1.0 / z
+        yield -1.0 / (z * z)
+        yield 2.0 / (z * z * z)
 
 
 class PowerMap(ConformalMap):
@@ -160,14 +141,11 @@ class PowerMap(ConformalMap):
     def value(self, z):
         return z ** self.c
 
-    def deriv(self, z):
-        return self.c * z ** (self.c - 1)
-
-    def deriv2(self, z):
-        return self.c * (self.c - 1) * z ** (self.c - 2)
-
-    def deriv3(self, z):
-        return self.c * (self.c - 1) * (self.c - 2) * z ** (self.c - 3)
+    def jets(self, z):
+        c = self.c
+        yield c * z ** (c - 1)
+        yield c * (c - 1) * z ** (c - 2)
+        yield c * (c - 1) * (c - 2) * z ** (c - 3)
 
 
 class NumericMap(ConformalMap):
@@ -182,11 +160,12 @@ class NumericMap(ConformalMap):
     """
 
     def __init__(self, func: Callable[[complex], complex], step: float, domain: tuple):
-        if not step > 0:
-            raise ValueError("finite-difference step must be positive")
+        positive_finite("finite-difference step", step)
         re0, re1, im0, im1 = domain
         if not (re0 < re1 and 0 < im0 < im1):
             raise ValueError("domain rectangle must be nonempty and lie in U")
+        if not all(map(math.isfinite, domain)):
+            raise ValueError("domain rectangle bounds must be finite")
         import numpy as np
 
         self.func = func
@@ -202,27 +181,19 @@ class NumericMap(ConformalMap):
             )
         except (TypeError, ValueError):
             self.elementwise = False
-        if any(abs(self.deriv(z)) <= CRITICAL_TOL for z in spots.tolist()):
+        if any(abs(next(self.jets(z))) <= CRITICAL_TOL for z in spots.tolist()):
             raise ValueError("map fails the local-injectivity spot check")
 
     def value(self, z):
         return self.func(z)
 
-    def deriv(self, z):
+    def jets(self, z):
+        """The 5- and 7-point central differences, sharing the samples at z +- h and z +- 2h."""
         h, f = self.step, self.func
-        return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
-
-    def deriv2(self, z):
-        h, f = self.step, self.func
-        return (-f(z + 2 * h) + 16 * f(z + h) - 30 * f(z) + 16 * f(z - h) - f(z - 2 * h)) / (
-            12 * h * h
-        )
-
-    def deriv3(self, z):
-        h, f = self.step, self.func
-        return (
-            f(z - 3 * h) - 8 * f(z - 2 * h) + 13 * f(z - h) - 13 * f(z + h) + 8 * f(z + 2 * h) - f(z + 3 * h)
-        ) / (8 * h ** 3)
+        p2, p1, m1, m2 = f(z + 2 * h), f(z + h), f(z - h), f(z - 2 * h)
+        yield (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+        yield (-p2 + 16 * p1 - 30 * f(z) + 16 * m1 - m2) / (12 * h * h)
+        yield (f(z - 3 * h) - 8 * m2 + 13 * m1 - 13 * p1 + 8 * p2 - f(z + 3 * h)) / (8 * h ** 3)
 
 
 class Compose(ConformalMap):
@@ -236,21 +207,14 @@ class Compose(ConformalMap):
     def value(self, z):
         return self.outer.value(self.inner.value(z))
 
-    def deriv(self, z):
-        return self.outer.deriv(self.inner.value(z)) * self.inner.deriv(z)
-
-    def deriv2(self, z):
-        gz, g1, g2 = self.inner.value(z), self.inner.deriv(z), self.inner.deriv2(z)
-        return self.outer.deriv2(gz) * g1 * g1 + self.outer.deriv(gz) * g2
-
-    def deriv3(self, z):
-        gz = self.inner.value(z)
-        g1, g2, g3 = self.inner.deriv(z), self.inner.deriv2(z), self.inner.deriv3(z)
-        return (
-            self.outer.deriv3(gz) * g1 ** 3
-            + 3.0 * self.outer.deriv2(gz) * g1 * g2
-            + self.outer.deriv(gz) * g3
-        )
+    def jets(self, z):
+        inner, outer = self.inner.jets(z), self.outer.jets(self.inner.value(z))
+        f1, g1 = next(outer), next(inner)
+        yield f1 * g1
+        g2, f2 = next(inner), next(outer)
+        yield f2 * g1 * g1 + f1 * g2
+        g3, f3 = next(inner), next(outer)
+        yield f3 * g1 ** 3 + 3.0 * f2 * g1 * g2 + f1 * g3
 
 
 def PostMobius(m: MobiusTransform, f: ConformalMap) -> Compose:
@@ -287,24 +251,25 @@ def schwarzian(f: ConformalMap, z: complex) -> complex:
     NaN, or where a jet overflows (see _jets).
     """
     z = complex(z)
-    sc = _schwarzian_from(*_jets(f, z, f.deriv2, f.deriv3))
+    sc = _schwarzian_from(*_jets(z, f.jets(z), tuple))
     if not cmath.isfinite(sc):
         raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: {sc}")
     return sc
 
 
-def _jets(f: ConformalMap, z: complex, jet1, jet2) -> tuple:
-    """(f'(z), jet1(z), jet2(z)), the guard schwarzian and osculating_mobius share.
+def _jets(z: complex, jets: Iterator[complex], rest: Callable) -> tuple:
+    """(f'(z), *rest(jets)), the guard schwarzian and osculating_mobius share.
 
-    Raises CriticalPoint where |f'(z)| is at most CRITICAL_TOL, and
-    NonFiniteSchwarzian where a jet is inf or NaN or overflows (complex **
-    reports that as OverflowError or ZeroDivisionError).
+    f' is read from the jets of f at z, then rest reads two more values from
+    the jets left.  Raises CriticalPoint where |f'(z)| is at most CRITICAL_TOL,
+    before rest runs, and NonFiniteSchwarzian where a value is inf or NaN or
+    overflows (complex ** reports that as OverflowError or ZeroDivisionError).
     """
     try:
-        f1 = f.deriv(z)
+        f1 = next(jets)
         if abs(f1) <= CRITICAL_TOL:
             raise CriticalPoint(f"|f'({z})| below critical threshold")
-        j1, j2 = jet1(z), jet2(z)
+        j1, j2 = rest(jets)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteSchwarzian(f"Schwarzian at z = {z} is not finite: a jet of the map overflows") from exc
     if not (cmath.isfinite(f1) and cmath.isfinite(j1) and cmath.isfinite(j2)):
@@ -340,8 +305,9 @@ def _schwarzian_array(f: ConformalMap, z: np.ndarray) -> np.ndarray:
     if not f.elementwise:
         return np.array([schwarzian(f, w) for w in z.tolist()], dtype=complex)
     with np.errstate(all="ignore"):
-        f1 = np.broadcast_to(f.deriv(z), z.shape)
-        sc = _schwarzian_from(f1, f.deriv2(z), f.deriv3(z))
+        f1, f2, f3 = f.jets(z)
+        f1 = np.broadcast_to(f1, z.shape)
+        sc = _schwarzian_from(f1, f2, f3)
     # an entry where f' is critical or not finite, or SC is not finite, is
     # redone by the scalar path, which raises its named error or gives the value
     redo = np.flatnonzero((modulus(f1) <= CRITICAL_TOL) | ~np.isfinite(f1) | ~np.isfinite(sc))
@@ -356,7 +322,7 @@ def osculating_mobius(f: ConformalMap, z: complex) -> MobiusTransform:
     The jets f, f', f'' at z pass the guard of _jets; z as in schwarzian.
     """
     z = complex(z)
-    f1, fz, f2 = _jets(f, z, f.value, f.deriv2)
+    f1, fz, f2 = _jets(z, f.jets(z), lambda jets: (f.value(z), next(jets)))
     a = f1 - fz * f2 / (2.0 * f1)
     b = fz
     c = -f2 / (2.0 * f1)
@@ -429,6 +395,8 @@ class GridSpec:
             raise ValueError("grid counts must be >= 1")
         if not (self.re0 <= self.re1 and 0 < self.im0 <= self.im1):
             raise ValueError("grid rectangle must be ordered and lie in U")
+        if not all(map(math.isfinite, (self.re0, self.re1, self.im0, self.im1))):
+            raise ValueError("grid rectangle bounds must be finite")
 
     def points(self):
         """Grid points, real part outer and imaginary part inner."""

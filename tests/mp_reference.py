@@ -120,3 +120,36 @@ def mp_adjoint(entries, coords):
         m = mpmath.matrix([[a, b], [c, d]])
         conj = m * mpmath.matrix([[x, y], [w, -x]]) * mpmath.matrix([[d, -b], [-c, a]])
         return conj[0, 0], conj[0, 1], conj[1, 0]
+
+
+def mp_jets(spec, z):
+    """(f(z), f'(z), f''(z), f'''(z)) of a catalog map at DPS digits, from its closed form.
+
+    spec is "identity", "square", "log", ("power", c) for the principal
+    z^c = exp(c log z), whose k-th derivative is c(c-1)...(c-k+1) z^(c-k), or
+    ("mobius", (a, b, c, d)) for (az + b)/(cz + d), whose k-th derivative is
+    k! (-c)^(k-1) D / (cz + d)^(k+1) with D = ad - bc of the entries as given.
+    """
+    with mpmath.workdps(DPS):
+        z = mpmath.mpc(z)
+        one, zero = mpmath.mpc(1), mpmath.mpc(0)
+        if spec == "identity":
+            return z, one, zero, zero
+        if spec == "square":
+            return z * z, 2 * z, 2 * one, zero
+        if spec == "log":
+            return mpmath.log(z), 1 / z, -1 / z**2, 2 / z**3
+        kind, params = spec
+        if kind == "power":
+            c, log_z = mpmath.mpc(params), mpmath.log(z)
+            return tuple(mpmath.fprod(c - j for j in range(k)) * mpmath.exp((c - k) * log_z) for k in range(4))
+        a, b, c, d = map(mpmath.mpc, params)
+        den, det = c * z + d, a * d - b * c
+        return (a * z + b) / den, det / den**2, -2 * c * det / den**3, 6 * c * c * det / den**4
+
+
+def mp_schwarzian_norm(spec, z):
+    """(Im z)^2 |f'''/f' - (3/2)(f''/f')^2| of a catalog map (see mp_jets) at DPS digits."""
+    with mpmath.workdps(DPS):
+        _, f1, f2, f3 = mp_jets(spec, z)
+        return mpmath.mpf(z.imag) ** 2 * abs(f3 / f1 - mpmath.mpf(3) / 2 * (f2 / f1) ** 2)

@@ -332,10 +332,11 @@ def test_overflow_exits_2(capsys, argv):
         ["schwarzian", "--f", "power:1e308", "--z", "0,1"],
         ["schwarzian", "--f", "power:1e308", "--z", "1,1"],
         ["schwarzian", "--f", "power:1e308", "--grid=-1:1:3,0.5:1.5:3", "--format", "csv"],
+        ["schwarzian", "--f", "power:1e308", "--grid=-1:1:3,0.5:1.5:3", "--format", "json"],
         ["schwarzian", "--f", "power:1e308", "--depth", "--grid=0:0:1,1:1:1"],
         ["theta-check", "--f", "power:1e308", "--point=-1,0.6,0.8"],
     ],
-    ids=["z-nan", "z-jet-overflow", "grid", "depth", "theta-check-jet"],
+    ids=["z-nan", "z-jet-overflow", "grid", "grid-json", "depth", "theta-check-jet"],
 )
 def test_non_finite_schwarzian_exits_2(capsys, argv):
     # the Schwarzian of z -> z^(1e308) is NaN at z = i and overflows elsewhere

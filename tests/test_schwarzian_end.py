@@ -4,13 +4,16 @@ import cmath
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dehnscope import schwarzian_end
 from dehnscope.hypcore import H3Point, MobiusTransform, apply_boundary, apply_h3, hyp_distance
+from mp_reference import DPS, mp_jets, mp_schwarzian_norm
+
 from dehnscope.schwarzian_end import (
     Compose,
     CriticalPoint,
@@ -39,13 +42,17 @@ from dehnscope.schwarzian_end import (
 )
 
 TEST_MOBIUS = MobiusTransform.from_entries(2.0, 1.0, 1.0, 1.0)
+U = 2.0**-53
 
 
 class _InfiniteSlope(IdentityMap):
     """The identity's jets with f' = inf, on numbers and arrays."""
 
-    def deriv(self, z):
-        return np.full_like(z, complex(math.inf, 0.0)) if isinstance(z, np.ndarray) else complex(math.inf, 0.0)
+    def jets(self, z):
+        rest = super().jets(z)
+        next(rest)
+        yield np.full_like(z, complex(math.inf, 0.0)) if isinstance(z, np.ndarray) else complex(math.inf, 0.0)
+        yield from rest
 CATALOG = [SquareMap(), LogMap(), PowerMap(1.7), PowerMap(0.5 + 0.2j)]
 
 
@@ -121,7 +128,7 @@ class TestSchwarzian:
         maps = {"square": SquareMap(), "log": LogMap(), "power": PowerMap(c)}
         f, g = (maps[name] for name in pair)
         lhs = schwarzian(Compose(f, g), z)
-        terms = (schwarzian(f, g.value(z)) * g.deriv(z) ** 2, schwarzian(g, z))
+        terms = (schwarzian(f, g.value(z)) * next(g.jets(z)) ** 2, schwarzian(g, z))
         assert abs(lhs - sum(terms)) < 1e-10 * max(1.0, *(abs(t) for t in terms))
 
 
@@ -196,9 +203,9 @@ class TestOsculating:
     def test_pole_of_mobius_map(self):
         # z -> z / (i - z) has its pole at i, in the upper half plane
         f = MobiusMap(MobiusTransform.from_entries(1.0, 0.0, -1.0, 1j))
-        for jet in (f.value, f.deriv, f.deriv2, f.deriv3, lambda z: osculating_mobius(f, z)):
+        for call in (f.value, lambda z: next(f.jets(z)), lambda z: osculating_mobius(f, z)):
             with pytest.raises(CriticalPoint, match="pole"):
-                jet(1j)
+                call(1j)
 
 
 class TestOsculatingValueJets:
@@ -351,6 +358,13 @@ class TestInjectivityDepth:
         for re0, re1, im0, im1 in ((1.0, 0.0, 0.5, 1.0), (0.0, 1.0, 1.0, 0.5), (0.0, 1.0, 0.0, 1.0)):
             with pytest.raises(ValueError, match="grid rectangle must be ordered and lie in U"):
                 GridSpec(re0, re1, 3, im0, im1, 3)
+
+    @pytest.mark.parametrize("bounds", [(-math.inf, 1.0, 0.5, 1.0), (0.0, math.inf, 0.5, 1.0), (0.0, 1.0, 0.5, math.inf)])
+    def test_grid_bounds_must_be_finite(self, bounds):
+        # an infinite bound gives NaN points, which injectivity_depth would blame on the map
+        re0, re1, im0, im1 = bounds
+        with pytest.raises(ValueError, match="grid rectangle bounds must be finite"):
+            GridSpec(re0, re1, 3, im0, im1, 3)
 
     @staticmethod
     def per_point_depth(f, grid):
@@ -542,13 +556,66 @@ class TestNumericMap:
         assert abs(schwarzian(nm, z) - (-3.0 / (2 * z * z))) < 1e-6
 
     def test_domain_validation(self):
-        for step in (0.0, -1e-3, math.nan):
+        for step in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite-difference step must be positive"):
                 NumericMap(lambda z: z, step, (-1.0, 1.0, 0.5, 2.0))
         with pytest.raises(ValueError):
             NumericMap(lambda z: z, 1e-3, (-1.0, 1.0, -0.5, 2.0))
         with pytest.raises(ValueError):
             NumericMap(lambda z: 1.0 + 0j, 1e-3, (-1.0, 1.0, 0.5, 2.0))
+
+    @pytest.mark.parametrize("domain", [(0.0, math.inf, 0.1, 1.0), (-math.inf, 0.0, 0.1, 1.0), (0.0, 1.0, 0.1, math.inf)])
+    def test_domain_bounds_must_be_finite(self, domain):
+        # an infinite bound makes the spot grid NaN, which would pass the spot check untested
+        with pytest.raises(ValueError, match="domain rectangle bounds must be finite"):
+            NumericMap(lambda z: z * z * z, 1e-2, domain)
+
+    def test_func_calls_per_point(self):
+        # f(z +- h) and f(z +- 2h) serve all three jets; f(z) joins for the second, f(z +- 3h) for the third
+        calls = []
+
+        def cube(z):
+            calls.append(z)
+            return z * z * z
+
+        f = NumericMap(cube, 1e-2, (0.1, 3.0, 1.5, 2.5))
+        for entry, want in ((schwarzian, 7), (osculating_mobius, 6)):
+            calls.clear()
+            entry(f, 0.5 + 2j)
+            assert len(calls) == want, entry.__name__
+
+
+class TestLazyJets:
+    """Each jet is computed only when read, so an entry point never meets a jet it does not use."""
+
+    def test_critical_point_before_a_higher_jet_overflows(self):
+        # |f'| is below the threshold here, and the second or third jet would overflow
+        cases = ((PowerMap(1.7), 1e-300 * (1 + 1j)), (MobiusMap(TEST_MOBIUS), 1e150j))
+        for f, z in cases:
+            for entry in (schwarzian, schwarzian_norm, osculating_mobius):
+                with pytest.raises(CriticalPoint, match="below critical threshold"):
+                    entry(f, z)
+
+    def test_osculating_mobius_reads_no_third_jet(self):
+        # 2 / z^3 overflows at z = 1e-120 i, and the osculating map shares only the 2-jet
+        z = 1e-120j
+        with pytest.raises(NonFiniteSchwarzian, match="a jet of the map overflows"):
+            schwarzian(LogMap(), z)
+        a, b, c, d = osculating_mobius(LogMap(), z).entries()
+        den = c * z + d
+        for got, want in (((a * z + b) / den, cmath.log(z)), (1 / den**2, 1 / z), (-2 * c / den**3, -1 / z**2)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_compose_evaluates_its_inner_map_once(self):
+        calls = []
+
+        class CountedLog(LogMap):
+            def value(self, z):
+                calls.append(z)
+                return super().value(z)
+
+        jets = list(Compose(SquareMap(), CountedLog()).jets(0.3 + 1.1j))
+        assert len(calls) == 1 and len(jets) == 3
 
 
 class TestParseMap:
@@ -567,3 +634,93 @@ class TestParseMap:
             parse_map("exp")
         with pytest.raises(ValueError):
             parse_map("mobius:1,2,3")
+
+
+# parameters that are 0 or at least 1e-3 in size, so that no jet underflows
+_part = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+_complex = st.builds(complex, _part, _part)
+CATALOG_SPECS = st.one_of(
+    st.sampled_from(["identity", "square", "log"]),
+    st.tuples(st.just("power"), st.builds(complex, _part.map(lambda x: 1.5 * x), _part.map(lambda x: 0.5 * x))),
+    st.tuples(st.just("mobius"), st.tuples(_complex, _complex, _complex, _complex)).filter(
+        lambda spec: abs(spec[1][0] * spec[1][3] - spec[1][1] * spec[1][2]) > 0.1
+    ),
+)
+
+
+class TestJetOracle:
+    """The catalog maps' values and jets, and the classical norm constants, against tests/mp_reference.py."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=CATALOG_SPECS, z=st.builds(complex, st.floats(-8.0, 8.0), st.floats(0.01, 8.0)))
+    def test_catalog_jets_match_60_digit_oracle(self, spec, z):
+        """f(z) and the three jets against mp_jets, each within a relative bound derived from its roundings.
+
+        With u = 2^-53 and to first order in u, a complex product rounds by at most sqrt 5 u,
+        a quotient (CPython's scaled division) by at most 5 u and a sum by u, all relative.
+        - identity, square and log take at most three such steps per jet, and cmath.log is
+          within an ulp in each part: 16 u.
+        - z ** w (w = c - k for jet k): CPython forms the modulus |z|^Re w / e^(arg z Im w) and
+          the phase arg z Re w + Im w log|z|.  The roundings of hypot, atan2, log, exp and pow,
+          carried through those products, and the rounding of w itself, stay below
+          (5 + 5 |w|_1 (1 + pi + |log|z||)) u, with |w|_1 = |Re w| + |Im w|.  The coefficient
+          c (c - 1) ... (c - k + 1) and its product with the power add k (1 + sqrt 5) u < 4k u.
+        - Mobius (az + b) / (cz + d): cz + d is within 3 kappa u of exact, where
+          kappa = (|cz| + |d|) / |cz + d|, and az + b within 3 kappa_num u likewise.  Jet k
+          raises cz + d to the power k + 1 in at most two products and divides once, so it is
+          within (3 (k + 1) kappa + 14) u, and the value within (3 (kappa + kappa_num) + 5) u.
+          The jets take the determinant D of the normalized entries to be 1, so they may also
+          be off by |D - 1|.
+        """
+        if spec[0] == "power":
+            f = PowerMap(spec[1])
+        elif spec[0] == "mobius":
+            f = MobiusMap(MobiusTransform.from_entries(*spec[1]))
+            spec = ("mobius", f.m.entries())
+        else:
+            f = parse_map(spec)
+        want = mp_jets(spec, z)
+        if spec[0] == "power":
+            c, log_z = spec[1], abs(math.log(abs(z)))
+            bounds = [5 + 4 * k + 5 * (abs((c - k).real) + abs((c - k).imag)) * (1 + math.pi + log_z) for k in range(4)]
+            bounds = [b * U for b in bounds]
+        elif spec[0] == "mobius":
+            a, b, c, d = spec[1]
+            assume(a * z + b != 0 and c * z + d != 0)  # a zero or the pole of f
+            kappa = (abs(c * z) + abs(d)) / abs(c * z + d)
+            kappa_num = (abs(a * z) + abs(b)) / abs(a * z + b)
+            with mpmath.workdps(DPS):
+                det_gap = float(abs(mpmath.mpc(a) * d - mpmath.mpc(b) * c - 1))
+            bounds = [(3 * (kappa + kappa_num) + 5) * U]
+            bounds += [(3 * (k + 1) * kappa + 14) * U + det_gap for k in (1, 2, 3)]
+        else:
+            bounds = [16 * U] * 4
+        for got, ref, bound in zip([f.value(z), *f.jets(z)], want, bounds):
+            assert abs(got - ref) <= bound * abs(ref)
+
+    @pytest.mark.parametrize("y", [0.01, 0.3, 1.0, 4.7, 1e3])
+    def test_nehari_and_kraus_constants_on_the_imaginary_axis(self, y):
+        """(Im z)^2 |S log| = 1/2 (Nehari's univalence constant) and (Im z)^2 |S z^2| = 3/2 (Kraus's) at z = iy.
+
+        The Schwarzian takes about ten roundings after the jets, which are within 16 u each,
+        and the norm three more, so the float norm is within 64 u of the constant.
+        """
+        for spec, f, constant in (("log", LogMap(), 0.5), ("square", SquareMap(), 1.5)):
+            assert abs(mp_schwarzian_norm(spec, 1j * y) - constant) <= 1e-55
+            assert abs(schwarzian_norm(f, 1j * y) - constant) <= 64 * U * constant
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(z=st.builds(complex, st.floats(-8.0, 8.0), st.floats(0.01, 8.0)))
+    def test_nehari_and_kraus_bounds_hold_on_u(self, z):
+        # off the axis the norms are (Im z)^2 / (2|z|^2) and 3 (Im z)^2 / (2|z|^2), below the constants
+        for spec, f, constant in (("log", LogMap(), 0.5), ("square", SquareMap(), 1.5)):
+            want = mp_schwarzian_norm(spec, z)
+            assert want - constant <= 1e-55
+            assert abs(schwarzian_norm(f, z) - want) <= 64 * U * constant
+
+    def test_injectivity_depth_reaches_the_constants_on_the_axis(self):
+        # a grid through Re z = 0 meets the sup: arccosh(3/2) for z^2, and 0 for log (1/2 < 1)
+        grid = GridSpec(-0.5, 0.5, 21, 0.25, 3.0, 40)
+        assert 0.0 in {z.real for z in grid.points()}
+        assert abs(injectivity_depth(SquareMap(), grid) - math.acosh(1.5)) <= 1e-12
+        assert injectivity_depth(LogMap(), grid) == 0.0
