@@ -164,8 +164,6 @@ class NumericMap(ConformalMap):
         re0, re1, im0, im1 = domain
         if not (re0 < re1 and 0 < im0 < im1):
             raise ValueError("domain rectangle must be nonempty and lie in U")
-        if not all(map(math.isfinite, domain)):
-            raise ValueError("domain rectangle bounds must be finite")
         import numpy as np
 
         self.func = func
@@ -395,8 +393,8 @@ class GridSpec:
             raise ValueError("grid counts must be >= 1")
         if not (self.re0 <= self.re1 and 0 < self.im0 <= self.im1):
             raise ValueError("grid rectangle must be ordered and lie in U")
-        if not all(map(math.isfinite, (self.re0, self.re1, self.im0, self.im1))):
-            raise ValueError("grid rectangle bounds must be finite")
+        if not (math.isfinite(self.re1 - self.re0) and math.isfinite(self.im1 - self.im0)):
+            raise ValueError("grid rectangle bounds must be finite, and so must its sides")
 
     def points(self):
         """Grid points, real part outer and imaginary part inner."""

@@ -337,8 +337,9 @@ class TestInjectivityDepth:
         assert injectivity_depth(MobiusMap(TEST_MOBIUS), self.AXIS_GRID) == 0.0
 
     def test_square(self):
+        # the grid meets Re z = 0, where the norm reaches Kraus's 3/2
         d0 = injectivity_depth(SquareMap(), self.AXIS_GRID)
-        assert abs(d0 - math.acosh(1.5)) < 1e-6
+        assert abs(d0 - math.acosh(1.5)) <= 1e-12
 
     def test_log(self):
         # norm (Im z)^2 / (2 |z|^2) <= 1/2 < 1
@@ -359,9 +360,12 @@ class TestInjectivityDepth:
             with pytest.raises(ValueError, match="grid rectangle must be ordered and lie in U"):
                 GridSpec(re0, re1, 3, im0, im1, 3)
 
-    @pytest.mark.parametrize("bounds", [(-math.inf, 1.0, 0.5, 1.0), (0.0, math.inf, 0.5, 1.0), (0.0, 1.0, 0.5, math.inf)])
+    @pytest.mark.parametrize(
+        "bounds",
+        [(-math.inf, 1.0, 0.5, 1.0), (0.0, math.inf, 0.5, 1.0), (0.0, 1.0, 0.5, math.inf), (-1e308, 1e308, 0.5, 1.0)],
+    )
     def test_grid_bounds_must_be_finite(self, bounds):
-        # an infinite bound gives NaN points, which injectivity_depth would blame on the map
+        # an infinite bound or an overflowing side gives NaN or inf points, which injectivity_depth would blame on the map
         re0, re1, im0, im1 = bounds
         with pytest.raises(ValueError, match="grid rectangle bounds must be finite"):
             GridSpec(re0, re1, 3, im0, im1, 3)
@@ -567,7 +571,7 @@ class TestNumericMap:
     @pytest.mark.parametrize("domain", [(0.0, math.inf, 0.1, 1.0), (-math.inf, 0.0, 0.1, 1.0), (0.0, 1.0, 0.1, math.inf)])
     def test_domain_bounds_must_be_finite(self, domain):
         # an infinite bound makes the spot grid NaN, which would pass the spot check untested
-        with pytest.raises(ValueError, match="domain rectangle bounds must be finite"):
+        with pytest.raises(ValueError, match="bounds must be finite"):
             NumericMap(lambda z: z * z * z, 1e-2, domain)
 
     def test_func_calls_per_point(self):
@@ -717,10 +721,3 @@ class TestJetOracle:
             want = mp_schwarzian_norm(spec, z)
             assert want - constant <= 1e-55
             assert abs(schwarzian_norm(f, z) - want) <= 64 * U * constant
-
-    def test_injectivity_depth_reaches_the_constants_on_the_axis(self):
-        # a grid through Re z = 0 meets the sup: arccosh(3/2) for z^2, and 0 for log (1/2 < 1)
-        grid = GridSpec(-0.5, 0.5, 21, 0.25, 3.0, 40)
-        assert 0.0 in {z.real for z in grid.points()}
-        assert abs(injectivity_depth(SquareMap(), grid) - math.acosh(1.5)) <= 1e-12
-        assert injectivity_depth(LogMap(), grid) == 0.0
