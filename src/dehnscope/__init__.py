@@ -43,7 +43,6 @@ from .filling_solver import (
 )
 from .schwarzian_end import (
     ConformalMap,
-    FramedPoint,
     GridSpec,
     foot_point,
     framed_point,

@@ -14,6 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import COCYCLE_TOL, RANK_RTOL, positive_finite
@@ -25,7 +26,6 @@ if TYPE_CHECKING:
 
 #: the start of every walk and the target of the relator check; MobiusTransform is immutable, so one is shared
 _IDENTITY = MobiusTransform.identity()
-
 
 class BadWord(ValueError):
     """Raised for a word letter that is not an integer +-(i+1) naming a generator."""
@@ -41,15 +41,14 @@ class MarkedRepresentation:
 
     The relator check keeps what it computes:
     per relator, its walk, the prefix products I, g1, g1 g2, ... of its
-    letters.  The coboundary matrix and its singular values are kept once
-    first asked for.  None of these fields takes part in ==, hash or repr.
+    letters.  The coboundary matrix and its singular values are a cached
+    property, computed once first asked for and kept in the instance dict.
+    Neither takes part in ==, hash or repr.
     """
 
     generators: tuple
     relators: tuple
     _walks: tuple = field(init=False, repr=False, compare=False)
-    #: (matrix, singular values) of the coboundary map, set by _coboundary_spectrum
-    _coboundary: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -84,6 +83,23 @@ class MarkedRepresentation:
 
     def evaluate_word(self, word: Sequence[int]) -> MobiusTransform:
         return self._walk(map(self._letter, word))[-1]
+
+    @cached_property
+    def _coboundary(self) -> tuple:
+        """(matrix, singular values) of the map v -> (v - Ad rho(g_i) v)_i, both read-only.
+
+        The matrix is (3k, 3); column alpha is Cocycle.coboundary(self, e_alpha).coords().
+        """
+        import numpy as np
+
+        rows = [
+            [e - x for e, x in zip(unit, ad)] for g in self.generators for unit, ad in zip(_UNIT_ROWS, adjoint_rows(g))
+        ]
+        mat = np.array(rows, dtype=complex).reshape(-1, 3)
+        sv = _singular_values(mat)
+        mat.setflags(write=False)  # every caller shares these two arrays
+        sv.setflags(write=False)
+        return mat, sv
 
 
 @dataclass(frozen=True)
@@ -162,26 +178,6 @@ def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
 _UNIT_ROWS = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
 
 
-def _coboundary_spectrum(rep: MarkedRepresentation) -> tuple:
-    """(matrix, singular values) of the map v -> (v - Ad rho(g_i) v)_i, computed once per rep.
-
-    The matrix is (3k, 3); column alpha is Cocycle.coboundary(rep, e_alpha).coords().
-    """
-    if rep._coboundary is None:
-        import numpy as np
-
-        rows = [
-            [e - x for e, x in zip(unit, ad)] for g in rep.generators for unit, ad in zip(_UNIT_ROWS, adjoint_rows(g))
-        ]
-        mat = np.array(rows, dtype=complex).reshape(-1, 3)
-        sv = _singular_values(mat)
-        mat.setflags(write=False)  # every caller shares these two arrays
-        sv.setflags(write=False)
-        # one assignment publishes the matrix and its spectrum together
-        object.__setattr__(rep, "_coboundary", (mat, sv))
-    return rep._coboundary
-
-
 def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:
     """The linearized relator map z -> (extend_cocycle(rep, z, w))_w by Fox calculus.
 
@@ -220,7 +216,7 @@ def solve_coboundary(rep: MarkedRepresentation, c: Cocycle):
         return SL2Vector.zero(), 0.0
     import numpy as np
 
-    A, _ = _coboundary_spectrum(rep)
+    A, _ = rep._coboundary
     rhs = c.coords()
     v_coords, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     residual = float(np.linalg.norm(A @ v_coords - rhs))
@@ -250,7 +246,7 @@ def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
     """
     positive_finite("rtol", rtol)
     dim_z = 3 * len(rep.generators) - _rank(_singular_values(_relator_jacobian(rep)), rtol)
-    dim_b = _rank(_coboundary_spectrum(rep)[1], rtol)
+    dim_b = _rank(rep._coboundary[1], rtol)
     return dim_z, dim_b, dim_z - dim_b
 
 
@@ -264,7 +260,7 @@ def class_rank(rep: MarkedRepresentation, cocycles: Sequence[Cocycle], rtol: flo
 
     for c in cocycles:
         _check_generator_count(rep, c)
-    b_mat, b_sv = _coboundary_spectrum(rep)
+    b_mat, b_sv = rep._coboundary
     joint = np.hstack([b_mat, np.array([c.coords() for c in cocycles]).T])
     return _rank(_singular_values(joint), rtol) - _rank(b_sv, rtol)
 

@@ -71,19 +71,8 @@ class MobiusTransform:
         return MobiusTransform(complex(a11 * s), complex(a12 * s), complex(a21 * s), complex(a22 * s))
 
     @staticmethod
-    def from_matrix(m) -> "MobiusTransform":
-        """From a 2x2 array or nested list of rows."""
-        (a11, a12), (a21, a22) = m
-        return MobiusTransform.from_entries(a11, a12, a21, a22)
-
-    @staticmethod
     def identity() -> "MobiusTransform":
         return MobiusTransform(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def translation(c: complex) -> "MobiusTransform":
-        """z -> z + c."""
-        return MobiusTransform(1.0, complex(c), 0.0, 1.0)
 
     def entries(self) -> tuple:
         return self.a11, self.a12, self.a21, self.a22

@@ -328,29 +328,8 @@ def osculating_mobius(f: ConformalMap, z: complex) -> MobiusTransform:
     return MobiusTransform.from_entries(a, b - a * z, c, d - c * z)
 
 
-@dataclass(frozen=True)
-class FramedPoint:
-    """Point of H^3 together with its foot r(p) in U and signed depth from the plane.
-
-    Construction re-derives the frame from the point and insists the stored
-    values agree to 1e-12 (depth compared through tanh, which stays finite).
-    """
-
-    point: H3Point
-    depth: float
-    base: complex
-
-    def __post_init__(self):
-        u, v, t = self.point.z.real, self.point.z.imag, self.point.t
-        r = math.hypot(v, t)
-        if abs(complex(u, r) - self.base) > 1e-12 * max(1.0, abs(self.base)):
-            raise ValueError("stored foot disagrees with the point")
-        if abs(v / r - math.tanh(self.depth)) > 1e-12:
-            raise ValueError("stored depth disagrees with the point")
-
-
-def foot_point(p: H3Point) -> FramedPoint:
-    """Foot of the geodesic through p orthogonal to the plane over R.
+def foot_point(p: H3Point) -> tuple[complex, float]:
+    """(base, depth): the foot in U of the geodesic through p orthogonal to the plane over R, and p's signed depth.
 
     With p = (u + iv, t): base = u + i sqrt(v^2 + t^2), depth = artanh(v / sqrt(v^2 + t^2)).
     Points with v < 0 lie on the far side and are rejected.
@@ -359,22 +338,21 @@ def foot_point(p: H3Point) -> FramedPoint:
     if v < 0:
         raise WrongSide("point lies on the far side of the plane over R")
     r = math.hypot(v, t)
-    return FramedPoint(p, math.atanh(v / r), complex(u, r))
+    return complex(u, r), math.atanh(v / r)
 
 
-def framed_point(base: complex, depth: float) -> FramedPoint:
+def framed_point(base: complex, depth: float) -> H3Point:
     """Point at signed depth along the orthogonal geodesic with foot `base`."""
     if not base.imag > 0:
         raise ValueError("foot must lie in the upper half plane")
     u, r = base.real, base.imag
-    p = H3Point(complex(u, r * math.tanh(depth)), r / math.cosh(depth))
-    return FramedPoint(p, depth, base)
+    return H3Point(complex(u, r * math.tanh(depth)), r / math.cosh(depth))
 
 
 def theta(f: ConformalMap, p: H3Point) -> H3Point:
     """Theta(p) = (osculating Mobius of f at the foot of p) applied to p."""
-    fr = foot_point(p)
-    return apply_h3(osculating_mobius(f, fr.base), p)
+    base, _ = foot_point(p)
+    return apply_h3(osculating_mobius(f, base), p)
 
 
 @dataclass(frozen=True)
@@ -465,7 +443,7 @@ def jacobian_check(
     positive_finite("step h", h)
     import numpy as np
 
-    fr = foot_point(p)
+    base, depth = foot_point(p)
     step = h * p.t
     if p.z.imag - 2 * step < 0 or p.t - 2 * step <= 0:
         raise StepTooLarge("finite-difference stencil exits the admissible domain")
@@ -483,7 +461,7 @@ def jacobian_check(
         J = (4.0 * jac(step / 2.0) - J) / 3.0
     t_img = theta(f, p).t
     _, sv, vt = np.linalg.svd(J * (p.t / t_img))
-    norm = schwarzian_norm(f, fr.base)
-    k = norm / math.cosh(fr.depth)
+    norm = schwarzian_norm(f, base)
+    k = norm / math.cosh(depth)
     predicted = tuple(sorted((1.0 + k, 1.0, abs(1.0 - k)), reverse=True))
-    return JacobianReport(tuple(sv), predicted, norm, fr.depth, vt)
+    return JacobianReport(tuple(sv), predicted, norm, depth, vt)

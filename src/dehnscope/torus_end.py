@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .config import ARRAY_BLOCK, DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL, positive_finite
 from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, _cosh_distance, _h3_checked, _poincare, modulus
@@ -32,17 +33,20 @@ class ZeroA(ValueError):
 
 
 class DegenerateRegion(ValueError):
-    """Raised when a sampling region has zero volume."""
+    """Raised when a sampling region has a side of length zero."""
 
 
 @dataclass(frozen=True)
 class EndParameter:
-    """The pair s = (a, b): holonomy exponent a and boundary-torus modulus b."""
+    """The pair s = (a, b): holonomy exponent a and boundary-torus modulus b.
+
+    1 - e^a and the generator images are cached properties: each is computed
+    on first use and kept in the instance dict, outside ==, hash and repr.
+    One that raises keeps nothing, so none can raise for another.
+    """
 
     a: complex
     b: complex
-    #: {0: 1 - e^a, 1: rho(g1), 2: rho(g2)} as far as computed by _constant; not part of ==, hash or repr
-    _constants: dict | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
@@ -52,6 +56,21 @@ class EndParameter:
                 raise ValueError(f"{name} must be finite, got {name} = {value}")
         if not self.b.imag > 0:
             raise ValueError(f"Im b must be strictly positive, got b = {self.b}")
+
+    @cached_property
+    def _den(self) -> complex | None:
+        """_affine_den(a): 1 - e^a, or None on the pole locus."""
+        return _affine_den(self.a)
+
+    @cached_property
+    def _rho1(self) -> MobiusTransform:
+        """rho(g1), as holonomy(self, 1, 0)."""
+        return holonomy(self, 1, 0)
+
+    @cached_property
+    def _rho2(self) -> MobiusTransform:
+        """rho(g2), as holonomy(self, 0, 1)."""
+        return holonomy(self, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -115,9 +134,8 @@ class EndRegion:
             raise ValueError("region bounds must be ordered")
         if self.t0 < 1.0:
             raise ValueError("chart heights start at t = 1")
-
-    def volume(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0) * (self.t1 - self.t0)
+        if not all(map(math.isfinite, (self.x1 - self.x0, self.y1 - self.y0, self.t1 - self.t0))):
+            raise ValueError("region bounds must be finite, and so must its sides")
 
 
 def canonical_sign_pair(x, y):
@@ -153,19 +171,6 @@ def _affine_den(a: complex) -> complex | None:
     return None if abs(den) <= SINGULAR_LOCUS_TOL else den
 
 
-def _constant(s: EndParameter, k: int = 0):
-    """Entry k of (_affine_den(s.a), rho(g1), rho(g2)) for s, computed on first use and kept on s.
-
-    Each entry is filled in when first asked for, so none can raise for another.
-    """
-    kept = s._constants
-    if kept is None:
-        object.__setattr__(s, "_constants", kept := {})
-    if k not in kept:
-        kept[k] = holonomy(s, 2 - k, k - 1) if k else _affine_den(s.a)
-    return kept[k]
-
-
 def _frame(den: complex | None) -> tuple[complex, complex]:
     """(z0, c) with phi = -c e^{xa + yab}, given den = _affine_den(a).
 
@@ -184,7 +189,7 @@ def phi(s: EndParameter, x, y):
 
     x and y are real numbers, or arrays of them for an array of values.
     """
-    return _phi(s, _frame(_constant(s))[1], x, y)
+    return _phi(s, _frame(s._den)[1], x, y)
 
 
 def _phi(s: EndParameter, c, x, y):
@@ -224,7 +229,7 @@ def _chart(s: EndParameter, x, y, t, chart: str):
     """develop as (z, height), on real numbers or on arrays of sample coordinates."""
     if s.a == 0:
         return x + s.b * y, 1.0 * t  # a float height even for an integer t
-    z0, c = _frame(_constant(s))
+    z0, c = _frame(s._den)
     ph = _phi(s, c, x, y)
     if isinstance(ph, SCALAR_TYPES):
         ap, sqrt = abs(ph), math.sqrt
@@ -253,7 +258,7 @@ def holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
         return MobiusTransform(1.0, m + n * s.b, 0.0, 1.0)
     c = s.a * (m + s.b * n)
     ec2 = cmath.exp(c / 2.0)
-    den = _affine_den(s.a) if s._constants is None else _constant(s)  # one-off calls keep nothing
+    den = s._den
     if den is None:
         return MobiusTransform(ec2, 0.0, 0.0, 1.0 / ec2)
     tau = (1.0 - cmath.exp(c)) / den
@@ -456,13 +461,14 @@ def estimate_bilipschitz(
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    if region.volume() == 0.0:
+    sides = (region.x1 - region.x0, region.y1 - region.y0, region.t1 - region.t0)
+    if 0.0 in sides:
         raise DegenerateRegion("sampling region has zero volume")
     import numpy as np
 
     rng = np.random.default_rng(seed)
     lo = np.array([region.x0, region.y0, region.t0])
-    span = np.array([region.x1 - region.x0, region.y1 - region.y0, region.t1 - region.t0])
+    span = np.array(sides)
     worst = 1.0
     pts = np.empty((0, 3))
     for start in range(0, samples, ARRAY_BLOCK):
@@ -499,12 +505,12 @@ def equivariance_residual(
     develop, holonomy and apply_h3 composed on (z, t) pairs, with H3Point's check in their order.
     """
     if generator == 1:
-        k, xs, ys = 1, x + 1.0, y
+        xs, ys = x + 1.0, y
     elif generator == 2:
-        k, xs, ys = 2, x, y + 1.0
+        xs, ys = x, y + 1.0
     else:
         raise ValueError("generator index must be 1 or 2")
     zs, ts = _h3_checked(*_developed(s, xs, ys, t, chart))
-    rho = _constant(s, k)
+    rho = s._rho1 if generator == 1 else s._rho2
     zm, tm = _h3_checked(*_poincare(rho, *_h3_checked(*_developed(s, x, y, t, chart))))
     return math.hypot(abs(zs - zm), ts - tm)

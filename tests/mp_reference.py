@@ -49,6 +49,47 @@ def mp_distance(p, q):
     return mpmath.acosh(1 + (abs(zp - zq) ** 2 + (tp - tq) ** 2) / (2 * tp * tq))
 
 
+def mp_hyp_distance(p, q):
+    """Hyperbolic distance between two (z, t) points of upper half-space at DPS digits.
+
+    d = 2 asinh(|p - q| / (2 sqrt(t_p t_q))), with |p - q| the Euclidean
+    distance in C x R; this is cosh d = 1 + |p - q|^2 / (2 t_p t_q), written
+    without the cancellation of cosh d - 1 near d = 0.
+    """
+    with mpmath.workdps(DPS):
+        (zp, tp), (zq, tq) = ((mpmath.mpc(z), mpmath.mpf(t)) for z, t in (p, q))
+        chord = mpmath.sqrt(abs(zp - zq) ** 2 + (tp - tq) ** 2)
+        return 2 * mpmath.asinh(chord / (2 * mpmath.sqrt(tp * tq)))
+
+
+def mp_foot_point(z, t):
+    """(base, depth) of the point (z, t) at DPS digits, for Im z >= 0.
+
+    The plane over the real line is the vertical half-plane Im z = 0, met
+    orthogonally by the geodesics that are half-circles centred on the real
+    axis in the planes Re z = const.  The one through (u + iv, t) has radius
+    r = sqrt(v^2 + t^2) and meets the plane at height r over u, which the
+    half-plane model U of the plane records as base = u + ir.  The depth is
+    the signed distance to the plane, sinh(depth) = v / t.
+    """
+    with mpmath.workdps(DPS):
+        z, t = mpmath.mpc(z), mpmath.mpf(t)
+        return mpmath.mpc(z.real, mpmath.sqrt(z.imag**2 + t**2)), mpmath.asinh(z.imag / t)
+
+
+def mp_framed_point(base, depth):
+    """The (z, t) point at signed distance depth from the foot base = u + ir at DPS digits.
+
+    It lies on the half-circle of radius r centred at u in the plane Re z = u,
+    at the angle phi from the top with tan(phi) = sinh(depth) (the
+    Gudermannian of depth): (u + i r sin(phi), r cos(phi)).
+    """
+    with mpmath.workdps(DPS):
+        base, depth = mpmath.mpc(base), mpmath.mpf(depth)
+        phi = mpmath.atan(mpmath.sinh(depth))
+        return mpmath.mpc(base.real, base.imag * mpmath.sin(phi)), base.imag * mpmath.cos(phi)
+
+
 def mp_aligned_holonomy(a, b, m, n):
     """g rho(g1^m g2^n) g^-1 at DPS digits, as an mpmath matrix, for a != 0.
 

@@ -221,7 +221,7 @@ def test_criterion_08_epstein_jacobian():
     for f in (SquareMap(), LogMap()):
         for base in (1j, -0.4 + 1.5j):
             for d in (0.5, 1.0, 1.5, 2.2, 3.0):
-                p = framed_point(base, d).point
+                p = framed_point(base, d)
                 report = jacobian_check(f, p, h=1e-4)
                 worst = max(
                     worst, max(abs(a - b) for a, b in zip(report.measured, report.predicted))
@@ -230,7 +230,7 @@ def test_criterion_08_epstein_jacobian():
     for entries in ((2, 1, 1, 1), (1, 1j, 0.2, 1), (1.5j, 0.3, -0.1, 0.5j)):
         f = MobiusMap(MobiusTransform.from_entries(*entries))
         for d in (0.5, 1.5, 3.0):
-            p = framed_point(0.3 + 1j, d).point
+            p = framed_point(0.3 + 1j, d)
             report = jacobian_check(f, p, h=1e-4)
             mob_worst = max(mob_worst, max(abs(v - 1.0) for v in report.measured))
     check(
@@ -246,7 +246,7 @@ def test_criterion_09_injectivity_depth():
     depth_ok = abs(d0 - math.acosh(1.5)) <= 1e-6
     sv_min = math.inf
     for d in (d0 + 0.1, d0 + 0.6, d0 + 1.5):
-        p = framed_point(1j, d).point
+        p = framed_point(1j, d)
         report = jacobian_check(SquareMap(), p, h=1e-4)
         sv_min = min(sv_min, report.measured[2])
     check(
@@ -290,7 +290,7 @@ def test_criterion_10_cohomology_ranks():
         return np.cosh(mu) * np.eye(2, dtype=complex) + (np.sinh(mu) / mu) * mat
 
     def conj_path(w):
-        g = MobiusTransform.from_matrix(sl2_exp(w * X))
+        g = MobiusTransform.from_entries(*sl2_exp(w * X).ravel())
         gens = tuple(g @ h @ g.inverse() for h in rep.generators)
         return MarkedRepresentation(gens, Z2_RELATOR)
 

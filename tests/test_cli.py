@@ -550,6 +550,8 @@ class TestConfig:
              "newton_tol must be positive and finite"),
             (["bilipschitz", "--a1", "0.1,0.6", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
               "--region", "0:1,0:1,1:2", "--samples", "8", "--chart", "bogus"], "chart must be"),
+            (["bilipschitz", "--a1", "0.1,0.6", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
+              "--region=-1e308:1e308,0:1,1:2", "--samples", "20"], "region bounds must be finite"),
             (["sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "1..3", "--format", "xml"],
              "output must be"),
             (["sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n", "5..3"], "expected integers 'start..end'"),
@@ -557,7 +559,7 @@ class TestConfig:
             (["crosssection", "--a", "1,0", "--b", "0,1", "--x", "1", "--y", "0"], "provide --eps or --eps-grid"),
         ],
         ids=["solve-tol", "solve-max-iter", "theta-check-h", "fill-tol-nan", "solve-tol-inf",
-             "bilipschitz-chart", "sequence-format", "sequence-n-decreasing", "schwarzian-no-point",
+             "bilipschitz-chart", "bilipschitz-region-sides", "sequence-format", "sequence-n-decreasing", "schwarzian-no-point",
              "crosssection-no-eps"],
     )
     def test_out_of_range_flag_exits_2_naming_field(self, capsys, argv, field):

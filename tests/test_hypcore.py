@@ -4,6 +4,7 @@ import cmath
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from dehnscope.hypcore import (
     length_distance,
     right_translate,
 )
-from mp_reference import mp_adjoint
+from mp_reference import mp_adjoint, mp_hyp_distance
 
 
 def random_mobius(rng) -> MobiusTransform:
@@ -79,7 +80,7 @@ class TestApplyBoundary:
         inv = MobiusTransform.from_entries(0.0, 1.0, 1.0, 0.0)  # z -> 1/z
         assert apply_boundary(inv, INFINITY) == 0
         assert apply_boundary(inv, 0.0) is INFINITY
-        assert apply_boundary(MobiusTransform.translation(2.0), INFINITY) is INFINITY
+        assert apply_boundary(MobiusTransform(1.0, 2.0, 0.0, 1.0), INFINITY) is INFINITY
 
 
 class TestApplyH3:
@@ -94,7 +95,7 @@ class TestApplyH3:
         assert abs(p.t - math.e) < 1e-12
 
     def test_horizontal_translation_preserves_height(self):
-        p = apply_h3(MobiusTransform.translation(1.0), H3Point(0.0, 2.0))
+        p = apply_h3(MobiusTransform(1.0, 1.0, 0.0, 1.0), H3Point(0.0, 2.0))
         assert abs(p.z - 1.0) < 1e-15 and p.t == 2.0
 
     def test_isometry_invariant(self):
@@ -152,7 +153,7 @@ class TestApplyH3:
 
 class TestClassify:
     def test_parabolic(self):
-        assert classify(MobiusTransform.translation(1.0)).kind == "parabolic"
+        assert classify(MobiusTransform(1.0, 1.0, 0.0, 1.0)).kind == "parabolic"
 
     def test_loxodromic_length_one(self):
         m = MobiusTransform.from_entries(math.exp(0.5), 0.0, 0.0, math.exp(-0.5))
@@ -186,7 +187,7 @@ class TestClassify:
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(21)
         samples = [
-            MobiusTransform.translation(1.0),
+            MobiusTransform(1.0, 1.0, 0.0, 1.0),
             MobiusTransform.from_entries(cmath.exp(0.3 + 0.5j), 0, 0, cmath.exp(-0.3 - 0.5j)),
             MobiusTransform.from_entries(cmath.exp(0.9j), 0, 0, cmath.exp(-0.9j)),
         ]
@@ -216,7 +217,7 @@ class TestComplexTranslationLength:
 
     def test_parabolic_rejected(self):
         with pytest.raises(ParabolicInput):
-            complex_translation_length(MobiusTransform.translation(1.0))
+            complex_translation_length(MobiusTransform(1.0, 1.0, 0.0, 1.0))
         with pytest.raises(ParabolicInput):
             complex_translation_length(MobiusTransform.identity())
 
@@ -245,7 +246,7 @@ class TestFixedPoints:
     """Fixed points of the boundary action, from the roots of a21 z^2 + (a22 - a11) z - a12 = 0."""
 
     def test_translation(self):
-        assert apply_boundary(MobiusTransform.translation(1.0), INFINITY) is INFINITY
+        assert apply_boundary(MobiusTransform(1.0, 1.0, 0.0, 1.0), INFINITY) is INFINITY
 
     def test_half_turn_affine(self):
         # z -> e^a z + 1 with a = pi*i fixes 1/(1 - e^a) = 1/2 and infinity
@@ -255,7 +256,7 @@ class TestFixedPoints:
 
     def test_parabolic_with_finite_fixed_point(self):
         # z -> (2z + 1) / (-z): trace 2, and the double root (a - d) / (2c) = -1
-        m = MobiusTransform.from_matrix([[2, 1], [-1, 0]])
+        m = MobiusTransform.from_entries(2, 1, -1, 0)
         assert classify(m).kind == "parabolic"
         assert apply_boundary(m, -1 + 0j) == -1
         assert apply_boundary(m, INFINITY) == -2
@@ -289,6 +290,34 @@ class TestHypDistance:
         d = hyp_distance(H3Point(1.0, 1.0), H3Point(0.0, 1.0))
         assert abs(d - math.acosh(1.5)) < 1e-12
         assert abs(d - 0.9624236501192069) < 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.tuples(st.complex_numbers(max_magnitude=1e3), st.floats(1e-3, 1e3)),
+        q=st.tuples(st.complex_numbers(max_magnitude=1e3), st.floats(1e-3, 1e3)),
+        near=st.booleans(),
+    )
+    def test_matches_60_digit_oracle(self, p, q, near):
+        """hyp_distance against mp_hyp_distance, with the bound derived from the roundings of its formula.
+
+        q^ = (dz^2 + dt^2) / (2 t_p t_q) with dz = |z_p - z_q| (the subtraction u relative per
+        part and abs within 1 ulp, so 3u; u = 2^-53) and dt = t_p - t_q (u): dz^2 is within 7u,
+        dt^2 within 3u, their sum 8u, and the quotient 10u, to first order.  So c^ = 1 + q^ is
+        within 11u c of c = cosh d, and D = 12u c bounds it (a square that underflows is off by
+        far less).  acosh is concave with acosh(1 + e) <= sqrt(2e), so acosh moves by at most
+        sqrt(2D), and by at most D / sinh(acosh(c - D)) when c - D > 1; math.acosh adds 2 ulps,
+        4u d.  The first bound is the one near d = 0, where cosh d - 1 cancels.
+        """
+        if near:  # q one step of p's coordinates away, so d is near sqrt(u)
+            q = (complex(math.nextafter(p[0].real, math.inf), p[0].imag), math.nextafter(p[1], 0.0))
+        got = hyp_distance(H3Point(*p), H3Point(*q))
+        want = mp_hyp_distance(p, q)
+        c = float(mpmath.cosh(want))
+        slack = 12 * 2.0**-53 * c
+        bound = math.sqrt(2 * slack)
+        if c - slack > 1:
+            bound = min(bound, slack / math.sqrt((c - slack) ** 2 - 1))
+        assert abs(got - want) <= bound + 4 * 2.0**-53 * float(want)
 
 
 class TestAdjoint:
@@ -361,8 +390,6 @@ class TestNormalization:
         m = MobiusTransform.from_entries(2.0, 1.0, 1.0, 1.0)
         m2 = MobiusTransform.from_entries(m.a11, m.a12, m.a21, m.a22)
         assert m.distance(m2) < 1e-15
-        for rows in ([[2.0, 1.0], [1.0, 1.0]], np.array([[2.0, 1.0], [1.0, 1.0]])):
-            assert MobiusTransform.from_matrix(rows) == m
 
     def test_determinant_one(self):
         rng = np.random.default_rng(61)
@@ -451,7 +478,7 @@ class TestSL2Vector:
     def test_values_are_python_numbers(self):
         # numpy stays inside the array builders: no scalar value holds a numpy type
         rng = np.random.default_rng(53)
-        m = MobiusTransform.from_matrix(as_array(random_mobius(rng)))
+        m = MobiusTransform.from_entries(*as_array(random_mobius(rng)).ravel())
         v = SL2Vector.from_coords(rng.normal(size=3) + 1j * rng.normal(size=3))
         u = SL2Vector.from_matrix(np.array([[1.0, 2.0], [3.0, -1.0]]))
         # numpy scalar entries, as random_mobius passes them, become Python complex numbers

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from dehnscope import schwarzian_end
 from dehnscope.hypcore import H3Point, MobiusTransform, apply_boundary, apply_h3, hyp_distance
-from mp_reference import DPS, mp_jets, mp_schwarzian_norm
+from mp_reference import DPS, mp_foot_point, mp_framed_point, mp_jets, mp_schwarzian_norm
 
 from dehnscope.schwarzian_end import (
     Compose,
     CriticalPoint,
-    FramedPoint,
     GridSpec,
     IdentityMap,
     LogMap,
@@ -43,6 +42,8 @@ from dehnscope.schwarzian_end import (
 
 TEST_MOBIUS = MobiusTransform.from_entries(2.0, 1.0, 1.0, 1.0)
 U = 2.0**-53
+#: the spacing of the subnormal floats, the absolute error of a rounding that underflows
+SUBNORMAL = 2.0**-1074
 
 
 class _InfiniteSlope(IdentityMap):
@@ -227,14 +228,14 @@ class TestOsculatingValueJets:
 
 class TestFootPoint:
     def test_on_plane(self):
-        fr = foot_point(H3Point(0.7 + 0j, 1.3))
-        assert fr.depth == 0.0
-        assert abs(fr.base - (0.7 + 1.3j)) < 1e-15
+        base, depth = foot_point(H3Point(0.7 + 0j, 1.3))
+        assert depth == 0.0
+        assert abs(base - (0.7 + 1.3j)) < 1e-15
 
     def test_reference_point(self):
-        fr = foot_point(H3Point(1j, 1.0))
-        assert abs(fr.base - 1j * math.sqrt(2.0)) < 1e-12
-        assert abs(fr.depth - math.atanh(1.0 / math.sqrt(2.0))) < 1e-12
+        base, depth = foot_point(H3Point(1j, 1.0))
+        assert abs(base - 1j * math.sqrt(2.0)) < 1e-12
+        assert abs(depth - math.atanh(1.0 / math.sqrt(2.0))) < 1e-12
 
     def test_depth_matches_distance_to_plane(self):
         # brute-force minimization of distance to the plane over R
@@ -243,24 +244,59 @@ class TestFootPoint:
         for u in np.linspace(-2, 2, 161):
             for t in np.linspace(0.3, 3.0, 271):
                 best = min(best, hyp_distance(p, H3Point(complex(u, 0.0), float(t))))
-        assert abs(best - foot_point(p).depth) < 1e-3
+        assert abs(best - foot_point(p)[1]) < 1e-3
 
     def test_flow_consistency(self):
         base = 0.4 + 1.7j
         for d1, d2 in ((0.2, 0.9), (0.0, 1.5), (1.1, 2.3)):
             f1, f2 = framed_point(base, d1), framed_point(base, d2)
-            assert abs(hyp_distance(f1.point, f2.point) - abs(d2 - d1)) < 1e-12
-            assert abs(foot_point(f1.point).base - base) < 1e-12
-            assert abs(foot_point(f2.point).base - base) < 1e-12
+            assert abs(hyp_distance(f1, f2) - abs(d2 - d1)) < 1e-12
+            assert abs(foot_point(f1)[0] - base) < 1e-12
+            assert abs(foot_point(f2)[0] - base) < 1e-12
 
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             p = H3Point(complex(rng.normal(), abs(rng.normal())), math.exp(rng.normal()))
-            fr = foot_point(p)
-            again = framed_point(fr.base, fr.depth)
-            assert abs(again.point.z - p.z) < 1e-12 * max(1.0, abs(p.z))
-            assert abs(again.point.t - p.t) < 1e-12 * max(1.0, p.t)
+            again = framed_point(*foot_point(p))
+            assert abs(again.z - p.z) < 1e-12 * max(1.0, abs(p.z))
+            assert abs(again.t - p.t) < 1e-12 * max(1.0, p.t)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(u=st.floats(-1e3, 1e3), v=st.floats(0.0, 1e3), t=st.floats(1e-3, 1e3))
+    def test_foot_point_matches_60_digit_oracle(self, u, v, t):
+        """foot_point against mp_foot_point, with the bound derived from the roundings of its formula.
+
+        base = u + i hypot(v, t): the real part is u itself, and math.hypot is within 1 ulp,
+        so 2u r of the exact r (u = 2^-53).  depth = atanh(x) of x^ = v / r^, which is within
+        3u x of x = v / r = tanh d.  Here v / t <= 1e6, so 1 - x >= 5e-13 dwarfs the error of x^,
+        and atanh' = 1 / (1 - x^2) = cosh(d)^2 stays within 1e-3 of its value at x; with atanh
+        itself within 2 ulps, 4u |d|, the depth is within 5u (sinh d cosh d + |d|) of d, plus
+        SUBNORMAL where x^ underflows.  The bound grows like e^{2d}: atanh(v / r) is
+        ill-conditioned deep below the foot.
+        """
+        base, depth = foot_point(H3Point(complex(u, v), t))
+        want_base, want_depth = mp_foot_point(complex(u, v), t)
+        d = float(want_depth)
+        assert base.real == u
+        assert abs(base.imag - want_base.imag) <= 2 * U * want_base.imag
+        assert abs(depth - want_depth) <= 5 * U * (math.sinh(d) * math.cosh(d) + d) + SUBNORMAL
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(u=st.floats(-1e3, 1e3), r=st.floats(1e-3, 1e3), depth=st.floats(-20.0, 20.0))
+    def test_framed_point_matches_60_digit_oracle(self, u, r, depth):
+        """framed_point against mp_framed_point, with the bound derived from the roundings of its formula.
+
+        z = u + i r tanh(depth) and t = r / cosh(depth): tanh and cosh are within 2 ulps, 4u
+        relative (u = 2^-53), and the product or quotient with r adds u, so Im z and t are each
+        within 6u of their exact values, relative, plus SUBNORMAL where the product
+        underflows; Re z is u itself.
+        """
+        p = framed_point(complex(u, r), depth)
+        want_z, want_t = mp_framed_point(complex(u, r), depth)
+        assert p.z.real == u
+        assert abs(p.z.imag - want_z.imag) <= 6 * U * abs(want_z.imag) + SUBNORMAL
+        assert abs(p.t - want_t) <= 6 * U * want_t
 
     def test_wrong_side(self):
         with pytest.raises(WrongSide):
@@ -268,13 +304,6 @@ class TestFootPoint:
         for base in (1.0 + 0j, 1.0 - 1j):
             with pytest.raises(ValueError, match="foot must lie in the upper half plane"):
                 framed_point(base, 0.5)
-
-    def test_inconsistent_frame_rejected(self):
-        fr = framed_point(0.4 + 1.7j, 0.9)
-        with pytest.raises(ValueError, match="stored foot disagrees"):
-            FramedPoint(fr.point, fr.depth, fr.base + 1e-9)
-        with pytest.raises(ValueError, match="stored depth disagrees"):
-            FramedPoint(fr.point, fr.depth + 1e-9, fr.base)
 
 
 class TestTheta:
@@ -443,7 +472,7 @@ def depth_law(norm: float, depth: float) -> float:
 class TestJacobianCheck:
     def test_mobius_isometry(self):
         for d in (0.5, 1.0, 2.0, 3.0):
-            p = framed_point(0.3 + 1j, d).point
+            p = framed_point(0.3 + 1j, d)
             report = jacobian_check(MobiusMap(TEST_MOBIUS), p, h=1e-4)
             assert max(abs(v - 1.0) for v in report.measured) < 1e-8
             assert max(abs(v - 1.0) for v in report.predicted) < 1e-12
@@ -454,7 +483,7 @@ class TestJacobianCheck:
         for f in (SquareMap(), LogMap(), PowerMap(1.7)):
             for base in (1j, -0.4 + 1.5j):
                 for d in (0.5, 1.0, 2.0, 3.0):
-                    p = framed_point(base, d).point
+                    p = framed_point(base, d)
                     report = jacobian_check(f, p, h=1e-4)
                     k = depth_law(report.norm_at_foot, d)
                     expect = tuple(sorted((1.0 + k, 1.0, abs(1.0 - k)), reverse=True))
@@ -462,7 +491,7 @@ class TestJacobianCheck:
                     assert err < 1e-5, (f.name, base, d, report.measured, expect)
 
     def test_predicted_triple_uses_sech_depth_factor(self):
-        p = framed_point(1j, 2.0).point
+        p = framed_point(1j, 2.0)
         report = jacobian_check(SquareMap(), p, h=1e-4)
         k = 1.5 / math.cosh(2.0)
         assert abs(report.predicted[0] - (1.0 + k)) < 1e-12
@@ -474,7 +503,7 @@ class TestJacobianCheck:
     def test_predicted_and_measured_agree_near_plane(self):
         # the two depth laws coincide at depth 0; just above the plane the
         # gap is bounded by norm * depth
-        p = framed_point(1j, 5e-6).point
+        p = framed_point(1j, 5e-6)
         report = jacobian_check(SquareMap(), p, h=1e-6)
         err = max(abs(a - b) for a, b in zip(report.measured, report.predicted))
         assert err < 2e-5
@@ -482,7 +511,7 @@ class TestJacobianCheck:
     def test_smallest_singular_value_positive_beyond_threshold(self):
         d0 = math.acosh(1.5)
         for d in (d0 + 0.1, d0 + 0.5, d0 + 1.5):
-            p = framed_point(1j, d).point
+            p = framed_point(1j, d)
             report = jacobian_check(SquareMap(), p, h=1e-4)
             assert report.measured[2] > 0.0
             assert report.predicted[2] > 0.0
@@ -496,13 +525,13 @@ class TestJacobianCheck:
         base_dir = cmath.exp(1j * 1.1)
         triples = []
         for radius in (0.5, 1.0, 2.0, 5.0):
-            p = framed_point(radius * base_dir, d).point
+            p = framed_point(radius * base_dir, d)
             triples.append(jacobian_check(f, p, h=1e-4).predicted)
         for tri in triples[1:]:
             assert max(abs(a - b) for a, b in zip(tri, triples[0])) < 1e-10
 
     def test_richardson_tightens_mobius(self):
-        p = framed_point(0.3 + 1j, 0.5).point
+        p = framed_point(0.3 + 1j, 0.5)
         raw = jacobian_check(MobiusMap(TEST_MOBIUS), p, h=1e-3)
         rich = jacobian_check(MobiusMap(TEST_MOBIUS), p, h=1e-3, richardson=True)
         raw_err = max(abs(v - 1.0) for v in raw.measured)
@@ -531,7 +560,7 @@ class TestFrameAlignment:
                 for d in (0.5, 1.0, 2.0):
                     if schwarzian_norm(f, base) <= 0.1:
                         continue
-                    p = framed_point(base, d).point
+                    p = framed_point(base, d)
                     report = jacobian_check(f, p, h=1e-4)
                     sc = schwarzian(f, base)
                     th = -cmath.phase(sc) / 2.0

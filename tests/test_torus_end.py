@@ -160,7 +160,7 @@ class TestDevelop:
 class TestHolonomy:
     def test_cusp_generator(self):
         m = holonomy(EndParameter(0.0, 1j), 1, 0)
-        assert m.distance(MobiusTransform.translation(1.0)) < 1e-15
+        assert m.distance(MobiusTransform(1.0, 1.0, 0.0, 1.0)) < 1e-15
 
     def test_half_turn_generator(self):
         s = EndParameter(1j * math.pi, 1j)
@@ -381,14 +381,23 @@ class TestKeptConstants:
         develop(s, 0.3, 0.4, 1.5)
         assert dens == [s.a] and images == [(1, 0), (0, 1)]
 
-    def test_one_off_holonomies_keep_nothing(self):
-        # a parameter built for one holonomy_representation, as in a filling solve, pays for no kept entries
+    def test_holonomies_keep_only_the_denominator(self):
+        # a parameter built for one holonomy_representation, as in a filling solve, computes no image twice
         s = EndParameter(0.7 + 0.4j, 0.5 + 1j)
         holonomy_representation(s)
         holonomy(s, 2, -1)
-        assert s._constants is None
+        assert vars(s).keys() == {"a", "b", "_den"}
         equivariance_residual(s, 1, 0.3, 0.4, 1.5)
-        assert s._constants is not None
+        assert vars(s).keys() == {"a", "b", "_den", "_rho1"}
+
+    def test_an_image_that_overflows_keeps_nothing(self):
+        # e^{a b} = e^{800 + i} overflows in rho(g2) only; rho(g1) is still computed, and rho(g2) raises again
+        s = EndParameter(1.0, 800.0 + 1j)
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                s._rho2
+            assert math.isfinite(equivariance_residual(s, 1, 0.3, 0.0, 1.5))
+        assert "_rho2" not in vars(s)
 
     def test_nothing_is_computed_at_the_cusp(self, monkeypatch):
         dens = []
@@ -775,14 +784,22 @@ class TestBilipschitz:
         assert k12 >= 1.0
 
     def test_degenerate_region(self):
-        region = EndRegion(0.0, 0.0, 0.0, 1.0, 1.0, 2.0)
-        with pytest.raises(DegenerateRegion):
-            estimate_bilipschitz(
-                EndParameter(1.0, 1j), EndParameter(0.5, 1j), region, 10, seed=0
-            )
+        for region in (
+            EndRegion(0.0, 0.0, 0.0, 1.0, 1.0, 2.0),
+            EndRegion(0.0, 1.0, 0.5, 0.5, 1.0, 2.0),
+            EndRegion(0.0, 1.0, 0.0, 1.0, 2.0, 2.0),
+        ):
+            with pytest.raises(DegenerateRegion):
+                estimate_bilipschitz(EndParameter(1.0, 1j), EndParameter(0.5, 1j), region, 10, seed=0)
         for samples in (1, 0):
             with pytest.raises(ValueError, match="need at least two samples"):
                 estimate_bilipschitz(EndParameter(1.0, 1j), EndParameter(0.5, 1j), self.REGION, samples)
+
+    def test_tiny_sides_are_not_degenerate(self):
+        # the product of the sides underflows to 0.0, but no side is 0
+        region = EndRegion(0.0, 1e-200, 0.0, 1e-200, 1.0, 2.0)
+        k = estimate_bilipschitz(EndParameter(0.1 + 0.6j, 1j), EndParameter(0.0, 1j), region, 20)
+        assert math.isfinite(k) and k >= 1.0
 
     def test_printed_chart_convergence_toward_cusp(self):
         cusp = EndParameter(0.0, 1j)
@@ -1005,3 +1022,11 @@ class TestTypes:
             EndRegion(0, 1, 0, 1, 0.5, 2.0)
         with pytest.raises(ValueError):
             EndRegion(1, 0, 0, 1, 1.0, 2.0)
+        for bounds in (
+            (-1e308, 1e308, 0, 1, 1.0, 2.0),
+            (0, 1, -math.inf, 1, 1.0, 2.0),
+            (0, 1, 0, 1, 1.0, math.inf),
+            (0, 1, -1e308, 1e308, 1.0, 2.0),
+        ):
+            with pytest.raises(ValueError, match="region bounds must be finite, and so must its sides"):
+                EndRegion(*bounds)
