@@ -3,13 +3,11 @@ coordinates, Schwarzian-derivative end extensions, and the cocycle linear
 algebra of infinitesimal deformations of PSL(2,C) representations."""
 
 from .hypcore import (
-    INFINITY,
     H3Point,
     IsomClass,
     MobiusTransform,
     SL2Vector,
     adjoint,
-    apply_boundary,
     apply_h3,
     classify,
     complex_translation_length,

@@ -1,15 +1,13 @@
 """Exact-formula core for PSL(2,C).
 
-Mobius action on the Riemann sphere, the isometric action on the upper
-half-space model of H^3, classification by trace, complex translation
-length, hyperbolic distance, and the adjoint action on sl(2,C).
+The isometric action on the upper half-space model of H^3, classification
+by trace, complex translation length, hyperbolic distance, and the adjoint
+action on sl(2,C).
 
 Conventions: matrices are normalized to determinant 1 and compared up to
 global sign.  All 2x2 arithmetic is written on the four entries of a
 MobiusTransform, taking moduli with Python abs, and Ad on the coordinates
-(x, y, w) of [[x, y], [w, -x]] in sl(2,C).  The point at infinity is the
-tagged value INFINITY, never an encoded float, so pole cases in the
-boundary action are exact.
+(x, y, w) of [[x, y], [w, -x]] in sl(2,C).
 """
 
 from __future__ import annotations
@@ -28,20 +26,6 @@ if TYPE_CHECKING:
 class ParabolicInput(ValueError):
     """Raised when an operation needs a non-parabolic, non-identity element."""
 
-
-class _Infinity:
-    """The point at infinity of the Riemann sphere."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-#: extended complex number: a finite complex value or INFINITY
-ExtendedComplex = complex | _Infinity
 
 #: Python numbers, for functions that take a number or an array; numpy's float64
 #: and complex128 subclass float and complex, so they take the number branch, and
@@ -102,9 +86,6 @@ class MobiusTransform:
     def distance(self, other: "MobiusTransform") -> float:
         """Sign-insensitive Frobenius distance, a metric on PSL(2,C) matrices."""
         return math.sqrt(min(self.frobenius_gaps(other)))
-
-    def __call__(self, z: ExtendedComplex) -> ExtendedComplex:
-        return apply_boundary(self, z)
 
 
 @dataclass(frozen=True)
@@ -171,14 +152,6 @@ class SL2Vector:
     def __sub__(self, other: "SL2Vector") -> "SL2Vector":
         return SL2Vector(self.x - other.x, self.y - other.y, self.w - other.w)
 
-    def __mul__(self, s: complex) -> "SL2Vector":
-        return SL2Vector(self.x * s, self.y * s, self.w * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SL2Vector":
-        return SL2Vector(-self.x, -self.y, -self.w)
-
 
 @dataclass(frozen=True)
 class IsomClass:
@@ -204,18 +177,6 @@ def _h3_checked(z, t) -> tuple:
     if not 0 < t < math.inf:
         raise ValueError(f"height t must be positive and finite, got t = {t}")
     return z, t
-
-
-def apply_boundary(m: MobiusTransform, z: ExtendedComplex) -> ExtendedComplex:
-    """Evaluate (a11 z + a12)/(a21 z + a22) with exact infinity conventions."""
-    if isinstance(z, _Infinity):
-        if m.a21 == 0:
-            return INFINITY
-        return m.a11 / m.a21
-    den = m.a21 * z + m.a22
-    if den == 0:
-        return INFINITY
-    return (m.a11 * z + m.a12) / den
 
 
 def apply_h3(m: MobiusTransform, p: H3Point) -> H3Point:

@@ -168,7 +168,6 @@ class NumericMap(ConformalMap):
 
         self.func = func
         self.step = step
-        self.domain = (re0, re1, im0, im1)
         spots = next(GridSpec(re0, re1, 5, im0, im1, 5).blocks())
         try:
             values = func(spots)

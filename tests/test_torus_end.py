@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 from dehnscope import torus_end
 from dehnscope.config import ARRAY_BLOCK, RATIONAL_TOL
 from dehnscope.hypcore import (
-    INFINITY,
     MobiusTransform,
-    apply_boundary,
     apply_h3,
     classify,
     complex_translation_length,
     hyp_distance,
     length_distance,
 )
+from dehnscope.schwarzian_end import MobiusMap
 from dehnscope.torus_end import (
     CompletionClass,
     DegenerateRegion,
@@ -165,7 +164,7 @@ class TestHolonomy:
     def test_half_turn_generator(self):
         s = EndParameter(1j * math.pi, 1j)
         m = holonomy(s, 1, 0)
-        assert abs(apply_boundary(m, 0.5) - 0.5) < 1e-12 and apply_boundary(m, INFINITY) is INFINITY
+        assert abs(MobiusMap(m).value(0.5 + 0j) - 0.5) < 1e-12 and m.a21 == 0
         cls = classify(m)
         assert cls.kind == "elliptic" and abs(cls.angle - math.pi) < 1e-12
 
@@ -211,7 +210,7 @@ class TestHolonomy:
         params += [EndParameter(TWO_PI_I * k + d, 1j) for k in (1, -2) for d in (0.0, 5e-14, -3e-13j, 1e-6)]
         for s in params:
             z0 = z0_of(s.a)
-            assert abs(holonomy(s, 1, 0)(z0) - z0) <= 1e-12 * max(1.0, abs(z0))
+            assert abs(MobiusMap(holonomy(s, 1, 0)).value(z0) - z0) <= 1e-12 * max(1.0, abs(z0))
 
 
 ALIGNED_PHASE = st.floats(0.0, 2.0 * math.pi)
