@@ -111,10 +111,17 @@ class ContinuityReport:
     sample_count: int
 
 
-def solve_direct(b: complex, x: float, y: float) -> EndParameter:
-    """Closed-form parameter with filling coordinates +-(x, y): a = 2*pi*i/(x + by)."""
+def _check_target(x: float, y: float) -> None:
+    """Refuse target coordinates (x, y) that are not finite (ValueError) or are (0, 0) (ZeroTarget)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"target coordinates must be finite, got (x, y) = ({x!r}, {y!r})")
     if x == 0.0 and y == 0.0:
         raise ZeroTarget("coordinates (0, 0) are excluded")
+
+
+def solve_direct(b: complex, x: float, y: float) -> EndParameter:
+    """Closed-form parameter with filling coordinates +-(x, y): a = 2*pi*i/(x + by)."""
+    _check_target(x, y)
     b = complex(b)
     return EndParameter(TWO_PI_I / (x + b * y), b)
 
@@ -132,8 +139,7 @@ def solve_on_path(
     Non-convergence is reported, not raised; leaving the declared disc raises
     DomainExit.
     """
-    if x == 0.0 and y == 0.0:
-        raise ZeroTarget("coordinates (0, 0) are excluded")
+    _check_target(x, y)
     positive_finite("tol", tol)
     if not path.contains(w0):
         raise DomainExit(f"starting point {w0} lies outside the declared disc")

@@ -209,8 +209,13 @@ def _cosh_distance(dz, t1, t2):
 
 
 def hyp_distance(p: H3Point, q: H3Point) -> float:
-    """Hyperbolic distance: cosh d = 1 + (|z_p - z_q|^2 + (t_p - t_q)^2) / (2 t_p t_q)."""
-    return math.acosh(max(_cosh_distance(abs(p.z - q.z), p.t, q.t), 1.0))
+    """Hyperbolic distance d = 2 asinh(|p - q| / (2 sqrt(t_p) sqrt(t_q))), |p - q| the Euclidean distance in C x R.
+
+    This is cosh d = 1 + |p - q|^2 / (2 t_p t_q) without the cancellation of cosh d - 1
+    near d = 0; the two roots are taken apart so that their product cannot underflow.
+    """
+    chord = math.hypot(abs(p.z - q.z), p.t - q.t)
+    return 2.0 * math.asinh(chord / (2.0 * math.sqrt(p.t) * math.sqrt(q.t)))
 
 
 def classify(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> IsomClass:

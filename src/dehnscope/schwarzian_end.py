@@ -330,14 +330,16 @@ def osculating_mobius(f: ConformalMap, z: complex) -> MobiusTransform:
 def foot_point(p: H3Point) -> tuple[complex, float]:
     """(base, depth): the foot in U of the geodesic through p orthogonal to the plane over R, and p's signed depth.
 
-    With p = (u + iv, t): base = u + i sqrt(v^2 + t^2), depth = artanh(v / sqrt(v^2 + t^2)).
-    Points with v < 0 lie on the far side and are rejected.
+    With p = (u + iv, t): base = u + i sqrt(v^2 + t^2), depth = asinh(v / t), which is
+    log 2 + log v - log t where v / t overflows.  Points with v < 0 lie on the far side
+    and are rejected.
     """
     u, v, t = p.z.real, p.z.imag, p.t
     if v < 0:
         raise WrongSide("point lies on the far side of the plane over R")
-    r = math.hypot(v, t)
-    return complex(u, r), math.atanh(v / r)
+    x = v / t
+    depth = math.asinh(x) if x < math.inf else math.log(2.0) + math.log(v) - math.log(t)
+    return complex(u, math.hypot(v, t)), depth
 
 
 def framed_point(base: complex, depth: float) -> H3Point:

@@ -194,3 +194,54 @@ def mp_schwarzian_norm(spec, z):
     with mpmath.workdps(DPS):
         _, f1, f2, f3 = mp_jets(spec, z)
         return mpmath.mpf(z.imag) ** 2 * abs(f3 / f1 - mpmath.mpf(3) / 2 * (f2 / f1) ** 2)
+
+
+def mp_osculating_mobius(spec, z):
+    """The Mobius map sharing the 2-jet of a catalog map (see mp_jets) at z, at DPS digits.
+
+    It is w -> f(z) + f'(z)(w - z) / (1 - c(w - z)) with c = f''(z) / (2 f'(z)), the
+    product of the matrices of w -> w - z, u -> u / (1 - cu), u -> f'(z) u and
+    u -> u + f(z), whose determinant is f'(z).  Returned as the entries (a11, a12, a21, a22)
+    divided by sqrt(f'(z)), so of determinant 1 and defined up to sign.
+    """
+    with mpmath.workdps(DPS):
+        z = mpmath.mpc(z)
+        f0, f1, f2, _ = mp_jets(spec, z)
+        c = f2 / (2 * f1)
+        m = (
+            mpmath.matrix([[1, f0], [0, 1]])
+            * mpmath.matrix([[f1, 0], [0, 1]])
+            * mpmath.matrix([[1, 0], [-c, 1]])
+            * mpmath.matrix([[1, -z], [0, 1]])
+        )
+        s = mpmath.sqrt(f1)
+        return m[0, 0] / s, m[0, 1] / s, m[1, 0] / s, m[1, 1] / s
+
+
+def mp_theta(spec, z, t):
+    """Theta(p) = M(p) for p = (z, t) with Im z >= 0, M osculating a catalog map at the foot of p, at DPS digits.
+
+    The foot is base = Re z + i sqrt((Im z)^2 + t^2) (see mp_foot_point), and M acts on
+    upper half-space by its Poincare extension, written as the quaternion map
+    q -> (a q + b)(c q + d)^-1 on q = z + tj (Beardon, The Geometry of Discrete Groups,
+    4.1), with (alpha + beta j)(gamma + delta j) = (alpha gamma - beta conj(delta))
+    + (alpha delta + beta conj(gamma)) j.  Returned as (z', t').
+    """
+
+    def mul(p, q):
+        (alpha, beta), (gamma, delta) = p, q
+        return alpha * gamma - beta * mpmath.conj(delta), alpha * delta + beta * mpmath.conj(gamma)
+
+    def inverse(q):
+        alpha, beta = q
+        n = abs(alpha) ** 2 + abs(beta) ** 2
+        return mpmath.conj(alpha) / n, -beta / n
+
+    with mpmath.workdps(DPS):
+        base, _ = mp_foot_point(z, t)
+        a, b, c, d = mp_osculating_mobius(spec, base)
+        q = mpmath.mpc(z), mpmath.mpc(t)
+        num = mul((a, 0), q)
+        den = mul((c, 0), q)
+        w, h = mul((num[0] + b, num[1]), inverse((den[0] + d, den[1])))
+        return w, h.real

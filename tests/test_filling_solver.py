@@ -64,6 +64,12 @@ class TestSolveDirect:
         with pytest.raises(ZeroTarget):
             solve_direct(1j, 0.0, 0.0)
 
+    @pytest.mark.parametrize("x, y", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 0.0), (0.0, math.nan)])
+    def test_non_finite_target_rejected(self, x, y):
+        # (inf, 1) used to give a = 0, the cusp, as if it were a filling
+        with pytest.raises(ValueError, match="target coordinates must be finite"):
+            solve_direct(1j, x, y)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         b=st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.1, 3.0)),
@@ -109,6 +115,12 @@ class TestSolveOnPath:
     def test_zero_target(self):
         with pytest.raises(ZeroTarget):
             solve_on_path(IDENTITY_PATH, 0.0, 0.0, w0=3j)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_target_rejected(self, x, y):
+        # a NaN target used to raise DomainExit for the NaN iterate instead of naming the target
+        with pytest.raises(ValueError, match="target coordinates must be finite"):
+            solve_on_path(IDENTITY_PATH, x, y, w0=3j)
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-12, 0.0, math.inf])
     def test_bad_tolerance_rejected(self, tol):

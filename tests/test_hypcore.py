@@ -4,10 +4,9 @@ import cmath
 import math
 import struct
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dehnscope.hypcore import (
@@ -299,27 +298,25 @@ class TestHypDistance:
         q=st.tuples(st.complex_numbers(max_magnitude=1e3), st.floats(1e-3, 1e3)),
         near=st.booleans(),
     )
+    @example(p=(0j, 1.0), q=(1e-8 + 0j, 1.0), near=False)  # acosh(1 + q) gave 0.0
+    @example(p=(0j, 1.0), q=(1e-5 + 0j, 1.0), near=False)  # and 4e-8 off, relative, here
+    @example(p=(0j, 1e-300), q=(1e300 + 0j, 1e300), near=False)  # and inf here, for d = 1382.24...
     def test_matches_60_digit_oracle(self, p, q, near):
         """hyp_distance against mp_hyp_distance, with the bound derived from the roundings of its formula.
 
-        q^ = (dz^2 + dt^2) / (2 t_p t_q) with dz = |z_p - z_q| (the subtraction u relative per
-        part and abs within 1 ulp, so 3u; u = 2^-53) and dt = t_p - t_q (u): dz^2 is within 7u,
-        dt^2 within 3u, their sum 8u, and the quotient 10u, to first order.  So c^ = 1 + q^ is
-        within 11u c of c = cosh d, and D = 12u c bounds it (a square that underflows is off by
-        far less).  acosh is concave with acosh(1 + e) <= sqrt(2e), so acosh moves by at most
-        sqrt(2D), and by at most D / sinh(acosh(c - D)) when c - D > 1; math.acosh adds 2 ulps,
-        4u d.  The first bound is the one near d = 0, where cosh d - 1 cancels.
+        d = 2 asinh(x^) with x^ = hypot(dz, dt) / (2 sqrt(t_p) sqrt(t_q)), u = 2^-53.  The
+        subtraction z_p - z_q rounds each part by u and abs is within 1 ulp, so dz is within
+        3u; dt = t_p - t_q is within u, and hypot adds 1 ulp: the chord is within 5u.  The
+        roots round by u/2 each and their product by u, so x^ is within 8u of x = sinh(d/2),
+        relative.  asinh' = 1 / cosh, so that moves d/2 by at most 8u tanh(d/2) <= 8u d/2,
+        and math.asinh within 2 ulps adds 4u d/2: d is within 12u d, plus a few subnormal
+        steps where the chord or x^ underflows.  The bound is relative down to d = 0.
         """
-        if near:  # q one step of p's coordinates away, so d is near sqrt(u)
+        if near:  # q one step of p's coordinates away, so d is near u
             q = (complex(math.nextafter(p[0].real, math.inf), p[0].imag), math.nextafter(p[1], 0.0))
         got = hyp_distance(H3Point(*p), H3Point(*q))
         want = mp_hyp_distance(p, q)
-        c = float(mpmath.cosh(want))
-        slack = 12 * 2.0**-53 * c
-        bound = math.sqrt(2 * slack)
-        if c - slack > 1:
-            bound = min(bound, slack / math.sqrt((c - slack) ** 2 - 1))
-        assert abs(got - want) <= bound + 4 * 2.0**-53 * float(want)
+        assert abs(got - want) <= 12 * 2.0**-53 * float(want) + 2.0**-1072
 
 
 class TestAdjoint:

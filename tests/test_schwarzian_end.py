@@ -7,12 +7,22 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dehnscope import schwarzian_end
+from dehnscope.config import CRITICAL_TOL
 from dehnscope.hypcore import H3Point, MobiusTransform, apply_h3, hyp_distance
-from mp_reference import DPS, mp_foot_point, mp_framed_point, mp_jets, mp_schwarzian_norm
+from mp_reference import (
+    DPS,
+    mp_foot_point,
+    mp_framed_point,
+    mp_hyp_distance,
+    mp_jets,
+    mp_osculating_mobius,
+    mp_schwarzian_norm,
+    mp_theta,
+)
 
 from dehnscope.schwarzian_end import (
     Compose,
@@ -263,24 +273,42 @@ class TestFootPoint:
             assert abs(again.t - p.t) < 1e-12 * max(1.0, p.t)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(u=st.floats(-1e3, 1e3), v=st.floats(0.0, 1e3), t=st.floats(1e-3, 1e3))
+    @given(
+        u=st.floats(-1e3, 1e3),
+        v=st.floats(0.0, 1e3),
+        t=st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-986, 10)),
+    )
+    @example(u=0.0, v=1e3, t=1e-3)
+    @example(u=0.0, v=1e4, t=1e-4)
     def test_foot_point_matches_60_digit_oracle(self, u, v, t):
         """foot_point against mp_foot_point, with the bound derived from the roundings of its formula.
 
         base = u + i hypot(v, t): the real part is u itself, and math.hypot is within 1 ulp,
-        so 2u r of the exact r (u = 2^-53).  depth = atanh(x) of x^ = v / r^, which is within
-        3u x of x = v / r = tanh d.  Here v / t <= 1e6, so 1 - x >= 5e-13 dwarfs the error of x^,
-        and atanh' = 1 / (1 - x^2) = cosh(d)^2 stays within 1e-3 of its value at x; with atanh
-        itself within 2 ulps, 4u |d|, the depth is within 5u (sinh d cosh d + |d|) of d, plus
-        SUBNORMAL where x^ underflows.  The bound grows like e^{2d}: atanh(v / r) is
-        ill-conditioned deep below the foot.
+        so 2u r of the exact r (u = 2^-53).  depth = asinh(x^) of x^ = v / t, within u x of
+        x = sinh d, plus SUBNORMAL where it underflows; t reaches 2^-987, so x reaches about
+        1e300 and never overflows here.  asinh' = 1 / cosh d, so the quotient moves the depth
+        by at most u tanh d <= u d, and math.asinh within 2 ulps adds 4u d: 5u d in all.
+        The two examples are the points v / t = 1e6 and 1e8, where the former atanh(v / r)
+        was 4.4e-5 off and raised ValueError.
         """
         base, depth = foot_point(H3Point(complex(u, v), t))
         want_base, want_depth = mp_foot_point(complex(u, v), t)
-        d = float(want_depth)
         assert base.real == u
         assert abs(base.imag - want_base.imag) <= 2 * U * want_base.imag
-        assert abs(depth - want_depth) <= 5 * U * (math.sinh(d) * math.cosh(d) + d) + SUBNORMAL
+        assert abs(depth - want_depth) <= 5 * U * float(want_depth) + SUBNORMAL
+
+    @pytest.mark.parametrize("v, t", [(1e300, 1e-300), (5e-10, 5e-320), (1.7e308, 1e-300), (1.0, 5e-324)])
+    def test_depth_where_the_ratio_overflows(self, v, t):
+        """Where v / t overflows, depth = log 2 + log v - log t against mp_foot_point.
+
+        Each log is within 1 ulp, 2u of its size (u = 2^-53), and the two sums round by u of
+        theirs, so the depth is within 3u (log 2 + |log v| + |log t|) + u d of d.
+        """
+        assert v / t == math.inf
+        _, depth = foot_point(H3Point(complex(0.0, v), t))
+        want = mp_foot_point(complex(0.0, v), t)[1]
+        bound = 3 * U * (math.log(2.0) + abs(math.log(v)) + abs(math.log(t))) + U * float(want)
+        assert abs(depth - want) <= bound
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(u=st.floats(-1e3, 1e3), r=st.floats(1e-3, 1e3), depth=st.floats(-20.0, 20.0))
@@ -344,6 +372,12 @@ class TestTheta:
                 lhs = osculating_mobius(f, lam * z)
                 rhs = rho @ osculating_mobius(f, z) @ gamma.inverse()
                 assert lhs.distance(rhs) < 1e-9
+
+    def test_deep_below_the_foot(self):
+        # v / t = 1e8: theta needs only the foot, which the former depth formula failed to reach
+        p = H3Point(1e4j, 1e-4)
+        base, _ = foot_point(p)
+        assert theta(SquareMap(), p) == apply_h3(osculating_mobius(SquareMap(), base), p)
 
     def test_theta_equivariance_along_dilations(self):
         c = 1.7
@@ -681,6 +715,39 @@ CATALOG_SPECS = st.one_of(
 )
 
 
+def catalog_map(spec):
+    """(f, spec) for a drawn catalog spec; a Mobius spec gets the normalized entries that f stores."""
+    if spec[0] == "power":
+        return PowerMap(spec[1]), spec
+    if spec[0] == "mobius":
+        f = MobiusMap(MobiusTransform.from_entries(*spec[1]))
+        return f, ("mobius", f.m.entries())
+    return parse_map(spec), spec
+
+
+def off_zero_and_pole(spec, z) -> bool:
+    """False at a zero or the pole of a Mobius spec, where jet_bounds is not defined."""
+    if spec[0] != "mobius":
+        return True
+    a, b, c, d = spec[1]
+    return a * z + b != 0 and c * z + d != 0
+
+
+def jet_bounds(spec, z) -> list:
+    """Relative bounds on f(z) and the three jets of a catalog map, derived in test_catalog_jets_match_60_digit_oracle."""
+    if spec[0] == "power":
+        c, log_z = spec[1], abs(math.log(abs(z)))
+        return [(5 + 4 * k + 5 * (abs((c - k).real) + abs((c - k).imag)) * (1 + math.pi + log_z)) * U for k in range(4)]
+    if spec[0] == "mobius":
+        a, b, c, d = spec[1]
+        kappa = (abs(c * z) + abs(d)) / abs(c * z + d)
+        kappa_num = (abs(a * z) + abs(b)) / abs(a * z + b)
+        with mpmath.workdps(DPS):
+            det_gap = float(abs(mpmath.mpc(a) * d - mpmath.mpc(b) * c - 1))
+        return [(3 * (kappa + kappa_num) + 5) * U] + [(3 * (k + 1) * kappa + 14) * U + det_gap for k in (1, 2, 3)]
+    return [16 * U] * 4
+
+
 class TestJetOracle:
     """The catalog maps' values and jets, and the classical norm constants, against tests/mp_reference.py."""
 
@@ -705,30 +772,9 @@ class TestJetOracle:
           The jets take the determinant D of the normalized entries to be 1, so they may also
           be off by |D - 1|.
         """
-        if spec[0] == "power":
-            f = PowerMap(spec[1])
-        elif spec[0] == "mobius":
-            f = MobiusMap(MobiusTransform.from_entries(*spec[1]))
-            spec = ("mobius", f.m.entries())
-        else:
-            f = parse_map(spec)
-        want = mp_jets(spec, z)
-        if spec[0] == "power":
-            c, log_z = spec[1], abs(math.log(abs(z)))
-            bounds = [5 + 4 * k + 5 * (abs((c - k).real) + abs((c - k).imag)) * (1 + math.pi + log_z) for k in range(4)]
-            bounds = [b * U for b in bounds]
-        elif spec[0] == "mobius":
-            a, b, c, d = spec[1]
-            assume(a * z + b != 0 and c * z + d != 0)  # a zero or the pole of f
-            kappa = (abs(c * z) + abs(d)) / abs(c * z + d)
-            kappa_num = (abs(a * z) + abs(b)) / abs(a * z + b)
-            with mpmath.workdps(DPS):
-                det_gap = float(abs(mpmath.mpc(a) * d - mpmath.mpc(b) * c - 1))
-            bounds = [(3 * (kappa + kappa_num) + 5) * U]
-            bounds += [(3 * (k + 1) * kappa + 14) * U + det_gap for k in (1, 2, 3)]
-        else:
-            bounds = [16 * U] * 4
-        for got, ref, bound in zip([f.value(z), *f.jets(z)], want, bounds):
+        f, spec = catalog_map(spec)
+        assume(off_zero_and_pole(spec, z))
+        for got, ref, bound in zip([f.value(z), *f.jets(z)], mp_jets(spec, z), jet_bounds(spec, z)):
             assert abs(got - ref) <= bound * abs(ref)
 
     @pytest.mark.parametrize("y", [0.01, 0.3, 1.0, 4.7, 1e3])
@@ -750,3 +796,112 @@ class TestJetOracle:
             want = mp_schwarzian_norm(spec, z)
             assert want - constant <= 1e-55
             assert abs(schwarzian_norm(f, z) - want) <= 64 * U * constant
+
+
+SQRT5 = math.sqrt(5.0)
+
+
+def osculating_bound(f, spec, z) -> float:
+    """Bound on the sign-insensitive Frobenius distance of osculating_mobius(f, z) from mp_osculating_mobius.
+
+    Derived in TestOsculatingOracle.test_osculating_mobius_matches_60_digit_oracle.
+    """
+    e0, e1, e2, _ = jet_bounds(spec, z)
+    jets = f.jets(z)
+    fz, f1, f2 = f.value(z), next(jets), next(jets)
+    c = f2 / (2.0 * f1)
+    q = fz * c
+    a = f1 - q
+    a12, a22 = fz - a * z, 1.0 + c * z
+    err_c = (e1 + e2 + 5 * U) * abs(c)
+    err_a = e1 * abs(f1) + (e0 + e1 + e2 + (5 + SQRT5) * U) * abs(q) + U * abs(a)
+    err_12 = e0 * abs(fz) + abs(z) * err_a + SQRT5 * U * abs(a * z) + U * abs(a12)
+    err_22 = abs(z) * err_c + SQRT5 * U * abs(c * z) + U * abs(a22)
+    err = math.hypot(abs(err_a), err_12, err_c, err_22)
+    size = math.hypot(abs(a), abs(a12), abs(c), abs(a22))
+    det_err = (size * err + SQRT5 * U * (abs(a * a22) + abs(a12 * c)) + U * abs(f1)) / abs(f1)
+    return (err + size * (det_err / 2 + (9 + SQRT5) * U)) / math.sqrt(abs(f1))
+
+
+def poincare_bound(m, p) -> float:
+    """Bound on the hyperbolic distance of apply_h3(m, p) from the exact image, derived in TestOsculatingOracle.test_theta_matches_60_digit_oracle."""
+    a11, a12, a21, a22 = m.entries()
+    z, t = p.z, p.t
+    w, n = a21 * z + a22, a11 * z + a12
+    err_w = (1 + SQRT5) * U * (abs(a21 * z) + abs(a22))
+    err_n = (1 + SQRT5) * U * (abs(a11 * z) + abs(a12))
+    den = abs(w) ** 2 + abs(a21) ** 2 * t * t
+    err_den = 2 * abs(w) * err_w + 9 * U * den
+    num = n * w.conjugate() + a11 * a21.conjugate() * t * t
+    err_num = err_n * abs(w) + abs(n) * err_w + SQRT5 * U * abs(n * w) + (SQRT5 + 2) * U * abs(a11 * a21) * t * t
+    err_z = (err_num + 2 * U * abs(num)) / den + abs(num) / den * err_den / den
+    err_t = t / den * (err_den / den + U)
+    return math.hypot(err_z, err_t) / (t / den)
+
+
+class TestOsculatingOracle:
+    """osculating_mobius and theta for every catalog map against mp_osculating_mobius and mp_theta."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=CATALOG_SPECS, z=st.builds(complex, st.floats(-8.0, 8.0), st.floats(0.01, 8.0)))
+    def test_osculating_mobius_matches_60_digit_oracle(self, spec, z):
+        """The normalized matrix, up to sign, within a Frobenius bound derived from its roundings.
+
+        To first order in u = 2^-53, with the relative bounds e0, e1, e2 of f(z), f', f'' from
+        jet_bounds, and sqrt 5 u per complex product, 5u per quotient and u per sum:
+        - c = f'' / (2 f') is within (e1 + e2 + 5u) |c|, q = f(z) f'' / (2 f') within
+          (e0 + e1 + e2 + (5 + sqrt 5) u) |q|, and a = f' - q within e1 |f'| plus that plus u |a|;
+        - the entries N = (a, f(z) - az, -c, 1 + cz) take the errors of their terms, plus
+          sqrt 5 u |az| or |cz| for the product and u of the entry for the sum, so N is within
+          E (Frobenius) of the exact matrix, whose determinant is f'(z);
+        - from_entries forms det N, which moves by at most |N| E through the cofactors and by
+          sqrt 5 u (|a11 a22| + |a12 a21|) + u |f'| through its own roundings; the relative
+          error of det halves under sqrt, cmath.sqrt adds 4u, the quotient 1 / sqrt 5u, and each
+          entry times it sqrt 5 u.
+        So the matrix is within (E + |N| (det error / 2 + (9 + sqrt 5) u)) / sqrt |f'(z)|.
+        """
+        f, spec = catalog_map(spec)
+        assume(off_zero_and_pole(spec, z))
+        assume(abs(complex(mp_jets(spec, z)[1])) > 2 * CRITICAL_TOL)
+        got = osculating_mobius(f, z).entries()
+        want = mp_osculating_mobius(spec, z)
+        gap = min(sum(abs(g - sign * w) ** 2 for g, w in zip(got, want)) for sign in (1, -1))
+        assert math.sqrt(float(gap)) <= osculating_bound(f, spec, z)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        spec=CATALOG_SPECS,
+        z=st.builds(complex, st.floats(-4.0, 4.0), st.floats(0.0, 4.0)),
+        t=st.floats(0.05, 4.0),
+    )
+    def test_theta_matches_60_digit_oracle(self, spec, z, t):
+        """Theta(p) within a hyperbolic distance of mp_theta derived from its three sources of error.
+
+        Write p = g j for g = [[sqrt t, z / sqrt t], [0, 1 / sqrt t]] and j = (0, 1).  A matrix
+        M (I + X) moves p by at most sqrt 2 |g^-1 X g| <= sqrt 2 s |X| (Frobenius) from M p, to
+        first order, as the Hermitian part of X moves j at sqrt 2 times its norm, and
+        s = |g|^2 = (1 + |z|^2 + t^2) / t bounds the product of the largest singular values
+        of g and g^-1.  u = 2^-53.
+        - The matrix of osculating_mobius at the float foot b is within B of the exact one
+          (osculating_bound); with |M^-1| = |M| that is |X| <= |M| B.
+        - The float foot is within 2u Im b of the exact foot, and the osculating map moves with
+          its foot as M_b^-1 dM_b / db = (S f(b) / 2) [[-b, b^2], [-1, b]], a matrix of norm
+          1 + |b|^2: |X| <= |S f(b)| u Im b (1 + |b|^2).
+        - apply_h3 rounds w = a21 z + a22 and a11 z + a12 by (1 + sqrt 5) u of their terms,
+          D = |w|^2 + |a21|^2 t^2 by 2 |w| err(w) + 9u D, the numerator of z' by the errors of
+          its factors, sqrt 5 u of its first product, (2 + sqrt 5) u of its second and u of the
+          sum, and the quotients by u: poincare_bound measures that Euclidean error in units of
+          the height t' of the image.
+        """
+        f, spec = catalog_map(spec)
+        p = H3Point(z, t)
+        base, _ = foot_point(p)
+        assume(off_zero_and_pole(spec, base))
+        assume(abs(complex(mp_jets(spec, base)[1])) > 2 * CRITICAL_TOL)
+        got = theta(f, p)
+        m = osculating_mobius(f, base)
+        s = (1.0 + abs(z) ** 2 + t * t) / t
+        size = math.hypot(*map(abs, m.entries()))
+        moved = osculating_bound(f, spec, base) * size + abs(schwarzian(f, base)) * U * base.imag * (1 + abs(base) ** 2)
+        bound = math.sqrt(2.0) * s * moved + poincare_bound(m, p)
+        assert float(mp_hyp_distance((got.z, got.t), mp_theta(spec, z, t))) <= bound

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import struct
 
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 
 from dehnscope import torus_end
 from dehnscope.config import ARRAY_BLOCK, RATIONAL_TOL
+from dehnscope.filling_solver import solve_direct
 from dehnscope.hypcore import (
     MobiusTransform,
+    _cosh_distance,
     apply_h3,
     classify,
     complex_translation_length,
-    hyp_distance,
     length_distance,
 )
 from dehnscope.schwarzian_end import MobiusMap
@@ -631,6 +633,53 @@ class TestClassifyCompletion:
         got = classify_completion(s)
         assert got.kind == "cone" and (got.p, got.q) == (0, 1) and got.angle == 1.0
 
+    def test_exact_rational_directions(self):
+        """Every coprime (p, q) with |p|, |q| <= 50 at the scales g = 1, 2, 3, 3/2 against the exact answer.
+
+        s = solve_direct(b, gp, gq) fills the class (p, q) with cone angle 2 pi / g, smooth at g = 1,
+        and the coordinates gp, gq are exact floats.  To first order in u = 2^-53:
+        - c = x + by rounds by u (|b| |y| + |c|), and a = 2 pi i / c adds u/2 for pi and 5u for the
+          quotient, so a is within e_a = 11u/2 + u (|b| |y| + |c|) / |c| of exact, relative;
+        - filling_coordinates divides the same float 2 pi i by a, so w = 2 pi i / a is within
+          E = u (11 |c| + |b| |y|) of c; y = Im w / Im b is within E / Im b + u |y| and
+          x = Re w - Re b y within E + |Re b| err(y) + u (|Re b y| + |x|);
+        - the ratio r of the smaller to the larger coordinate is then within
+          (err(smaller) + r err(larger)) / |larger| + u r, and the convergent den / num = r with
+          den <= 50 scores that times den^2.  Below RATIONAL_TOL it is the best-scoring one, as a
+          second convergent n' / d' scoring below the tolerance would need
+          1 / (d d') <= RATIONAL_TOL (1 / d^2 + 1 / d'^2), false for d' <= MAX_DENOMINATOR;
+        - the length a (p + bq) is within e_a + u (|b| |q| + |p + bq|) / |p + bq| + sqrt 5 u of
+          2 pi i / g, relative, which bounds both its real part and the angle error.
+        b is drawn with |Re b| <= 2 and Im b >= 1/2, where the score bound stays below 1e-10.
+        The scaled directions (1, sqrt 2) g are irrational: the convergents of 1 / sqrt 2 score
+        near 1 / (2 sqrt 2), far above 100 RATIONAL_TOL.
+        """
+        u = 2.0**-53
+        rng = np.random.default_rng(25)
+        for p, q in itertools.product(range(-50, 51), repeat=2):
+            if math.gcd(p, q) != 1:
+                continue
+            b = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0))
+            for g in (1.0, 2.0, 3.0, 1.5):
+                x, y = g * p, g * q
+                c = x + b * y
+                e_a = 5.5 * u + u * (abs(b) * abs(y) + abs(c)) / abs(c)
+                e_w = u * (11 * abs(c) + abs(b) * abs(y))
+                err_y = e_w / b.imag + u * abs(y)
+                err_x = e_w + abs(b.real) * err_y + u * (abs(b.real * y) + abs(x))
+                (small, err_s), (large, err_l) = sorted(((x, err_x), (y, err_y)), key=lambda v: abs(v[0]))
+                r = abs(small / large)
+                score = ((err_s + r * err_l) / abs(large) + u * r) * (abs(large) / g) ** 2
+                assert score <= 0.1 * RATIONAL_TOL
+                got = classify_completion(solve_direct(b, x, y))
+                assert (got.kind, got.p, got.q) == ("smooth" if g == 1 else "cone", *canonical_sign_pair(p, q))
+                e_ell = e_a + u * (abs(b) * abs(q) + abs(p + b * q)) / abs(p + b * q) + math.sqrt(5.0) * u
+                assert abs(got.angle - 2 * math.pi / g) <= e_ell * 2 * math.pi / g
+        for g in (1.0, 2.0, 3.0, 1.5):
+            for _ in range(25):
+                b = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0))
+                assert classify_completion(solve_direct(b, g, g * math.sqrt(2.0))).kind == "irrational"
+
     def test_rational_direction_fuzz(self):
         rng = np.random.default_rng(16)
         checked = 0
@@ -819,7 +868,11 @@ class TestBilipschitz:
 
     @staticmethod
     def per_point_reference(s1, s2, region, samples, seed, chart):
-        """One draw of all samples, then develop and hyp_distance point by point."""
+        """One draw of all samples, then develop and the acosh distance of estimate_bilipschitz point by point.
+
+        hyp_distance takes the asinh form, which is more accurate for short steps; the
+        sweep keeps acosh(cosh d), so the reference does too.
+        """
         pts = np.random.default_rng(seed).uniform(size=(samples, 3))
         pts[:, 0] = region.x0 + pts[:, 0] * (region.x1 - region.x0)
         pts[:, 1] = region.y0 + pts[:, 1] * (region.y1 - region.y0)
@@ -830,8 +883,10 @@ class TestBilipschitz:
             cur1 = develop(s1, x, y, t, chart=chart)
             cur2 = develop(s2, x, y, t, chart=chart)
             if prev1 is not None:
-                d1 = hyp_distance(prev1, cur1)
-                d2 = hyp_distance(prev2, cur2)
+                d1, d2 = (
+                    math.acosh(max(_cosh_distance(abs(p.z - q.z), p.t, q.t), 1.0))
+                    for p, q in ((prev1, cur1), (prev2, cur2))
+                )
                 if d1 > 0.0 and d2 > 0.0:
                     r = d2 / d1
                     worst = max(worst, r, 1.0 / r)
