@@ -734,7 +734,7 @@ def off_zero_and_pole(spec, z) -> bool:
 
 
 def jet_bounds(spec, z) -> list:
-    """Relative bounds on f(z) and the three jets of a catalog map, derived in test_catalog_jets_match_60_digit_oracle."""
+    """Relative bounds on f(z) and the three jets of a catalog map, derived in TestJetOracle."""
     if spec[0] == "power":
         c, log_z = spec[1], abs(math.log(abs(z)))
         return [(5 + 4 * k + 5 * (abs((c - k).real) + abs((c - k).imag)) * (1 + math.pi + log_z)) * U for k in range(4)]
@@ -817,14 +817,17 @@ def osculating_bound(f, spec, z) -> float:
     err_a = e1 * abs(f1) + (e0 + e1 + e2 + (5 + SQRT5) * U) * abs(q) + U * abs(a)
     err_12 = e0 * abs(fz) + abs(z) * err_a + SQRT5 * U * abs(a * z) + U * abs(a12)
     err_22 = abs(z) * err_c + SQRT5 * U * abs(c * z) + U * abs(a22)
-    err = math.hypot(abs(err_a), err_12, err_c, err_22)
+    err = math.hypot(err_a, err_12, err_c, err_22)
     size = math.hypot(abs(a), abs(a12), abs(c), abs(a22))
     det_err = (size * err + SQRT5 * U * (abs(a * a22) + abs(a12 * c)) + U * abs(f1)) / abs(f1)
     return (err + size * (det_err / 2 + (9 + SQRT5) * U)) / math.sqrt(abs(f1))
 
 
 def poincare_bound(m, p) -> float:
-    """Bound on the hyperbolic distance of apply_h3(m, p) from the exact image, derived in TestOsculatingOracle.test_theta_matches_60_digit_oracle."""
+    """Bound on the hyperbolic distance of apply_h3(m, p) from the exact image.
+
+    Derived in TestOsculatingOracle.test_theta_matches_60_digit_oracle.
+    """
     a11, a12, a21, a22 = m.entries()
     z, t = p.z, p.t
     w, n = a21 * z + a22, a11 * z + a12
