@@ -202,12 +202,6 @@ def modulus(w: np.ndarray) -> np.ndarray:
     return np.hypot(w.real, w.imag)
 
 
-def _cosh_distance(dz, t1, t2):
-    """cosh d = 1 + (dz^2 + (t1 - t2)^2) / (2 t1 t2) with dz = |z1 - z2|, on numbers or arrays."""
-    dt = t1 - t2
-    return 1.0 + (dz * dz + dt * dt) / (2.0 * t1 * t2)
-
-
 def hyp_distance(p: H3Point, q: H3Point) -> float:
     """Hyperbolic distance d = 2 asinh(|p - q| / (2 sqrt(t_p) sqrt(t_q))), |p - q| the Euclidean distance in C x R.
 

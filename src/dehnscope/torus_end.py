@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .config import ARRAY_BLOCK, DEFAULT_CHART, MAX_DENOMINATOR, RATIONAL_TOL, SINGULAR_LOCUS_TOL, positive_finite
-from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, _cosh_distance, _h3_checked, _poincare, modulus
+from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, _h3_checked, _poincare, modulus
 
 
 class ZeroA(ValueError):
@@ -435,9 +435,6 @@ def holonomy_representation(s: EndParameter):
     return holonomy(s, 1, 0), holonomy(s, 0, 1)
 
 
-_RECHECK_SLACK = 1e-12  # about 4500 ulps of a ratio
-
-
 def estimate_bilipschitz(
     s1: EndParameter,
     s2: EndParameter,
@@ -452,12 +449,13 @@ def estimate_bilipschitz(
     and returns the worst ratio of hyperbolic distances, symmetrized to >= 1.
     Deterministic for a fixed seed.  The points are drawn and developed in
     blocks of ARRAY_BLOCK, each block starting from the last point of the
-    one before; the draws are the same as one draw of all samples.  Only
-    the ratios within _RECHECK_SLACK of the extremes under np.arccosh are
-    recomputed with math.acosh: the two differ by at most 2 ulps, which
-    moves a ratio by a few ulps, so the exact extremes are among them and
-    the result is that of math.acosh on every pair.  Raises OverflowError
-    when a parameter's developed samples leave the float range.
+    one before; the draws are the same as one draw of all samples.  Each
+    distance is hyp_distance's 2 asinh(|p - q| / (2 sqrt(t_p) sqrt(t_q))),
+    its chord the root of a sum of squares taken after the division: a
+    distance below about 3e-154 loses bits to underflow (below about 3e-162
+    it is 0 and the pair is skipped), and one above about 711 overflows.
+    Raises OverflowError when a distance between a parameter's developed
+    samples is not finite.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -474,20 +472,20 @@ def estimate_bilipschitz(
     for start in range(0, samples, ARRAY_BLOCK):
         fresh = lo + rng.uniform(size=(min(ARRAY_BLOCK, samples - start), 3)) * span
         pts = np.concatenate((pts[-1:], fresh))
-        cosh = []
+        dist = []
         for s in (s1, s2):
             with np.errstate(all="ignore"):
                 z, h = _chart(s, *pts.T, chart)
-                cosh.append(np.maximum(_cosh_distance(modulus(z[:-1] - z[1:]), h[:-1], h[1:]), 1.0))
-            if not np.isfinite(cosh[-1]).all():
+                root = np.sqrt(h)
+                scale = 2.0 * root[:-1] * root[1:]
+                dz, dt = z[:-1] - z[1:], h[:-1] - h[1:]
+                x, y, w = dz.real / scale, dz.imag / scale, dt / scale
+                dist.append(2.0 * np.arcsinh(np.sqrt(x * x + y * y + w * w)))
+            if not np.isfinite(dist[-1]).all():
                 raise OverflowError(f"the developed samples of a = {s.a}, b = {s.b} leave the float range")
-        keep = (cosh[0] > 1.0) & (cosh[1] > 1.0)  # exactly the pairs at positive distance under both
+        keep = (dist[0] > 0.0) & (dist[1] > 0.0)  # the pairs at positive distance under both
         if keep.any():
-            c1, c2 = cosh[0][keep], cosh[1][keep]
-            r = np.arccosh(c2) / np.arccosh(c1)
-            near = (r >= r.max() * (1.0 - _RECHECK_SLACK)) | (r <= r.min() * (1.0 + _RECHECK_SLACK))
-            d1, d2 = (np.array(list(map(math.acosh, c[near].tolist()))) for c in (c1, c2))
-            q = d2 / d1
+            q = dist[1][keep] / dist[0][keep]
             worst = max(worst, float(q.max()), float((1.0 / q).max()))
     return worst
 

@@ -43,12 +43,6 @@ def mp_holonomy(a, b, m, n):
         return p, tau / p, mpmath.mpc(0), 1 / p
 
 
-def mp_distance(p, q):
-    """hyp_distance in mpmath between two (z, t) points."""
-    (zp, tp), (zq, tq) = p, q
-    return mpmath.acosh(1 + (abs(zp - zq) ** 2 + (tp - tq) ** 2) / (2 * tp * tq))
-
-
 def mp_hyp_distance(p, q):
     """Hyperbolic distance between two (z, t) points of upper half-space at DPS digits.
 
@@ -60,6 +54,43 @@ def mp_hyp_distance(p, q):
         (zp, tp), (zq, tq) = ((mpmath.mpc(z), mpmath.mpf(t)) for z, t in (p, q))
         chord = mpmath.sqrt(abs(zp - zq) ** 2 + (tp - tq) ** 2)
         return 2 * mpmath.asinh(chord / (2 * mpmath.sqrt(tp * tq)))
+
+
+def mp_khat(developed):
+    """The biLipschitz estimate of two developed sample sequences, at the working precision.
+
+    developed holds one list of (z, t) points per parameter, in sample order.
+    Each consecutive pair at positive distance under both gives the ratio of
+    its two hyperbolic distances (mp_hyp_distance); the result is the worst
+    ratio or reciprocal, and 1 when there is none.
+    """
+    d1, d2 = ([mp_hyp_distance(p, q) for p, q in zip(dev[:-1], dev[1:])] for dev in developed)
+    ratios = [e2 / e1 for e1, e2 in zip(d1, d2) if e1 > 0 and e2 > 0]
+    return max([mpmath.mpf(1)] + ratios + [1 / r for r in ratios])
+
+
+def mp_cancellation(exact, rounded):
+    """First-order bound on the relative error that rounded points carry into their consecutive distances.
+
+    exact and rounded are lists of (z, t) points in sample order.  With
+    d = 2 asinh(X), X = |p - q| / (2 sqrt(t_p t_q)), moving p and q by e_p
+    and e_q (Euclidean in C x R) moves |p - q| by at most e_p + e_q and each
+    sqrt(t) by half the relative change of t, so X moves by at most
+    eps = (e_p + e_q) / |p - q| + (|dt_p| / t_p + |dt_q| / t_q) / 2,
+    relative, to first order; asinh(X) X' / asinh(X) <= 1, so d does too.
+    Returns the largest eps over the pairs of distinct exact points.
+    """
+    with mpmath.workdps(DPS):
+        errors = [
+            (mpmath.sqrt(abs(mpmath.mpc(zr) - z) ** 2 + (mpmath.mpf(tr) - t) ** 2), abs(mpmath.mpf(tr) - t) / t)
+            for (z, t), (zr, tr) in zip(exact, rounded)
+        ]
+        worst = mpmath.mpf(0)
+        for (p, q), (ep, eq) in zip(zip(exact[:-1], exact[1:]), zip(errors[:-1], errors[1:])):
+            chord = mpmath.sqrt(abs(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
+            if chord > 0:
+                worst = max(worst, (ep[0] + eq[0]) / chord + (ep[1] + eq[1]) / 2)
+        return worst
 
 
 def mp_foot_point(z, t):

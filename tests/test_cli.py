@@ -7,11 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 import dehnscope
 from dehnscope.cli import main
 from dehnscope.filling_solver import solve_direct, unimodular_completion
+from dehnscope.torus_end import EndParameter, _chart
+from mp_reference import mp_cancellation, mp_develop, mp_khat
 
 
 def run(capsys, *argv):
@@ -501,9 +505,31 @@ class TestBilipschitzCommand:
         assert code == 0
         assert json.loads(out)["khat"] == 1.0
 
-    @pytest.mark.parametrize("a1, named", [("700,0", "a = (700+0j)"), ("-800,0", "a = (-800+0j)")])
+    def test_heights_near_the_float_range_match_60_digit_reference(self, capsys):
+        """--a1 700,0 develops heights down to about 1e-301 on the box, all finite, so it prints a value.
+
+        The reference develops the same samples in 60 digits (corrected chart, seed 0);
+        mp_cancellation bounds, to first order, what the chart's own rounding moves each
+        distance by, and 40u covers the distance formula (see TestBilipschitz in
+        test_torus_end.py), with 1% for the second-order terms.
+        """
+        code, out = run(capsys, "bilipschitz", "--a1=700,0", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
+                        "--region", "0:1,0:1,1:2", "--samples", "100")
+        assert code == 0
+        got = json.loads(out)["khat"]
+        s1, s2 = EndParameter(700.0, 1j), EndParameter(0.0, 1j)
+        x, y, t = (np.array([0.0, 0.0, 1.0]) + np.random.default_rng(0).uniform(size=(100, 3))).T
+        with mpmath.workdps(60):
+            exact = [[mp_develop(s, *p, "corrected") for p in zip(x.tolist(), y.tolist(), t.tolist())] for s in (s1, s2)]
+            want = float(mp_khat(exact))
+        rounded = [list(zip(*(v.tolist() for v in _chart(s, x, y, t, "corrected")))) for s in (s1, s2)]
+        eps = sum(float(mp_cancellation(e, r)) for e, r in zip(exact, rounded))
+        assert abs(got - want) <= (1.01 * eps + 40 * 2.0**-53) * want
+        assert abs(want - 1348.6318130216243) <= 1e-12 * want
+
+    @pytest.mark.parametrize("a1, named", [("-800,0", "a = (-800+0j)"), ("0,-1000", "a = -1000j")])
     def test_developed_points_past_the_float_range_exit_2(self, capsys, a1, named):
-        # e^{700 x} and e^{-800 x} leave the float range on the box: the distances are not finite
+        # e^{-800 x} underflows the heights to 0 on the box, and e^{1000 y} overflows the chart itself
         code = main(["bilipschitz", f"--a1={a1}", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
                      "--region", "0:1,0:1,1:2", "--samples", "100"])
         captured = capsys.readouterr()

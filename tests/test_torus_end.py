@@ -16,11 +16,12 @@ from dehnscope import torus_end
 from dehnscope.config import ARRAY_BLOCK, RATIONAL_TOL
 from dehnscope.filling_solver import solve_direct
 from dehnscope.hypcore import (
+    H3Point,
     MobiusTransform,
-    _cosh_distance,
     apply_h3,
     classify,
     complex_translation_length,
+    hyp_distance,
     length_distance,
 )
 from dehnscope.schwarzian_end import MobiusMap
@@ -50,10 +51,11 @@ from mp_reference import (
     DPS,
     mp_aligned_holonomy,
     mp_cross_section_length,
+    mp_cancellation,
     mp_develop,
-    mp_distance,
     mp_filling_xy,
     mp_holonomy,
+    mp_khat,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -868,11 +870,7 @@ class TestBilipschitz:
 
     @staticmethod
     def per_point_reference(s1, s2, region, samples, seed, chart):
-        """One draw of all samples, then develop and the acosh distance of estimate_bilipschitz point by point.
-
-        hyp_distance takes the asinh form, which is more accurate for short steps; the
-        sweep keeps acosh(cosh d), so the reference does too.
-        """
+        """One draw of all samples, then develop and hyp_distance point by point."""
         pts = np.random.default_rng(seed).uniform(size=(samples, 3))
         pts[:, 0] = region.x0 + pts[:, 0] * (region.x1 - region.x0)
         pts[:, 1] = region.y0 + pts[:, 1] * (region.y1 - region.y0)
@@ -883,10 +881,7 @@ class TestBilipschitz:
             cur1 = develop(s1, x, y, t, chart=chart)
             cur2 = develop(s2, x, y, t, chart=chart)
             if prev1 is not None:
-                d1, d2 = (
-                    math.acosh(max(_cosh_distance(abs(p.z - q.z), p.t, q.t), 1.0))
-                    for p, q in ((prev1, cur1), (prev2, cur2))
-                )
+                d1, d2 = hyp_distance(prev1, cur1), hyp_distance(prev2, cur2)
                 if d1 > 0.0 and d2 > 0.0:
                     r = d2 / d1
                     worst = max(worst, r, 1.0 / r)
@@ -920,20 +915,22 @@ class TestBilipschitz:
         return (lo + np.random.default_rng(seed).uniform(size=(samples, 3)) * span).T
 
     @classmethod
-    def array_reference(cls, s1, s2, region, samples, seed, chart):
-        """The chart on arrays of all samples, then math.acosh on every consecutive pair."""
+    def array_charts(cls, s1, s2, region, samples, seed, chart):
+        """Both charts on arrays of all samples, as the sweep develops them, each as a list of (z, t) points."""
         x, y, t = cls.region_samples(region, samples, seed)
-        dists = []
-        for s in (s1, s2):
-            z, h = _chart(s, x, y, t, chart)
-            dz, dt = z[:-1] - z[1:], h[:-1] - h[1:]
-            dm = np.hypot(dz.real, dz.imag)
-            cosh = 1.0 + (dm * dm + dt * dt) / (2.0 * h[:-1] * h[1:])
-            dists.append(np.array([math.acosh(c) for c in np.maximum(cosh, 1.0).tolist()]))
-        d1, d2 = dists
-        keep = (d1 > 0.0) & (d2 > 0.0)
-        r = d2[keep] / d1[keep]
-        return max(1.0, float(r.max(initial=1.0)), float((1.0 / r).max(initial=1.0)))
+        return [list(zip(*(v.tolist() for v in _chart(s, x, y, t, chart)))) for s in (s1, s2)]
+
+    @classmethod
+    def pairwise_reference(cls, s1, s2, region, samples, seed, chart):
+        """The charts of array_charts, then hyp_distance on every consecutive pair."""
+        d1, d2 = (
+            [hyp_distance(H3Point(*p), H3Point(*q)) for p, q in zip(dev[:-1], dev[1:])]
+            for dev in cls.array_charts(s1, s2, region, samples, seed, chart)
+        )
+        ratios = [e2 / e1 for e1, e2 in zip(d1, d2) if e1 > 0.0 and e2 > 0.0]
+        return max([1.0] + ratios + [1.0 / r for r in ratios])
+
+    TINY = EndRegion(0.3, 0.3 + 1e-9, 0.6, 0.6 + 1e-9, 1.5, 1.5 + 1e-9)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -948,17 +945,53 @@ class TestBilipschitz:
         samples=st.integers(2, ARRAY_BLOCK + 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    # a2 = None is s2 = s1: every ratio is 1 and every pair is recomputed
+    # a2 = None is s2 = s1: every ratio is 1
     @example(a1=TWO_PI_I, a2=None, b=1j, chart="printed", tiny=False, samples=ARRAY_BLOCK + 3, seed=1)
     @example(a1=0.1 + 0.6j, a2=0j, b=1j, chart="corrected", tiny=False, samples=ARRAY_BLOCK + 1, seed=2)
-    # a box 1e-9 wide: cosh d rounds to 1 and the pairs are dropped
+    # a box 1e-9 wide, where acosh(1 + q) rounded every cosh to 1 and dropped every pair
     @example(a1=0.1 + 0.6j, a2=0j, b=1j, chart="printed", tiny=True, samples=500, seed=3)
-    def test_matches_acosh_on_every_pair(self, a1, a2, b, chart, tiny, samples, seed):
+    def test_matches_hyp_distance_on_every_pair(self, a1, a2, b, chart, tiny, samples, seed):
+        """estimate_bilipschitz is the worst ratio of hyp_distance over the consecutive pairs of its own charts.
+
+        Both take the root 2 sqrt(t_p) sqrt(t_q) with the same roundings and the same
+        coordinate differences, so they approximate the same X = |p - q| / root; u = 2^-53.
+        The sweep rounds each of the three quotients by u, each square adds u to the 2u it
+        inherits, and the two sums of non-negative terms add u each: the sum of squares is
+        within 5u and its root within 3.5u of X.  hyp_distance's modulus and hypot are
+        within an ulp (2u) each and its quotient adds u: within 5u.  asinh(X) X' / asinh(X)
+        <= 1, so the two arguments, 8.5u apart, move d by at most 8.5u, and np.arcsinh and
+        math.asinh within 2 ulps (4u) each make the two distances at most 16.5u apart,
+        relative.  A ratio of two such distances moves by 33u, its quotient adds u on each
+        side and its reciprocal another u on each side: 37u, so the bound is 40u.
+        """
         s1 = EndParameter(a1, b)
         s2 = s1 if a2 is None else EndParameter(a2, b)
-        region = EndRegion(0.3, 0.3 + 1e-9, 0.6, 0.6 + 1e-9, 1.5, 1.5 + 1e-9) if tiny else self.REGION
+        region = self.TINY if tiny else self.REGION
         got = estimate_bilipschitz(s1, s2, region, samples, seed=seed, chart=chart)
-        assert got == self.array_reference(s1, s2, region, samples, seed, chart)
+        want = self.pairwise_reference(s1, s2, region, samples, seed, chart)
+        assert abs(got - want) <= 40 * 2.0**-53 * want
+
+    @pytest.mark.parametrize("chart", ["printed", "corrected"])
+    def test_tiny_box_matches_40_digit_reference(self, chart):
+        """On the 1e-9 box the result is the 40-digit value, within what the chart's own rounding carries.
+
+        The developed points agree in their leading 9 digits, so the chart's last-bit
+        roundings are amplified into the distances: mp_cancellation bounds that, per
+        parameter, as eps_1 and eps_2 to first order.  A ratio moves by at most
+        eps_1 + eps_2 from it, plus the 40u of test_matches_hyp_distance_on_every_pair;
+        the second-order terms are below (eps_1 + eps_2)^2, well under 1% of the bound.
+        acosh(1 + q) read 1.0 here, as every cosh rounded to 1.
+        """
+        s1, s2 = EndParameter(0.1 + 0.6j, 1j), EndParameter(0.0, 1j)
+        x, y, t = self.region_samples(self.TINY, 500, 3)
+        with mpmath.workdps(40):
+            exact = [[mp_develop(s, *p, chart) for p in zip(x.tolist(), y.tolist(), t.tolist())] for s in (s1, s2)]
+            want = mp_khat(exact)
+        rounded = self.array_charts(s1, s2, self.TINY, 500, 3, chart)
+        eps = sum(float(mp_cancellation(e, r)) for e, r in zip(exact, rounded))
+        got = estimate_bilipschitz(s1, s2, self.TINY, 500, seed=3, chart=chart)
+        assert got > 1.5
+        assert abs(got - float(want)) <= (1.01 * eps + 40 * 2.0**-53) * float(want)
 
     @pytest.mark.parametrize(
         "s1, s2, samples, seed, chart",
@@ -972,9 +1005,7 @@ class TestBilipschitz:
         x, y, t = self.region_samples(self.REGION, samples, seed)
         with mpmath.workdps(30):
             pts = [[mp_develop(s, *p, chart) for p in zip(x.tolist(), y.tolist(), t.tolist())] for s in (s1, s2)]
-            d1, d2 = ([mp_distance(p, q) for p, q in zip(dev[:-1], dev[1:])] for dev in pts)
-            ratios = [e2 / e1 for e1, e2 in zip(d1, d2)]
-            want = max(max(ratios), 1 / min(ratios))
+            want = mp_khat(pts)
         got = estimate_bilipschitz(s1, s2, self.REGION, samples, seed=seed, chart=chart)
         assert abs(got - want) <= 1e-13 * want
 
