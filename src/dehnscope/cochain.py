@@ -92,10 +92,8 @@ class MarkedRepresentation:
         """
         import numpy as np
 
-        rows = [
-            [e - x for e, x in zip(unit, ad)] for g in self.generators for unit, ad in zip(_UNIT_ROWS, adjoint_rows(g))
-        ]
-        mat = np.array(rows, dtype=complex).reshape(-1, 3)
+        units = (SL2Vector(1 + 0j, 0j, 0j), SL2Vector(0j, 1 + 0j, 0j), SL2Vector(0j, 0j, 1 + 0j))
+        mat = np.column_stack([Cocycle.coboundary(self, e).coords() for e in units])
         sv = _singular_values(mat)
         mat.setflags(write=False)  # every caller shares these two arrays
         sv.setflags(write=False)
@@ -172,10 +170,6 @@ def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
     residuals = (_fold(c, word, walk).norm() for word, walk in zip(rep.relators, rep._walks))
     worst = max(residuals, default=0.0, key=lambda r: (math.isnan(r), r))  # a NaN ranks above every number
     return worst <= tol, worst
-
-
-#: rows of the 3x3 identity, complex so that e - x subtracts as numpy's complex128 does
-_UNIT_ROWS = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
 
 
 def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:

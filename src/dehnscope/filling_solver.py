@@ -120,10 +120,16 @@ def _check_target(x: float, y: float) -> None:
 
 
 def solve_direct(b: complex, x: float, y: float) -> EndParameter:
-    """Closed-form parameter with filling coordinates +-(x, y): a = 2*pi*i/(x + by)."""
+    """Closed-form parameter with filling coordinates +-(x, y): a = 2*pi*i/(x + by).
+
+    ValueError, for a finite b, where x + by or its modulus overflows: the quotient would round to the cusp.
+    """
     _check_target(x, y)
     b = complex(b)
-    return EndParameter(TWO_PI_I / (x + b * y), b)
+    den = x + b * y
+    if cmath.isfinite(b) and math.hypot(den.real, den.imag) == math.inf:
+        raise ValueError(f"x + b*y = {den} overflows for b = {b}, (x, y) = ({x!r}, {y!r})")
+    return EndParameter(TWO_PI_I / den, b)
 
 
 def solve_on_path(

@@ -206,10 +206,23 @@ def hyp_distance(p: H3Point, q: H3Point) -> float:
     """Hyperbolic distance d = 2 asinh(|p - q| / (2 sqrt(t_p) sqrt(t_q))), |p - q| the Euclidean distance in C x R.
 
     This is cosh d = 1 + |p - q|^2 / (2 t_p t_q) without the cancellation of cosh d - 1
-    near d = 0; the two roots are taken apart so that their product cannot underflow.
+    near d = 0; the two roots are taken apart so that t_p t_q cannot underflow before one is taken.
+    Where the chord, its denominator or their quotient overflows, the coordinate
+    differences are taken in quarters (so their moduli stay finite) and, where the
+    quotient x still overflows, 2 asinh x = 2 log 2x.
     """
-    chord = math.hypot(abs(p.z - q.z), p.t - q.t)
-    return 2.0 * math.asinh(chord / (2.0 * math.sqrt(p.t) * math.sqrt(q.t)))
+    root = 2.0 * math.sqrt(p.t) * math.sqrt(q.t)
+    try:
+        x = math.hypot(abs(p.z - q.z), p.t - q.t) / root
+    except OverflowError:  # abs of a complex number raises where its modulus overflows
+        x = math.inf
+    if x < math.inf and root < math.inf:
+        return 2.0 * math.asinh(x)
+    quarter = math.hypot(abs(p.z / 4.0 - q.z / 4.0), (p.t - q.t) / 4.0)
+    x = quarter / math.sqrt(p.t) / (0.5 * math.sqrt(q.t))
+    if x < math.inf:
+        return 2.0 * math.asinh(x)
+    return 2.0 * (math.log(quarter) + math.log(4.0)) - math.log(p.t) - math.log(q.t)
 
 
 def classify(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> IsomClass:

@@ -214,11 +214,6 @@ class Compose(ConformalMap):
         yield f3 * g1 ** 3 + 3.0 * f2 * g1 * g2 + f1 * g3
 
 
-def PostMobius(m: MobiusTransform, f: ConformalMap) -> Compose:
-    """m o f; used to exercise Mobius invariance."""
-    return Compose(MobiusMap(m), f)
-
-
 def parse_map(spec: str) -> ConformalMap:
     """Catalog names: identity, square, log, power:<re[,im]>, mobius:<8 floats>."""
     if spec == "identity":

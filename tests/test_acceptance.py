@@ -10,11 +10,14 @@ the README's numerical notes).
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import dehnscope
 from dehnscope.cochain import (
     MarkedRepresentation,
     class_rank,
@@ -30,10 +33,10 @@ from dehnscope.hypcore import (
     length_distance,
 )
 from dehnscope.schwarzian_end import (
+    Compose,
     GridSpec,
     LogMap,
     MobiusMap,
-    PostMobius,
     PowerMap,
     SquareMap,
     framed_point,
@@ -312,7 +315,7 @@ def test_criterion_11_schwarzian_identities():
         for _ in range(25):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.5))
             worst_post = max(
-                worst_post, abs(schwarzian(PostMobius(m, f), z) - schwarzian(f, z))
+                worst_post, abs(schwarzian(Compose(MobiusMap(m), f), z) - schwarzian(f, z))
             )
     for _ in range(100):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.5))
@@ -357,10 +360,13 @@ CLI_EXAMPLES = [
 
 def test_criterion_12_cli_determinism():
     mismatches = []
+    # the children import the package from the same source tree as this process
+    path = os.pathsep.join(filter(None, [str(Path(dehnscope.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     for example in CLI_EXAMPLES:
         cmd = [sys.executable, "-m", "dehnscope.cli"] + example
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         if first.stdout != second.stdout:
             mismatches.append(example[0])
     check(

@@ -23,7 +23,7 @@ from dehnscope.cochain import (
     tangent_cocycle,
     _relator_jacobian,
 )
-from dehnscope.hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix
+from dehnscope.hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, adjoint_rows
 from dehnscope.torus_end import EndParameter, holonomy_representation, z0_of
 
 Z2_RELATOR = ((1, 2, -1, -2),)
@@ -522,6 +522,44 @@ class TestStoredWork:
         first = solve_coboundary(rep, z)
         assert all(not arr.flags.writeable for arr in rep._coboundary)
         assert solve_coboundary(rep, z) == first and first[1] < 1e-12
+
+    @staticmethod
+    def row_formula(rep: MarkedRepresentation) -> np.ndarray:
+        """The coboundary matrix by rows: e_i minus row i of Ad rho(g), generator by generator."""
+        units = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
+        rows = [[e - x for e, x in zip(unit, ad)] for g in rep.generators for unit, ad in zip(units, adjoint_rows(g))]
+        return np.array(rows, dtype=complex).reshape(-1, 3)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        gens=st.one_of(
+            st.builds(
+                lambda a, b: holonomy_representation(EndParameter(a, b)),
+                st.one_of(st.sampled_from([2j * math.pi, -2j * math.pi, 4j * math.pi, 0j]), end_a),
+                end_b,
+            ),
+            st.builds(
+                lambda seed, k: tuple(random_mobius(np.random.default_rng(seed)) for _ in range(k)),
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 3),
+            ),
+        ),
+        coords=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=9, max_size=9),
+    )
+    def test_coboundary_matrix_is_the_row_formula(self, gens, coords):
+        # the kept matrix, built from Cocycle.coboundary, and everything read from it, against the row formula
+        rep = MarkedRepresentation(gens, ())  # the coboundary map does not read the relators
+        ref = MarkedRepresentation(rep.generators, rep.relators)
+        mat = self.row_formula(rep)
+        ref.__dict__["_coboundary"] = (mat, np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0))
+        got_mat, got_sv = rep._coboundary
+        assert np.array_equal(got_mat, mat) and got_mat.shape == mat.shape
+        assert got_sv.tobytes() == ref._coboundary[1].tobytes()
+        assert h1_dimension(rep) == h1_dimension(ref)
+        c = Cocycle(tuple(SL2Vector.from_coords(coords[3 * i : 3 * i + 3]) for i in range(len(gens))))
+        assert class_rank(rep, [c]) == class_rank(ref, [c])
+        (v, residual), (v_ref, residual_ref) = solve_coboundary(rep, c), solve_coboundary(ref, c)
+        assert v == v_ref and struct.pack("<d", residual) == struct.pack("<d", residual_ref)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -319,6 +319,42 @@ class TestHypDistance:
         assert abs(got - want) <= 12 * 2.0**-53 * float(want) + 2.0**-1072
 
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        p=st.tuples(st.builds(complex, st.floats(-1.7e308, 1.7e308), st.floats(-1.7e308, 1.7e308)), st.floats(5e-324, 1.7e308)),
+        q=st.tuples(st.builds(complex, st.floats(-1.7e308, 1.7e308), st.floats(-1.7e308, 1.7e308)), st.floats(5e-324, 1.7e308)),
+    )
+    @example(p=(0j, 5e-324), q=(1e300 + 0j, 1.0))  # the quotient overflows: inf before, for d = 2125.99...
+    @example(p=(-1e308 + 0j, 1.0), q=(1e308 + 0j, 1.0))  # z_p - z_q overflows: inf before, for d = 1419.78...
+    @example(p=(0j, 1.7e308), q=(1e300 + 0j, 1.7e308))  # the root overflows: 0.0 before, for d = 5.88e-9
+    @example(p=(1.7e308 + 1.7e308j, 1.0), q=(-1.7e308 - 1.7e308j, 1.0))  # a halved difference's modulus overflows
+    @example(p=(0j, 5e-324), q=(1j, 5e-324))  # root / 4 underflows to 0
+    @example(p=(0j, 1.0), q=(1.2711610061536462e308 + 1.2711610061536464e308j, 1.0))  # abs raised OverflowError
+    def test_overflow_takes_quarters_and_logs(self, p, q):
+        """Where nothing overflows hyp_distance keeps its bits; where something does, it is within 12u d.
+
+        The fast formula is 2 asinh(hypot(|z_p - z_q|, t_p - t_q) / root), root = 2 sqrt(t_p) sqrt(t_q).
+        Otherwise the differences are taken in quarters, exact outside the subnormal range,
+        so x = quarter / sqrt(t_p) / (sqrt(t_q) / 2) has the roundings, and the bound, of
+        test_matches_60_digit_oracle.  Where that x overflows too, x > 2^1024 and d =
+        2 (log quarter + log 4) - log t_p - log t_q > 1421, with asinh x - log 2x below
+        x^-2; u = 2^-53.  log quarter inherits 5u and rounds by 1 ulp (2u) of at most 710;
+        log 4 rounds by 3u; each log t by 1 ulp of at most 745; the four additions by u of
+        partial sums of at most 2914.  That totals under 12400u, which is 8.8u of d.
+        """
+        root = 2.0 * math.sqrt(p[1]) * math.sqrt(q[1])
+        try:
+            fast = 2.0 * math.asinh(math.hypot(abs(p[0] - q[0]), p[1] - q[1]) / root)
+        except OverflowError:  # abs(z_p - z_q) raised this
+            fast = math.inf
+        got = hyp_distance(H3Point(*p), H3Point(*q))
+        if math.isfinite(fast) and root < math.inf:
+            assert struct.pack("<d", got) == struct.pack("<d", fast)
+        else:
+            want = mp_hyp_distance(p, q)
+            assert abs(got - want) <= 12 * 2.0**-53 * float(want) + 2.0**-1072
+
+
 class TestAdjoint:
     def test_identity(self):
         v = SL2Vector.from_coords([0.3, 1 - 2j, 0.5j])
