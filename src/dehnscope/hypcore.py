@@ -206,7 +206,7 @@ def hyp_distance(p: H3Point, q: H3Point) -> float:
     """Hyperbolic distance d = 2 asinh(|p - q| / (2 sqrt(t_p) sqrt(t_q))), |p - q| the Euclidean distance in C x R.
 
     This is cosh d = 1 + |p - q|^2 / (2 t_p t_q) without the cancellation of cosh d - 1
-    near d = 0; the two roots are taken apart so that t_p t_q cannot underflow before one is taken.
+    near d = 0; the two roots are taken apart, so t_p t_q, which can underflow, is never formed.
     Where the chord, its denominator or their quotient overflows, the coordinate
     differences are taken in quarters (so their moduli stay finite) and, where the
     quotient x still overflows, 2 asinh x = 2 log 2x.
