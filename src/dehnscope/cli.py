@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 from . import cochain, filling_solver, schwarzian_end, torus_end
 from .config import COCYCLE_TOL, MAX_CLI_VALUES, RunConfig, finite_float, load_config
-from .hypcore import MobiusTransform, SL2Vector, classify, complex_translation_length
+from .hypcore import MobiusTransform, SL2Vector, classify
 from .schwarzian_end import GridSpec, parse_map
 from .torus_end import EndParameter, EndRegion
 
@@ -148,10 +148,10 @@ def _mobius_payload(m: MobiusTransform) -> dict:
 def _class_payload(m: MobiusTransform, tol: float) -> dict:
     cls = classify(m, tol=tol)
     out: dict = {"kind": cls.kind}
-    if cls.kind == "elliptic":
+    if cls.angle is not None:
         out["angle"] = cls.angle
-    if cls.kind in ("elliptic", "loxodromic"):
-        out["complex_length"] = _cpx(complex_translation_length(m, tol=tol))
+    if cls.length is not None:
+        out["complex_length"] = _cpx(cls.length)
     return out
 
 

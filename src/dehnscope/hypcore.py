@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .config import CLASSIFY_TOL
+from .config import CLASSIFY_TOL, positive_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,7 +155,11 @@ class SL2Vector:
 
 @dataclass(frozen=True)
 class IsomClass:
-    """Classification tag: identity, parabolic, elliptic(angle) or loxodromic(length)."""
+    """Classification tag: identity, parabolic, elliptic(angle, length) or loxodromic(length).
+
+    length is the complex translation length: i angle for an elliptic element, and
+    Re > 0, Im in (-pi, pi] for a loxodromic one; None for the other two kinds.
+    """
 
     kind: str
     angle: float | None = None
@@ -226,7 +230,17 @@ def hyp_distance(p: H3Point, q: H3Point) -> float:
 
 
 def classify(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> IsomClass:
-    """Classify by trace: tr^2 = 4 parabolic/identity, tr^2 in [0,4) real elliptic."""
+    """Classify by the trace alone, tr = +-2 cosh(l/2) (Hodgson-Kerckhoff).
+
+    |tr^2 - 4| < tol: the identity when m is within tol of it, parabolic otherwise.
+    |Im tr^2| < tol and 0 <= Re tr^2 < 4: elliptic, with the rotation angle
+    2 acos(|Re tr| / 2) in (0, pi] and length i angle.  Otherwise loxodromic, with
+    length 2 acosh(tr / 2) reduced into Im l in (-pi, pi]; acosh's principal branch
+    has Re > 0 off [-1, 1], and the sign of tr only shifts l by 2 pi i.  Where tr^2
+    overflows both tests fail, and acosh, which takes a log for large arguments,
+    stays finite.  tol must be positive and finite (ValueError otherwise).
+    """
+    positive_finite("tol", tol)
     tr = m.trace()
     tr2 = tr * tr
     if abs(tr2 - 4.0) < tol:
@@ -234,43 +248,23 @@ def classify(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> IsomClass:
             return IsomClass("identity")
         return IsomClass("parabolic")
     if abs(tr2.imag) < tol and 0.0 <= tr2.real < 4.0:
-        # tr = +-2 cos(theta/2); canonical angle representative in (0, pi]
         angle = 2.0 * math.acos(min(1.0, abs(tr.real) / 2.0))
-        return IsomClass("elliptic", angle=angle)
-    return IsomClass("loxodromic", length=complex_translation_length(m, tol=tol))
-
-
-def _large_eigenvalue(tr: complex) -> complex:
-    """Eigenvalue of largest modulus of an SL2 matrix with trace tr."""
-    s = cmath.sqrt(tr * tr / 4.0 - 1.0)
-    # choose the sqrt branch avoiding cancellation against tr/2
-    if (tr / 2.0 * s.conjugate()).real < 0:
-        s = -s
-    lam = tr / 2.0 + s
-    if abs(lam) < 1.0:
-        lam = 1.0 / lam
-    return lam
-
-
-def _reduce_im(ell: complex) -> complex:
-    """Shift by multiples of 2*pi*i so that Im lies in (-pi, pi]."""
+        return IsomClass("elliptic", angle=angle, length=complex(0.0, angle))
+    ell = 2.0 * cmath.acosh(tr / 2.0)
     k = math.floor((math.pi - ell.imag) / (2.0 * math.pi))
-    return complex(ell.real, ell.imag + 2.0 * math.pi * k)
+    return IsomClass("loxodromic", length=complex(ell.real, ell.imag + 2.0 * math.pi * k))
 
 
 def complex_translation_length(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> complex:
-    """Complex length l with tr = +-2 cosh(l/2), taken mod 2*pi*i and mod sign.
+    """Complex length l with tr = +-2 cosh(l/2), mod 2 pi i and sign: classify(m, tol).length.
 
-    Canonical representative: Re l >= 0 and Im l in (-pi, pi]; when Re l = 0
-    (elliptic) the imaginary part is taken positive.
+    Loxodromic: Re l > 0 and Im l in (-pi, pi]; elliptic: l = i angle, Im l in (0, pi].
+    ParabolicInput for a parabolic element or the identity.
     """
-    tr = m.trace()
-    if abs(tr * tr - 4.0) < tol:
+    length = classify(m, tol).length
+    if length is None:
         raise ParabolicInput("complex length undefined for parabolic or identity input")
-    ell = _reduce_im(2.0 * cmath.log(_large_eigenvalue(tr)))
-    if ell.real < 0 or (ell.real == 0 and ell.imag < 0):
-        ell = _reduce_im(-ell)
-    return ell
+    return length
 
 
 def length_distance(l1: complex, l2: complex) -> float:

@@ -43,6 +43,24 @@ def mp_holonomy(a, b, m, n):
         return p, tau / p, mpmath.mpc(0), 1 / p
 
 
+def mp_complex_length(entries):
+    """Complex translation length of the PSL(2,C) element with entries (a11, a12, a21, a22), at DPS digits.
+
+    The matrix is divided by a square root of its determinant, which puts it in
+    SL(2,C) with eigenvalues lambda and 1/lambda; l = 2 log lambda for the
+    eigenvalue of larger modulus, with Im l moved into (-pi, pi] by a multiple of
+    2 pi i (the other root of the determinant negates lambda, which moves l by
+    2 pi i).  For elements that are neither parabolic nor the identity.
+    """
+    with mpmath.workdps(DPS):
+        a, b, c, d = map(mpmath.mpc, entries)
+        root = mpmath.sqrt(a * d - b * c)
+        lam = max(mpmath.eig(mpmath.matrix([[a, b], [c, d]]) / root, left=False, right=False), key=abs)
+        ell = 2 * mpmath.log(lam)
+        k = mpmath.floor((mpmath.pi - ell.imag) / (2 * mpmath.pi))
+        return mpmath.mpc(ell.real, ell.imag + 2 * mpmath.pi * k)
+
+
 def mp_hyp_distance(p, q):
     """Hyperbolic distance between two (z, t) points of upper half-space at DPS digits.
 

@@ -40,6 +40,7 @@ class TestHolonomyCommand:
         payload = json.loads(out)
         assert payload["classification"]["kind"] == "elliptic"
         assert abs(payload["classification"]["angle"] - math.pi) < 1e-9
+        assert payload["classification"]["complex_length"] == [0.0, payload["classification"]["angle"]]
 
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -6,7 +6,8 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import mpmath
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dehnscope.hypcore import (
@@ -26,7 +27,8 @@ from dehnscope.hypcore import (
     right_translate,
 )
 from dehnscope.schwarzian_end import MobiusMap
-from mp_reference import mp_adjoint, mp_hyp_distance
+from dehnscope.torus_end import EndParameter, holonomy
+from mp_reference import mp_adjoint, mp_complex_length, mp_hyp_distance
 
 
 def random_mobius(rng) -> MobiusTransform:
@@ -57,6 +59,44 @@ mobius = (
     .map(lambda e: MobiusTransform.from_entries(*e))
 )
 sl2_vectors = st.tuples(_entry, _entry, _entry).map(SL2Vector.from_coords)
+
+
+def _translation(ell: complex, c: complex = 0j) -> MobiusTransform:
+    """[[e^(l/2), c], [0, e^(-l/2)]], whose complex length is l."""
+    return MobiusTransform(cmath.exp(ell / 2), c, 0j, cmath.exp(-ell / 2))
+
+
+_angle = st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True)
+#: conjugated rotations by angles in (0, 2 pi)
+rotations = st.builds(lambda theta, g: g @ _translation(complex(0.0, theta)) @ g.inverse(), _angle, mobius)
+_lengths_near_zero = st.builds(
+    lambda r, phi: 10.0**r * cmath.exp(1j * phi), st.floats(-8.0, -2.0), st.floats(-math.pi, math.pi)
+)
+#: random elements, holonomy words, conjugated near-parabolic elements (either sign) and
+#: triangular ones with Re l up to 1400
+loxodromics = st.one_of(
+    mobius,
+    st.builds(
+        lambda a, b, m, n: holonomy(EndParameter(a, b), m, n),
+        st.builds(complex, st.floats(-3.0, 3.0), st.floats(-7.0, 7.0)),
+        st.builds(complex, st.floats(-2.0, 2.0), st.floats(0.1, 2.0)),
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+    ),
+    st.builds(
+        lambda ell, g, sign: MobiusTransform(*(sign * e for e in (g @ _translation(ell) @ g.inverse()).entries())),
+        _lengths_near_zero,
+        mobius,
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.builds(
+        lambda re, im, c: _translation(complex(re, im), c),
+        st.floats(1e-3, 1400.0),
+        st.floats(-math.pi, math.pi),
+        _entry,
+    ),
+)
+
 #: the 16 real parts of two raw matrices, with up to two of them replaced by a signed zero or a non-finite value
 _raw_parts = st.builds(
     lambda parts, specials: [dict(specials).get(i, x) for i, x in enumerate(parts)],
@@ -226,6 +266,54 @@ class TestComplexTranslationLength:
             g = random_mobius(rng)
             ell2 = complex_translation_length(g @ m @ g.inverse())
             assert length_distance(ell, ell2) < 1e-10
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=rotations)
+    @example(m=holonomy(EndParameter(2.5j, 1j), 1, 0))  # read 1.4e-17 - 2.5i against angle 2.5
+    def test_elliptic_length_is_i_angle(self, m):
+        cls = classify(m)
+        if cls.kind == "elliptic":
+            ell = complex_translation_length(m)
+            assert ell == cls.length == complex(0.0, cls.angle)
+            assert 0 < ell.imag <= math.pi
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(m=loxodromics)
+    @example(m=_translation(complex(800.0, 0.6)))  # tr^2 overflows: ValueError before
+    @example(m=MobiusTransform.from_entries(1.4e154, 0.0, 0.0, 1.0 / 1.4e154))
+    def test_loxodromic_length_matches_60_digit_oracle(self, m):
+        """classify's loxodromic length against mp_complex_length, with the bound derived from 2 acosh(tr / 2).
+
+        u = 2^-53.  The reference divides the matrix by sqrt(det), so its trace is 2w with
+        w = (a11 + a22) / (2 sqrt(det)), and the computed w^ = fl(a11 + a22) / 2 is within
+        |d| <= |w| (u + |det - 1| / 2) of it, to first order.  As cosh(l/2) = w, one of
+        |sinh(l^/2) -+ sinh(l/2)| is at most |w^^2 - w^2| / |sinh(l/2)| (of a + b and a - b one
+        has modulus at least |b|), which is |d| |w^ + w| / |sinh(l/2)|; asinh divides that by
+        |cosh(l/2)| = |w|, so l^ is within 4 |d| / |sinh(l/2)| = 2 |tr| (u + |det - 1| / 2) /
+        |sinh(l/2)| of +-l, mod 2 pi i.  cmath.acosh within 2 ulps and the shift by a rounded
+        2 pi k add 4u (|l| + 2 pi).  The comparison is mod 2 pi i and sign, as the length is
+        defined: where Re l is within the bound of 0 the rounded trace can pick the other sign.
+        """
+        cls = classify(m, tol=5e-324)
+        assume(cls.kind == "loxodromic")
+        ell = cls.length
+        assert ell.real > 0 and -math.pi < ell.imag <= math.pi
+        want = mp_complex_length(m.entries())
+        with mpmath.workdps(30):
+            a11, a12, a21, a22 = map(mpmath.mpc, m.entries())
+            det_gap = abs(a11 * a22 - a12 * a21 - 1)
+            bound = 2 * abs(m.trace()) * (2.0**-53 + det_gap / 2) / abs(mpmath.sinh(want / 2))
+            bound += 4 * 2.0**-53 * (abs(want) + 2 * math.pi)
+            gap = min(abs(ell - sign * want - 2j * mpmath.pi * k) for sign in (1, -1) for k in (-1, 0, 1))
+        assert gap <= bound
+
+    def test_tolerance_checked(self):
+        m = MobiusTransform(1.0, 1.0, 0.0, 1.0)
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                classify(m, tol)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                complex_translation_length(m, tol)
 
     def test_canonical_range(self):
         rng = np.random.default_rng(32)
