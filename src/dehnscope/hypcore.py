@@ -211,13 +211,19 @@ def hyp_distance(p: H3Point, q: H3Point) -> float:
 
     This is cosh d = 1 + |p - q|^2 / (2 t_p t_q) without the cancellation of cosh d - 1
     near d = 0; the two roots are taken apart, so t_p t_q, which can underflow, is never formed.
+    Where their product is subnormal, and so short of bits, the differences and heights
+    are scaled by 2^1000 first: a dilation is an isometry, and exact in binary.
     Where the chord, its denominator or their quotient overflows, the coordinate
     differences are taken in quarters (so their moduli stay finite) and, where the
     quotient x still overflows, 2 asinh x = 2 log 2x.
     """
+    dz, dt = p.z - q.z, p.t - q.t
     root = 2.0 * math.sqrt(p.t) * math.sqrt(q.t)
+    if root < 2.0**-1022:
+        dz, dt = dz * 2.0**1000, dt * 2.0**1000
+        root = 2.0 * math.sqrt(p.t * 2.0**1000) * math.sqrt(q.t * 2.0**1000)
     try:
-        x = math.hypot(abs(p.z - q.z), p.t - q.t) / root
+        x = math.hypot(abs(dz), dt) / root
     except OverflowError:  # abs of a complex number raises where its modulus overflows
         x = math.inf
     if x < math.inf and root < math.inf:

@@ -422,6 +422,8 @@ class TestHypDistance:
         """Where nothing overflows hyp_distance keeps its bits; where something does, it is within 12u d.
 
         The fast formula is 2 asinh(hypot(|z_p - z_q|, t_p - t_q) / root), root = 2 sqrt(t_p) sqrt(t_q).
+        A subnormal root is not taken as it is (test_subnormal_root_is_scaled), so it goes
+        to the 60-digit comparison too.
         Otherwise the differences are taken in quarters, exact outside the subnormal range,
         so x = quarter / sqrt(t_p) / (sqrt(t_q) / 2) has the roundings, and the bound, of
         test_matches_60_digit_oracle.  Where that x overflows too, x > 2^1024 and d =
@@ -436,12 +438,29 @@ class TestHypDistance:
         except OverflowError:  # abs(z_p - z_q) raised this
             fast = math.inf
         got = hyp_distance(H3Point(*p), H3Point(*q))
-        if math.isfinite(fast) and root < math.inf:
+        if math.isfinite(fast) and 2.0**-1022 <= root < math.inf:
             assert struct.pack("<d", got) == struct.pack("<d", fast)
         else:
             want = mp_hyp_distance(p, q)
             assert abs(got - want) <= 12 * 2.0**-53 * float(want) + 2.0**-1072
 
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.tuples(st.builds(complex, st.floats(-1e-290, 1e-290), st.floats(-1e-290, 1e-290)), st.floats(5e-324, 1e-300)),
+        q=st.tuples(st.builds(complex, st.floats(-1e-290, 1e-290), st.floats(-1e-290, 1e-290)), st.floats(5e-324, 1e-300)),
+    )
+    @example(p=(0j, 3e-320), q=(1e-320 + 0j, 7e-321))  # 1.5655179879730785 before, 6.5e-5 off
+    def test_subnormal_root_is_scaled(self, p, q):
+        """With both heights in [5e-324, 1e-300], so 2 sqrt(t_p) sqrt(t_q) can be subnormal, d is within 12u d.
+
+        A subnormal root is short of bits, so hyp_distance dilates the differences and
+        heights by 2^1000 first; that is exact in binary and leaves d unchanged, so the
+        roundings, and the bound, are those of test_matches_60_digit_oracle.
+        """
+        got = hyp_distance(H3Point(*p), H3Point(*q))
+        want = mp_hyp_distance(p, q)
+        assert abs(got - want) <= 12 * 2.0**-53 * float(want) + 2.0**-1072
 
 class TestAdjoint:
     def test_identity(self):

@@ -33,6 +33,7 @@ from dehnscope.torus_end import (
     FillingCoordinate,
     ZeroA,
     _aligned_holonomy,
+    _filling_arrays,
     _chart,
     canonical_sign_pair,
     classify_completion,
@@ -713,6 +714,25 @@ ORACLE_FILL_A = st.builds(complex, far_from_underflow(-7.0, 7.0), far_from_under
     lambda a: abs(a) > 1e-3
 )
 
+#: (a, b) samples for the array filling coordinates: random a, a = 2*pi*i/(x + by) for coordinates
+#: (x, y) up to 1e12 (near the cusp) or with x near 0, and a near or on the pole locus 2*pi*i*k
+FILL_SAMPLES = st.one_of(
+    st.tuples(ORACLE_FILL_A, END_B),
+    st.tuples(
+        st.one_of(far_from_underflow(-1e-14, 1e-14), far_from_underflow(-1e12, 1e12)),
+        far_from_underflow(-1e12, 1e12),
+        END_B,
+    )
+    .filter(lambda xyb: xyb[:2] != (0, 0))
+    .map(lambda xyb: (TWO_PI_I / (xyb[0] + xyb[2] * xyb[1]), xyb[2])),
+    st.builds(
+        lambda k, d, b: (TWO_PI_I * k + d, b),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.builds(complex, far_from_underflow(-1e-6, 1e-6), far_from_underflow(-1e-6, 1e-6)),
+        END_B,
+    ),
+)
+
 
 class TestFillingOracle:
     """filling_coordinates against the 60-digit mp_filling_xy.
@@ -739,6 +759,35 @@ class TestFillingOracle:
         assert float(abs(got.y - y)) <= 8 * U * float(abs(y))
         assert float(abs(got.x - x)) <= 16 * U * (abs(2j * math.pi / a) + abs(b.real) * float(abs(y)))
 
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(samples=st.lists(FILL_SAMPLES, min_size=1, max_size=8))
+    @example(samples=[(TWO_PI_I, 1j), (0j, 1j), (TWO_PI_I / (0.3 + 0.9j), 0.3 + 0.9j), (1e-12 + 0j, 0.5 + 1j)])
+    def test_arrays_match_scalar(self, samples):
+        """_filling_arrays against filling_coordinates, sample by sample, with the bound derived from _filling_xy.
+
+        w = 2*pi*i/a has a zero real numerator.  CPython divides by the one-signed sum
+        d = a_r + a_i r, r = a_i / a_r (or with the parts swapped), so each part of w is within 6 u
+        of the quotient of the same 2*pi*i, relative; numpy multiplies by the rounded 1/d, within
+        7 u.  The two parts are within 13 u of each other, and y = Im w / Im b, rounded once more
+        in each, within 15 u |y|.  x = Re w - Re b y can cancel, so its bound is absolute in the
+        summands: 13 u |Re w| from w, 17 u |Re b y| from the products, and u |x| <= u (|Re w| +
+        |Re b y|) from each subtraction, so |x_array - x| <= 15 u |Re w| + 19 u |Re b| |y|.  Where
+        |x| is within that bound of 0 the canonical sign can go either way, so the comparison is
+        up to +-.  At a = 0 both give the cusp.
+        """
+        a, b = (np.array(v, dtype=complex) for v in zip(*samples))
+        cusp, xs, ys = _filling_arrays(a, b)
+        for (ak, bk), at_cusp, x, y in zip(samples, cusp.tolist(), xs.tolist(), ys.tolist()):
+            want = filling_coordinates(EndParameter(ak, bk))
+            assert at_cusp == want.infinite
+            if at_cusp:
+                continue
+            bound_x = 15 * U * abs((TWO_PI_I / ak).real) + 19 * U * abs(bk.real) * abs(want.y)
+            if abs(want.x) <= bound_x and abs(x + want.x) + abs(y + want.y) < abs(x - want.x) + abs(y - want.y):
+                x, y = -x, -y
+            assert abs(x - want.x) <= bound_x
+            assert abs(y - want.y) <= 15 * U * abs(want.y)
 
 class TestCrossSection:
     def test_pure_translation(self):
