@@ -17,7 +17,7 @@ PACKAGE = Path(dehnscope.__file__).parent
 
 
 def _unread_imports(source: str) -> list[str]:
-    """"name:line" for each name the source binds by an import and never loads, in line order."""
+    """Each name the source binds by an import and never loads, as "name:line", in line order."""
     tree = ast.parse(source)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unread = []
