@@ -185,9 +185,13 @@ def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:
     for word, walk in zip(rep.relators, rep._walks):
         block = [[0j] * (3 * k) for _ in range(3)]
         for sign, i, prefix in _fox_terms(word, walk):
-            for row, xs in zip(block, adjoint_rows(prefix)):
-                for j, x in enumerate(xs, 3 * i):
-                    row[j] += x if sign > 0 else -x  # a - b is a + (-b) in IEEE arithmetic
+            col = 3 * i
+            for row, (x0, x1, x2) in zip(block, adjoint_rows(prefix)):
+                if sign < 0:
+                    x0, x1, x2 = -x0, -x1, -x2  # a - b is a + (-b) in IEEE arithmetic
+                row[col] += x0
+                row[col + 1] += x1
+                row[col + 2] += x2
         rows += block
     return np.array(rows, dtype=complex).reshape(3 * len(rep.relators), 3 * k)
 

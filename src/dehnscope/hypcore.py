@@ -239,24 +239,24 @@ def classify(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> IsomClass:
     """Classify by the trace alone, tr = +-2 cosh(l/2) (Hodgson-Kerckhoff).
 
     |tr^2 - 4| < tol: the identity when m is within tol of it, parabolic otherwise.
-    |Im tr^2| < tol and 0 <= Re tr^2 < 4: elliptic, with the rotation angle
-    2 acos(|Re tr| / 2) in (0, pi] and length i angle.  Otherwise loxodromic, with
-    length 2 acosh(tr / 2) reduced into Im l in (-pi, pi]; acosh's principal branch
-    has Re > 0 off [-1, 1], and the sign of tr only shifts l by 2 pi i.  Where tr^2
-    overflows both tests fail, and acosh, which takes a log for large arguments,
-    stays finite.  tol must be positive and finite (ValueError otherwise).
+    Else l = 2 acosh(tr / 2), whose principal branch has Re l >= 0, and the sign of
+    tr only shifts l by 2 pi i.  Re l < tol and |Re tr| < 2: elliptic, with the
+    rotation angle 2 acos(|Re tr| / 2) in (0, pi] and length i angle, so the real
+    part dropped is below tol.  Otherwise loxodromic, with l reduced into
+    Im l in (-pi, pi].  Where tr^2 overflows the first test fails, and acosh, which
+    takes a log for large arguments, stays finite.  tol must be positive and finite
+    (ValueError otherwise).
     """
     positive_finite("tol", tol)
     tr = m.trace()
-    tr2 = tr * tr
-    if abs(tr2 - 4.0) < tol:
+    if abs(tr * tr - 4.0) < tol:
         if m.distance(MobiusTransform.identity()) < tol:
             return IsomClass("identity")
         return IsomClass("parabolic")
-    if abs(tr2.imag) < tol and 0.0 <= tr2.real < 4.0:
-        angle = 2.0 * math.acos(min(1.0, abs(tr.real) / 2.0))
-        return IsomClass("elliptic", angle=angle, length=complex(0.0, angle))
     ell = 2.0 * cmath.acosh(tr / 2.0)
+    if ell.real < tol and abs(tr.real) < 2.0:
+        angle = 2.0 * math.acos(abs(tr.real) / 2.0)
+        return IsomClass("elliptic", angle=angle, length=complex(0.0, angle))
     k = math.floor((math.pi - ell.imag) / (2.0 * math.pi))
     return IsomClass("loxodromic", length=complex(ell.real, ell.imag + 2.0 * math.pi * k))
 
@@ -264,7 +264,8 @@ def classify(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> IsomClass:
 def complex_translation_length(m: MobiusTransform, tol: float = CLASSIFY_TOL) -> complex:
     """Complex length l with tr = +-2 cosh(l/2), mod 2 pi i and sign: classify(m, tol).length.
 
-    Loxodromic: Re l > 0 and Im l in (-pi, pi]; elliptic: l = i angle, Im l in (0, pi].
+    Loxodromic: Re l > 0 and Im l in (-pi, pi]; elliptic: l = i angle, Im l in (0, pi],
+    which drops a real part below tol.
     ParabolicInput for a parabolic element or the identity.
     """
     length = classify(m, tol).length

@@ -10,6 +10,7 @@ import mpmath
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dehnscope.config import CLASSIFY_TOL
 from dehnscope.hypcore import (
     H3Point,
     IsomClass,
@@ -72,9 +73,9 @@ rotations = st.builds(lambda theta, g: g @ _translation(complex(0.0, theta)) @ g
 _lengths_near_zero = st.builds(
     lambda r, phi: 10.0**r * cmath.exp(1j * phi), st.floats(-8.0, -2.0), st.floats(-math.pi, math.pi)
 )
-#: random elements, holonomy words, conjugated near-parabolic elements (either sign) and
-#: triangular ones with Re l up to 1400
-loxodromics = st.one_of(
+#: random elements, holonomy words, conjugated near-parabolic elements (either sign),
+#: conjugated near-elliptic ones with Re l down to 1e-14, and triangular ones with Re l up to 1400
+lengths = st.one_of(
     mobius,
     st.builds(
         lambda a, b, m, n: holonomy(EndParameter(a, b), m, n),
@@ -88,6 +89,9 @@ loxodromics = st.one_of(
         _lengths_near_zero,
         mobius,
         st.sampled_from([1.0, -1.0]),
+    ),
+    st.builds(
+        lambda r, theta, g: g @ _translation(complex(10.0**r, theta)) @ g.inverse(), st.floats(-14.0, -3.0), _angle, mobius
     ),
     st.builds(
         lambda re, im, c: _translation(complex(re, im), c),
@@ -278,11 +282,14 @@ class TestComplexTranslationLength:
             assert 0 < ell.imag <= math.pi
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(m=loxodromics)
+    @given(m=lengths)
     @example(m=_translation(complex(800.0, 0.6)))  # tr^2 overflows: ValueError before
     @example(m=MobiusTransform.from_entries(1.4e154, 0.0, 0.0, 1.0 / 1.4e154))
-    def test_loxodromic_length_matches_60_digit_oracle(self, m):
-        """classify's loxodromic length against mp_complex_length, with the bound derived from 2 acosh(tr / 2).
+    @example(m=_translation(complex(1e-6, math.pi - 1e-4)))  # |Im tr^2| < tol: Re l dropped before
+    @example(m=_translation(complex(2e-5, math.pi - 2e-5)))
+    @example(m=_translation(complex(1e-10, 2.0)))  # elliptic: Re l < tol
+    def test_length_matches_60_digit_oracle(self, m):
+        """classify's length at the default tol against mp_complex_length, with the bound derived from 2 acosh(tr / 2).
 
         u = 2^-53.  The reference divides the matrix by sqrt(det), so its trace is 2w with
         w = (a11 + a22) / (2 sqrt(det)), and the computed w^ = fl(a11 + a22) / 2 is within
@@ -293,17 +300,26 @@ class TestComplexTranslationLength:
         |sinh(l/2)| of +-l, mod 2 pi i.  cmath.acosh within 2 ulps and the shift by a rounded
         2 pi k add 4u (|l| + 2 pi).  The comparison is mod 2 pi i and sign, as the length is
         defined: where Re l is within the bound of 0 the rounded trace can pick the other sign.
+
+        An elliptic element has l^ = x + i theta with x < tol, and its length i angle drops x.
+        Its angle 2 acos(cosh(x/2) |cos(theta/2)|) is off theta, folded into [0, pi], by at most
+        x^2 / (4 sin(theta/2)); off the parabolic test 4 |sinh(l^/2)|^2 >= tol, so sin(theta/2)
+        is about sqrt(tol) / 2 or more, and the angle moves by under tol^1.5 / 2.  The elliptic
+        bound adds 2 tol for both.
         """
-        cls = classify(m, tol=5e-324)
-        assume(cls.kind == "loxodromic")
+        cls = classify(m)
+        assume(cls.kind in ("elliptic", "loxodromic"))
         ell = cls.length
-        assert ell.real > 0 and -math.pi < ell.imag <= math.pi
+        if cls.kind == "loxodromic":
+            assert ell.real >= CLASSIFY_TOL and -math.pi < ell.imag <= math.pi
         want = mp_complex_length(m.entries())
         with mpmath.workdps(30):
             a11, a12, a21, a22 = map(mpmath.mpc, m.entries())
             det_gap = abs(a11 * a22 - a12 * a21 - 1)
             bound = 2 * abs(m.trace()) * (2.0**-53 + det_gap / 2) / abs(mpmath.sinh(want / 2))
             bound += 4 * 2.0**-53 * (abs(want) + 2 * math.pi)
+            if cls.kind == "elliptic":
+                bound += 2 * CLASSIFY_TOL
             gap = min(abs(ell - sign * want - 2j * mpmath.pi * k) for sign in (1, -1) for k in (-1, 0, 1))
         assert gap <= bound
 
