@@ -288,9 +288,10 @@ def tangent_cocycle(path: Callable[[float], MarkedRepresentation], h: float) -> 
 
 
 def strain(field: Callable[[complex], complex], z: complex, h: float = 1e-5) -> complex:
-    """d/d(conj z) coefficient of the field f d/dz by central differences.
+    """d/d(conj z) coefficient of the field f d/dz from four samples on a circle.
 
-    f_zbar = ((f(z+h) - f(z-h)) + i (f(z+ih) - f(z-ih))) / (4h); vanishes
+    f_zbar = ((f(z+h) - f(z-h)) + i (f(z+ih) - f(z-ih))) / (4h), the samples and rule of
+    NumericMap.jets; a holomorphic f reads h^2 f'''(z) / 6 + O(h^6), so it vanishes
     exactly on projective (quadratic polynomial) fields.
     """
     positive_finite("step h", h)

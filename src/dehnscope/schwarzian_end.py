@@ -149,14 +149,14 @@ class PowerMap(ConformalMap):
 
 
 class NumericMap(ConformalMap):
-    """Sample-able holomorphic function with 4th-order finite-difference jets.
+    """Holomorphic function whose jets take four samples on a circle of radius `step`.
 
-    The declared domain rectangle (re0, re1, im0, im1) must lie in U; local
-    injectivity is spot-checked on a coarse grid at construction.  The same
-    spot check calls `func` once on the grid as an array: if that returns the
-    pointwise values (as `z * z * z` does), the map is elementwise and the
-    grid sweeps apply `func` to arrays; otherwise (as for `cmath.sin`) they
-    evaluate it point by point.
+    jets(z) reads f at z + h, z - h, z + ih and z - ih, the samples of cochain.strain:
+    the N = 4 trapezoidal Cauchy rule, so f''' = 6 strain(f, z, h) / h^2.  Jet k is
+    off by about k! |a_{k+4}| h^4 (a_j the Taylor coefficients at z) plus
+    k! u (max|f| + |z| max|f'|) / h^k.  The rectangle (re0, re1, im0, im1) must lie
+    in U, and step < im0 keeps each circle in U.  A spot check on a coarse grid tests
+    local injectivity and sets `elementwise` by calling `func` once on it as an array.
     """
 
     def __init__(self, func: Callable[[complex], complex], step: float, domain: tuple):
@@ -164,6 +164,8 @@ class NumericMap(ConformalMap):
         re0, re1, im0, im1 = domain
         if not (re0 < re1 and 0 < im0 < im1):
             raise ValueError("domain rectangle must be nonempty and lie in U")
+        if step >= im0:
+            raise ValueError(f"finite-difference step must be below im0 = {im0!r}, got {step!r}")
         import numpy as np
 
         self.func = func
@@ -185,12 +187,11 @@ class NumericMap(ConformalMap):
         return self.func(z)
 
     def jets(self, z):
-        """The 5- and 7-point central differences, sharing the samples at z +- h and z +- 2h."""
         h, f = self.step, self.func
-        p2, p1, m1, m2 = f(z + 2 * h), f(z + h), f(z - h), f(z - 2 * h)
-        yield (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
-        yield (-p2 + 16 * p1 - 30 * f(z) + 16 * m1 - m2) / (12 * h * h)
-        yield (f(z - 3 * h) - 8 * m2 + 13 * m1 - 13 * p1 + 8 * p2 - f(z + 3 * h)) / (8 * h ** 3)
+        p, m, q, n = f(z + h), f(z - h), f(z + 1j * h), f(z - 1j * h)
+        yield ((p - m) - 1j * (q - n)) / (4 * h)
+        yield ((p + m) - (q + n)) / (2 * h * h)
+        yield 3 * ((p - m) + 1j * (q - n)) / (2 * h ** 3)
 
 
 class Compose(ConformalMap):

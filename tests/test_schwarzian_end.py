@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dehnscope import schwarzian_end
+from dehnscope.cochain import strain
 from dehnscope.config import CRITICAL_TOL
 from dehnscope.hypcore import H3Point, MobiusTransform, apply_h3, hyp_distance
 from mp_reference import (
@@ -636,8 +637,15 @@ class TestNumericMap:
         with pytest.raises(ValueError, match="bounds must be finite"):
             NumericMap(lambda z: z * z * z, 1e-2, domain)
 
+    def test_step_must_stay_below_im0(self):
+        # the sample circle of radius step about a point of the rectangle must stay in U
+        for step in (0.5, 0.7):
+            with pytest.raises(ValueError, match="step must be below im0 = 0.5"):
+                NumericMap(lambda z: z, step, (-1.0, 1.0, 0.5, 2.0))
+        assert NumericMap(lambda z: z, math.nextafter(0.5, 0.0), (-1.0, 1.0, 0.5, 2.0)).step < 0.5
+
     def test_func_calls_per_point(self):
-        # f(z +- h) and f(z +- 2h) serve all three jets; f(z) joins for the second, f(z +- 3h) for the third
+        # f(z +- h) and f(z +- ih) serve all three jets, and osculating_mobius reads f(z) besides
         calls = []
 
         def cube(z):
@@ -645,10 +653,30 @@ class TestNumericMap:
             return z * z * z
 
         f = NumericMap(cube, 1e-2, (0.1, 3.0, 1.5, 2.5))
-        for entry, want in ((schwarzian, 7), (osculating_mobius, 6)):
+        z, h = 0.5 + 2j, 1e-2
+        for entry, want in ((schwarzian, 4), (osculating_mobius, 5)):
             calls.clear()
-            entry(f, 0.5 + 2j)
+            entry(f, z)
+            assert calls[:4] == [z + h, z - h, z + 1j * h, z - 1j * h], entry.__name__
             assert len(calls) == want, entry.__name__
+
+    @pytest.mark.parametrize("func", [lambda w: w * w * w, cmath.log])
+    def test_third_jet_is_six_strain_over_h_squared(self, func):
+        """The third jet is 6 strain(f, z, h) / h^2: the same four samples and the same sum (p - m) + i(q - n).
+
+        Each real factor or divisor rounds each part of a complex number by u = 2^-53 relative,
+        so the number by u.  strain divides by 4h (exact) and this test multiplies by 6 and
+        divides by h * h: four roundings.  The jet multiplies by 3 and divides by 2 h ** 3,
+        whose pow is within an ulp (2u): four.  So the two are within 8u, and 9u bounds the
+        second-order terms too.
+        """
+        h = 1e-2
+        f = NumericMap(func, h, (-2.0, 2.0, 0.5, 2.0))
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+            third = list(f.jets(z))[2]
+            assert abs(6 * strain(func, z, h) / (h * h) - third) <= 9 * U * abs(third)
 
 
 class TestLazyJets:
@@ -747,8 +775,65 @@ def jet_bounds(spec, z) -> list:
     return [16 * U] * 4
 
 
+def taylor_modulus(spec, z, n) -> float:
+    """|a_n|, the modulus of the n-th Taylor coefficient at z of log, z^c or a Mobius map (see mp_jets)."""
+    if spec == "log":
+        return 1.0 / (n * abs(z) ** n)
+    kind, params = spec
+    if kind == "power":
+        binomial = math.prod(abs(params - i) / (i + 1) for i in range(n))
+        return binomial * math.exp((params * cmath.log(z)).real) / abs(z) ** n
+    a, b, c, d = params
+    return abs(c) ** (n - 1) * abs(a * d - b * c) / abs(c * z + d) ** (n + 1)
+
+
+NUMERIC_SPECS = CATALOG_SPECS.filter(lambda spec: spec not in ("identity", "square"))
+
+
 class TestJetOracle:
     """The catalog maps' values and jets, and the classical norm constants, against tests/mp_reference.py."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        spec=NUMERIC_SPECS,
+        z=st.builds(complex, st.floats(-4.0, 4.0), st.floats(0.3, 4.0)),
+        step=st.floats(1e-3, 5e-2),
+    )
+    # the 7-point stencil's jets were 6.9e-8, 1.2e-7 and 1.8e-6 off, relative, here (now 1.7e-8, 2.9e-8, 3.7e-8)
+    @example(spec="log", z=0.3 + 0.5j, step=1e-2)
+    def test_numeric_map_jets_match_60_digit_oracle(self, spec, z, step):
+        """The three jets of NumericMap(f.value, h, ...) against mp_jets, within truncation plus rounding.
+
+        Jet k is c_k / h^k times the sum of the samples f(z + h w), w^4 = 1, weighted by
+        w^-k, with c_k = 1/4, 1/2, 3/2, that is k! / (4 h^k).
+        - Truncation: in exact arithmetic the sum keeps the Taylor terms a_n h^n of n = k mod 4,
+          so the rule is off by k! (a_{k+4} h^4 + a_{k+8} h^8 + ...).  The series converges on
+          the circle, as h is below the distance to the singularity: |z| for log and z^c, and
+          for a Mobius map at least 2h by assumption.  So the terms fall at least by (h/|z|)^4
+          or 1/16 each, and twelve of them leave under 1e-14 of the first.
+        - Rounding, u = 2^-53: the sample point z + h w rounds by at most u |z + h w|, which
+          moves f by |f'| times that, and f.value is within e0 |f| (jet_bounds) of f at the
+          rounded point.  The differences and sums of the samples, the product by 3 and the
+          divisions by 4h, 2 h * h and 2 h ** 3 round by u of at most S = sum |f(z + h w)|
+          each; there are at most four, and h ** 3 adds 2u: within 8u S c_k / h^k.
+        So jet k is within T_k + c_k (sum e_j + 8u S) / h^k of the exact jet, to first order;
+        the bound takes 1.01 times that.
+        """
+        f, spec = catalog_map(spec)
+        if spec[0] == "mobius":
+            a, b, c, d = spec[1]
+            assume(2 * step * abs(c) <= abs(c * z + d))
+        try:
+            nm = NumericMap(f.value, step, (z.real - 0.1, z.real + 0.1, z.imag - 0.1, z.imag + 0.1))
+        except ValueError:  # the spot check met a critical point
+            assume(False)
+        samples = [z + step, z - step, z + 1j * step, z - 1j * step]
+        values = [abs(f.value(w)) for w in samples]
+        errors = [jet_bounds(spec, w)[0] * v + U * abs(w) * abs(next(f.jets(w))) for w, v in zip(samples, values)]
+        for k, (got, want) in enumerate(zip(nm.jets(z), mp_jets(spec, z)[1:]), start=1):
+            trunc = math.factorial(k) * sum(taylor_modulus(spec, z, k + 4 * j) * step ** (4 * j) for j in range(1, 13))
+            rounding = (0.25, 0.5, 1.5)[k - 1] * (sum(errors) + 8 * U * sum(values)) / step**k
+            assert abs(got - complex(want)) <= 1.01 * (trunc + rounding), k
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(spec=CATALOG_SPECS, z=st.builds(complex, st.floats(-8.0, 8.0), st.floats(0.01, 8.0)))
