@@ -10,6 +10,7 @@ vector fields on the sphere.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import sys
@@ -292,9 +293,15 @@ def strain(field: Callable[[complex], complex], z: complex, h: float = 1e-5) -> 
 
     f_zbar = ((f(z+h) - f(z-h)) + i (f(z+ih) - f(z-ih))) / (4h), the samples and rule of
     NumericMap.jets; a holomorphic f reads h^2 f'''(z) / 6 + O(h^6), so it vanishes
-    exactly on projective (quadratic polynomial) fields.
+    exactly on projective (quadratic polynomial) fields.  A point or a result that is
+    not finite raises ValueError naming it.
     """
     positive_finite("step h", h)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point z must be finite, got {z!r}")
     dx = field(z + h) - field(z - h)
     dy = field(z + 1j * h) - field(z - 1j * h)
-    return (dx + 1j * dy) / (4.0 * h)
+    value = (dx + 1j * dy) / (4.0 * h)
+    if not cmath.isfinite(value):
+        raise ValueError(f"strain at z = {z!r} is not finite: {value!r}")
+    return value

@@ -143,10 +143,12 @@ def solve_on_path(
     """Newton iteration on F(w) = a(w) (x + b(w) y) - 2*pi*i with analytic derivative.
 
     Non-convergence is reported, not raised; leaving the declared disc raises
-    DomainExit.
+    DomainExit.  max_iter is read with operator.index and must be at least 1.
     """
     _check_target(x, y)
     positive_finite("tol", tol)
+    if operator.index(max_iter) < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if not path.contains(w0):
         raise DomainExit(f"starting point {w0} lies outside the declared disc")
     w = complex(w0)

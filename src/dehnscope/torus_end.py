@@ -451,9 +451,10 @@ def estimate_bilipschitz(
     blocks of ARRAY_BLOCK, each block starting from the last point of the
     one before; the draws are the same as one draw of all samples.  Each
     distance is hyp_distance's 2 asinh(|p - q| / (2 sqrt(t_p) sqrt(t_q))),
-    its chord the root of a sum of squares taken after the division: a
-    distance below about 3e-154 loses bits to underflow (below about 3e-162
-    it is 0 and the pair is skipped), and one above about 711 overflows.
+    its chord the root of a sum of squares taken after the division.  Where
+    that chord is below 2^-500, whose squares lose bits to underflow, it is
+    retaken with np.hypot, so a pair is skipped only where its chord is 0 in
+    floating point; a distance above about 711 overflows.
     Raises OverflowError when a distance between a parameter's developed
     samples is not finite.
     """
@@ -480,7 +481,11 @@ def estimate_bilipschitz(
                 scale = 2.0 * root[:-1] * root[1:]
                 dz, dt = z[:-1] - z[1:], h[:-1] - h[1:]
                 x, y, w = dz.real / scale, dz.imag / scale, dt / scale
-                dist.append(2.0 * np.arcsinh(np.sqrt(x * x + y * y + w * w)))
+                chord = np.sqrt(x * x + y * y + w * w)
+                tiny = chord < 2.0**-500  # where the squares lose bits to underflow
+                if tiny.any():
+                    chord[tiny] = np.hypot(np.hypot(x[tiny], y[tiny]), w[tiny])
+                dist.append(2.0 * np.arcsinh(chord))
             if not np.isfinite(dist[-1]).all():
                 raise OverflowError(f"the developed samples of a = {s.a}, b = {s.b} leave the float range")
         keep = (dist[0] > 0.0) & (dist[1] > 0.0)  # the pairs at positive distance under both

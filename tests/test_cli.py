@@ -1,8 +1,11 @@
 """CLI behaviour: flags, payloads, exit codes, config handling."""
 
+import csv
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -690,3 +693,38 @@ class TestNumpyOnlyForArrays:
     def test_importing_the_package_does_not_import_numpy(self):
         probe = 'import json, sys, dehnscope; sys.stderr.write(json.dumps({"numpy": "numpy" in sys.modules}))'
         assert _fresh_run("-c", probe) == {"numpy": False}
+
+
+def _readme_cli_examples() -> list:
+    """The commands of README's "CLI" code block, continuation lines joined, without the leading `dehnscope`."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert commands and all(argv[0] == "dehnscope" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+# the three files the block names, in the forms README documents
+_README_FILES = {
+    "path.json": {"a_coeffs": [[0, 0], [1, 0]], "b_coeffs": [[0, 1]], "center": [0, 3], "radius": 5},
+    "rep.json": {
+        "generators": [[[1, 0], [1, 0], [0, 0], [1, 0]], [[1, 0], [0, 1], [0, 0], [1, 0]]],
+        "relators": [[1, 2, -1, -2]],
+    },
+    "values.json": {"values": [[[0, 0], [1, 0], [0, 0], [0, 0]], [[0, 0], [0, 1], [0, 0], [0, 0]]]},
+}
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs(argv, capsys, tmp_path, monkeypatch):
+    """Every documented command exits 0 with a payload that parses: CSV for --format csv, else JSON."""
+    for name, data in _README_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    if "csv" in argv:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+    else:
+        json.loads(out)

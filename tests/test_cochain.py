@@ -598,6 +598,31 @@ class TestStrain:
         with pytest.raises(ValueError, match="step h must be positive and finite"):
             strain(lambda z: z.conjugate(), 0.3 + 0.7j, h)
 
+    def test_non_finite_point_or_value_refused(self):
+        # both used to return nan+nanj
+        with pytest.raises(ValueError, match=r"point z must be finite, got \(nan\+0j\)"):
+            strain(lambda z: z, complex("nan"))
+        with pytest.raises(ValueError, match=r"strain at z = \(10000000000\+0j\) is not finite"):
+            strain(lambda z: z * 1e308, 1e10 + 0j)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(z=st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), h=st.floats(1e-3, 0.1))
+    def test_cubic_field_reads_h_squared(self, z, h):
+        """strain(w^3, z, h) is h^2 f'''/6 = h^2 exactly, up to the rounding of the samples and the rule.
+
+        With u = 2^-53: each sample point w_j = z + h e^(i pi j / 2) rounds by at most u |w_j|,
+        which moves w^3 by 3u |w_j|^3, and w ** 3 is two complex products, within 2 sqrt 5 u,
+        so each sample is within (3 + 2 sqrt 5) u |w_j|^3.  The two differences round by u of
+        their moduli and their sum by u of its own, each at most S = sum |w_j|^3, and 1j times
+        a difference is exact; the division by 4h (exact) rounds by u of the result.  So the
+        strain is within (5 + 2 sqrt 5) u S / 4h + u h^2 of h^2, to first order; the bound takes
+        1.01 times that.
+        """
+        u = 2.0**-53
+        total = sum(abs(z + h * w) ** 3 for w in (1, -1, 1j, -1j))
+        bound = (5 + 2 * math.sqrt(5)) * u * total / (4 * h) + u * h * h
+        assert abs(strain(lambda w: w**3, z, h) - h * h) <= 1.01 * bound
+
     def test_antiholomorphic_identity(self):
         assert abs(strain(lambda z: z.conjugate(), 0.3 + 0.7j) - 1.0) < 1e-10
 

@@ -135,6 +135,15 @@ class TestSolveOnPath:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             solve_on_path(IDENTITY_PATH, 1.0, 1.0, w0=3j, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_iteration_cap_below_one_rejected(self, max_iter):
+        # max_iter = -5 used to return SolveReport(..., iterations=-5, converged=False)
+        path = HolomorphicPath((0, 1), (1j,), 3j, 5)
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+            solve_on_path(path, 1.0, 1.0, 3j, max_iter=max_iter)
+        with pytest.raises(TypeError):
+            solve_on_path(path, 1.0, 1.0, 3j, max_iter=2.5)
+
     def test_domain_exit(self):
         tight = HolomorphicPath((0.0, 1.0), (1j,), center=20j, radius=0.5)
         with pytest.raises(DomainExit):

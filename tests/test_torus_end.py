@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dehnscope import torus_end
-from dehnscope.config import ARRAY_BLOCK, RATIONAL_TOL
+from dehnscope.config import ARRAY_BLOCK, DEFAULT_CHART, RATIONAL_TOL
 from dehnscope.filling_solver import solve_direct
 from dehnscope.hypcore import (
     H3Point,
@@ -1041,6 +1041,27 @@ class TestBilipschitz:
         got = estimate_bilipschitz(s1, s2, self.TINY, 500, seed=3, chart=chart)
         assert got > 1.5
         assert abs(got - float(want)) <= (1.01 * eps + 40 * 2.0**-53) * float(want)
+
+    def test_chords_below_2_to_the_minus_500_match_40_digit_reference(self):
+        """Where a chord is below 2^-500 its squares underflow, and np.hypot retakes it.
+
+        On a box 1e-160 wide in x and y whose heights differ by at most 2 ulps, the pairs of
+        equal height have chords of about 1e-160.  Their squares, about 1e-320, are subnormal:
+        the sum of squares read 2.0623611064344023 here.  np.hypot is within an ulp, as the
+        root of the sum of squares is where it does not underflow, so the bound of
+        test_tiny_box_matches_40_digit_reference holds.
+        """
+        region = EndRegion(0.0, 1e-160, 0.0, 1e-160, 1.0, 1.0 + 4.5e-16)
+        s1, s2 = EndParameter(0.0, 1j), EndParameter(0.0, 0.5 + 2j)
+        x, y, t = self.region_samples(region, 50, 1)
+        with mpmath.workdps(40):
+            exact = [[mp_develop(s, *p, DEFAULT_CHART) for p in zip(x.tolist(), y.tolist(), t.tolist())] for s in (s1, s2)]
+            want = float(mp_khat(exact))
+        rounded = self.array_charts(s1, s2, region, 50, 1, DEFAULT_CHART)
+        eps = sum(float(mp_cancellation(e, r)) for e, r in zip(exact, rounded))
+        got = estimate_bilipschitz(s1, s2, region, 50, seed=1)
+        assert abs(want - 2.0690081238067502538) <= 1e-16
+        assert abs(got - want) <= (1.01 * eps + 40 * 2.0**-53) * want
 
     @pytest.mark.parametrize(
         "s1, s2, samples, seed, chart",
