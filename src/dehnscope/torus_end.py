@@ -482,7 +482,7 @@ def estimate_bilipschitz(
                 dz, dt = z[:-1] - z[1:], h[:-1] - h[1:]
                 x, y, w = dz.real / scale, dz.imag / scale, dt / scale
                 chord = np.sqrt(x * x + y * y + w * w)
-                tiny = chord < 2.0**-500  # where the squares lose bits to underflow
+                tiny = chord < 2.0**-500
                 if tiny.any():
                     chord[tiny] = np.hypot(np.hypot(x[tiny], y[tiny]), w[tiny])
                 dist.append(2.0 * np.arcsinh(chord))

@@ -799,7 +799,7 @@ class TestJetOracle:
         z=st.builds(complex, st.floats(-4.0, 4.0), st.floats(0.3, 4.0)),
         step=st.floats(1e-3, 5e-2),
     )
-    # the 7-point stencil's jets were 6.9e-8, 1.2e-7 and 1.8e-6 off, relative, here (now 1.7e-8, 2.9e-8, 3.7e-8)
+    # near log's singularity: O(h^2) stencils read f''' 1.8e-6 off, relative, here, and this rule 3.7e-8
     @example(spec="log", z=0.3 + 0.5j, step=1e-2)
     def test_numeric_map_jets_match_60_digit_oracle(self, spec, z, step):
         """The three jets of NumericMap(f.value, h, ...) against mp_jets, within truncation plus rounding.
@@ -809,8 +809,9 @@ class TestJetOracle:
         - Truncation: in exact arithmetic the sum keeps the Taylor terms a_n h^n of n = k mod 4,
           so the rule is off by k! (a_{k+4} h^4 + a_{k+8} h^8 + ...).  The series converges on
           the circle, as h is below the distance to the singularity: |z| for log and z^c, and
-          for a Mobius map at least 2h by assumption.  So the terms fall at least by (h/|z|)^4
-          or 1/16 each, and twelve of them leave under 1e-14 of the first.
+          for a Mobius map at least 2h by assumption.  So the terms fall by a factor of at least
+          16 each (h/|z| <= 1/6 here, and for z^c the binomial ratio over four orders is below
+          3), and twelve of them leave under 1e-14 of the first.
         - Rounding, u = 2^-53: the sample point z + h w rounds by at most u |z + h w|, which
           moves f by |f'| times that, and f.value is within e0 |f| (jet_bounds) of f at the
           rounded point.  The differences and sums of the samples, the product by 3 and the
