@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import COCYCLE_TOL, RANK_RTOL, positive_finite
-from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_rows, right_translate
+from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, right_translate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,9 +42,9 @@ class MarkedRepresentation:
 
     The relator check keeps what it computes:
     per relator, its walk, the prefix products I, g1, g1 g2, ... of its
-    letters.  The coboundary matrix and its singular values are a cached
-    property, computed once first asked for and kept in the instance dict.
-    Neither takes part in ==, hash or repr.
+    letters.  The relator matrix, and the coboundary matrix with its singular
+    values, are cached properties, computed once first asked for and kept in
+    the instance dict.  None of these takes part in ==, hash or repr.
     """
 
     generators: tuple
@@ -86,15 +86,23 @@ class MarkedRepresentation:
         return self._walk(map(self._letter, word))[-1]
 
     @cached_property
+    def _relator(self) -> np.ndarray:
+        """The read-only relator matrix z -> (extend_cocycle(self, z, w))_w, by _fox_matrix."""
+        mat = _fox_matrix(self, self.relators, self._walks)
+        mat.setflags(write=False)  # every caller shares it
+        return mat
+
+    @cached_property
     def _coboundary(self) -> tuple:
         """(matrix, singular values) of the map v -> (v - Ad rho(g_i) v)_i, both read-only.
 
-        The matrix is (3k, 3); column alpha is Cocycle.coboundary(self, e_alpha).coords().
+        The matrix is (3k, 3), the blocks I - Ad rho(g_i) stacked; column alpha is
+        Cocycle.coboundary(self, e_alpha).coords().
         """
         import numpy as np
 
-        units = (SL2Vector(1 + 0j, 0j, 0j), SL2Vector(0j, 1 + 0j, 0j), SL2Vector(0j, 0j, 1 + 0j))
-        mat = np.column_stack([Cocycle.coboundary(self, e).coords() for e in units])
+        blocks = [np.eye(3) - adjoint_matrix(g) for g in self.generators]
+        mat = np.array(blocks, dtype=complex).reshape(3 * len(blocks), 3)
         sv = _singular_values(mat)
         mat.setflags(write=False)  # every caller shares these two arrays
         sv.setflags(write=False)
@@ -130,33 +138,43 @@ def _check_generator_count(rep: MarkedRepresentation, c: Cocycle) -> None:
         raise ValueError("cocycle and representation have different generator counts")
 
 
-def _fox_terms(word: Sequence[int], walk: tuple):
-    """The Fox rule: (sign, i, prefix) per letter, for the term sign Ad(prefix) z(g_i).
+def _fox_matrix(rep: MarkedRepresentation, words, walks) -> np.ndarray:
+    """The Fox rule: the (3 len(words), 3k) matrix of z -> (extend_cocycle(rep, z, w))_w.
 
-    g_i at position j gives +Ad(walk[j]) z_i; g_i^-1 gives -Ad(walk[j+1]) z_i, as walk[j] g_i^-1 = walk[j+1].
+    Letter j of a word adds, in word order, +Ad(walk[j]) to the block of g_i, or
+    -Ad(walk[j+1]) for g_i^-1, as walk[j] g_i^-1 = walk[j+1].
     """
-    for letter, before, after in zip(word, walk, walk[1:]):
-        yield (1, letter - 1, before) if letter > 0 else (-1, -letter - 1, after)
+    import numpy as np
+
+    mat = np.zeros((3 * len(words), 3 * len(rep.generators)), dtype=complex)
+    for r, (word, walk) in enumerate(zip(words, walks)):
+        rows = mat[3 * r : 3 * r + 3]
+        for letter, before, after in zip(word, walk, walk[1:]):
+            block = rows[:, 3 * abs(letter) - 3 : 3 * abs(letter)]
+            if letter > 0:
+                block += adjoint_matrix(before)
+            else:
+                block -= adjoint_matrix(after)
+    return mat
 
 
-def _fold(c: Cocycle, word: Sequence[int], walk: tuple) -> SL2Vector:
-    """Sum of the word's Fox terms applied to c; see extend_cocycle."""
-    acc = SL2Vector.zero()
-    for sign, i, prefix in _fox_terms(word, walk):
-        term = adjoint(prefix, c.values[i])
-        acc = acc + term if sign > 0 else acc - term
-    return acc
+def _apply(mat: np.ndarray, c: Cocycle) -> np.ndarray:
+    """mat @ c.coords(); a non-finite value gives NaN or inf without a warning, as Python arithmetic does."""
+    import numpy as np
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        return mat @ c.coords()
 
 
 def extend_cocycle(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int]) -> SL2Vector:
-    """Left fold of z(gh) = z(g) + Ad rho(g) z(h) over the word.
+    """Left fold of z(gh) = z(g) + Ad rho(g) z(h) over the word, by its _fox_matrix block.
 
     Inverse letters use z(g^-1) = -Ad rho(g)^-1 z(g).  The word is read once,
     so any iterable of letters will do.
     """
     _check_generator_count(rep, c)
     word = tuple(map(rep._letter, word))
-    return _fold(c, word, rep._walk(word))
+    return SL2Vector.from_coords(_apply(_fox_matrix(rep, (word,), (rep._walk(word),)), c))
 
 
 def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
@@ -168,33 +186,9 @@ def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
     """
     positive_finite("tol", tol, allow_zero=True)
     _check_generator_count(rep, c)
-    residuals = (_fold(c, word, walk).norm() for word, walk in zip(rep.relators, rep._walks))
+    residuals = (SL2Vector.from_coords(v).norm() for v in _apply(rep._relator, c).reshape(-1, 3))
     worst = max(residuals, default=0.0, key=lambda r: (math.isnan(r), r))  # a NaN ranks above every number
     return worst <= tol, worst
-
-
-def _relator_jacobian(rep: MarkedRepresentation) -> np.ndarray:
-    """The linearized relator map z -> (extend_cocycle(rep, z, w))_w by Fox calculus.
-
-    Each relator's Fox terms (see _fox_terms) add sign Ad(prefix) to their generator's column block, in order.
-    """
-    import numpy as np
-
-    # summed in Python complex arithmetic, which rounds as numpy's complex128 does
-    k = len(rep.generators)
-    rows = []
-    for word, walk in zip(rep.relators, rep._walks):
-        block = [[0j] * (3 * k) for _ in range(3)]
-        for sign, i, prefix in _fox_terms(word, walk):
-            col = 3 * i
-            for row, (x0, x1, x2) in zip(block, adjoint_rows(prefix)):
-                if sign < 0:
-                    x0, x1, x2 = -x0, -x1, -x2  # a - b is a + (-b) in IEEE arithmetic
-                row[col] += x0
-                row[col + 1] += x1
-                row[col + 2] += x2
-        rows += block
-    return np.array(rows, dtype=complex).reshape(3 * len(rep.relators), 3 * k)
 
 
 def solve_coboundary(rep: MarkedRepresentation, c: Cocycle):
@@ -237,7 +231,7 @@ def h1_dimension(rep: MarkedRepresentation, rtol: float = RANK_RTOL):
     of v -> (v - Ad rho(g_i) v)_i, both by numerical rank.
     """
     positive_finite("rtol", rtol)
-    dim_z = 3 * len(rep.generators) - _rank(_singular_values(_relator_jacobian(rep)), rtol)
+    dim_z = 3 * len(rep.generators) - _rank(_singular_values(rep._relator), rtol)
     dim_b = _rank(rep._coboundary[1], rtol)
     return dim_z, dim_b, dim_z - dim_b
 

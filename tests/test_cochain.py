@@ -21,7 +21,6 @@ from dehnscope.cochain import (
     solve_coboundary,
     strain,
     tangent_cocycle,
-    _relator_jacobian,
 )
 from dehnscope.hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, adjoint_rows
 from dehnscope.torus_end import EndParameter, holonomy_representation, z0_of
@@ -304,12 +303,12 @@ class TestH1Dimension:
         assert is_cocycle(trivial, Cocycle(())) == (True, 0.0)
         assert class_rank(trivial, [Cocycle(())]) == 0
         assert solve_coboundary(trivial, Cocycle(())) == (SL2Vector.zero(), 0.0)
-        assert _relator_jacobian(trivial).shape == (0, 0)
-        assert _relator_jacobian(MarkedRepresentation((), ((), ()))).shape == (6, 0)
+        assert trivial._relator.shape == (0, 0)
+        assert MarkedRepresentation((), ((), ()))._relator.shape == (6, 0)
 
     def test_empty_relator_word(self):
         rep = MarkedRepresentation((random_mobius(np.random.default_rng(13)),), ((),))
-        assert not _relator_jacobian(rep).any() and _relator_jacobian(rep).shape == (3, 3)
+        assert not rep._relator.any() and rep._relator.shape == (3, 3)
         assert h1_dimension(rep) == (3, 2, 1)
 
     def test_free_group_rank_two(self):
@@ -336,7 +335,7 @@ class TestH1Dimension:
     def test_relator_jacobian_matches_extend_cocycle(self, a, b, relators):
         rep = MarkedRepresentation(holonomy_representation(EndParameter(a, b)), relators)
         # the stored walks, summed in Python complex arithmetic, give the bits of a fresh walk over numpy Ad matrices
-        assert np.array_equal(_relator_jacobian(rep), fox_jacobian_loop(rep))
+        assert np.array_equal(rep._relator, fox_jacobian_loop(rep))
         cols = []
         for i in range(2):
             for alpha in range(3):
@@ -345,7 +344,7 @@ class TestH1Dimension:
                 c = Cocycle(tuple(vals))
                 cols.append(np.concatenate([extend_cocycle(rep, c, w).coords() for w in relators]))
         reference = np.array(cols).T
-        got = _relator_jacobian(rep)
+        got = rep._relator
         assert got.shape == reference.shape
         # relative to the size of the summed Fox terms: a cancelling word sums to 0 up to roundoff
         scale = sum(
