@@ -212,6 +212,30 @@ def mp_adjoint(entries, coords):
         return conj[0, 0], conj[0, 1], conj[1, 0]
 
 
+
+def mp_extend_cocycle(generators, values, word):
+    """The cocycle z on a word at DPS digits, as the coordinates (x, y, w) of [[x, y], [w, -x]].
+
+    generators holds the entries (a, b, c, d) of each generator, taken to have
+    determinant 1, and values the coordinates of z(g_i).  Left fold of
+    z(gh) = z(g) + Ad rho(g) z(h) over the word (letters +-(i+1)), with
+    z(g^-1) = -Ad rho(g)^-1 z(g) and rho(g)^-1 = [[d, -b], [-c, a]], by mp_adjoint.
+    """
+    with mpmath.workdps(DPS):
+        prefix = (mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1))
+        z = (mpmath.mpc(0),) * 3
+        for letter in word:
+            a, b, c, d = map(mpmath.mpc, generators[abs(letter) - 1])
+            step = (a, b, c, d) if letter > 0 else (d, -b, -c, a)
+            value = values[abs(letter) - 1]
+            if letter < 0:
+                value = [-v for v in mp_adjoint(step, value)]
+            z = tuple(s + t for s, t in zip(z, mp_adjoint(prefix, value)))
+            p11, p12, p21, p22 = prefix
+            s11, s12, s21, s22 = step
+            prefix = (p11 * s11 + p12 * s21, p11 * s12 + p12 * s22, p21 * s11 + p22 * s21, p21 * s12 + p22 * s22)
+        return z
+
 def mp_jets(spec, z):
     """(f(z), f'(z), f''(z), f'''(z)) of a catalog map at DPS digits, from its closed form.
 

@@ -4,6 +4,7 @@ import cmath
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from dehnscope.cochain import (
 )
 from dehnscope.hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, adjoint_rows
 from dehnscope.torus_end import EndParameter, holonomy_representation, z0_of
+from mp_reference import mp_extend_cocycle
 
 Z2_RELATOR = ((1, 2, -1, -2),)
 
@@ -332,25 +334,10 @@ class TestH1Dimension:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=end_a, b=end_b, relators=commuting_relators)
-    def test_relator_jacobian_matches_extend_cocycle(self, a, b, relators):
+    def test_relator_matrix_matches_fox_loop(self, a, b, relators):
         rep = MarkedRepresentation(holonomy_representation(EndParameter(a, b)), relators)
-        # the stored walks, summed in Python complex arithmetic, give the bits of a fresh walk over numpy Ad matrices
+        # the stored walks give the bits of a fresh walk over numpy Ad matrices
         assert np.array_equal(rep._relator, fox_jacobian_loop(rep))
-        cols = []
-        for i in range(2):
-            for alpha in range(3):
-                vals = [SL2Vector.zero(), SL2Vector.zero()]
-                vals[i] = SL2Vector.from_coords(np.eye(3, dtype=complex)[alpha])
-                c = Cocycle(tuple(vals))
-                cols.append(np.concatenate([extend_cocycle(rep, c, w).coords() for w in relators]))
-        reference = np.array(cols).T
-        got = rep._relator
-        assert got.shape == reference.shape
-        # relative to the size of the summed Fox terms: a cancelling word sums to 0 up to roundoff
-        scale = sum(
-            np.linalg.norm(adjoint_matrix(rep.evaluate_word(w[:j]))) for w in relators for j in range(len(w))
-        )
-        assert np.linalg.norm(got - reference) <= 1e-12 * scale
 
     def test_relator_validation(self):
         rng = np.random.default_rng(9)
@@ -519,7 +506,7 @@ class TestStoredWork:
         rep = z2_rep()
         z = Cocycle.coboundary(rep, SL2Vector.from_coords((0.3, 1j, -0.5)))
         first = solve_coboundary(rep, z)
-        assert all(not arr.flags.writeable for arr in rep._coboundary)
+        assert all(not arr.flags.writeable for arr in (*rep._coboundary, rep._relator))
         assert solve_coboundary(rep, z) == first and first[1] < 1e-12
 
     @staticmethod
@@ -574,6 +561,79 @@ class TestStoredWork:
         expect = max(extend_cocycle(rep, c, w).norm() for w in relators)
         assert struct.pack("<d", residual) == struct.pack("<d", expect)
 
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(0, 5),
+        exponent=st.floats(0.0, 3.0),
+    )
+    def test_coboundary_matrix_is_the_unit_vector_columns(self, seed, k, exponent):
+        # column alpha of the stacked I - Ad rho(g_i) is, bit for bit, Cocycle.coboundary of the unit vector e_alpha
+        rng = np.random.default_rng(seed)
+        gens = []
+        while len(gens) < k:
+            e = 10.0 ** rng.uniform(-exponent, exponent, size=4) * np.exp(2j * np.pi * rng.uniform(size=4))
+            if abs(e[0] * e[3] - e[1] * e[2]) > 1e-3 * max(map(abs, e)) ** 2:
+                gens.append(MobiusTransform.from_entries(*e))
+        rep = MarkedRepresentation(tuple(gens), ())
+        units = (SL2Vector(1 + 0j, 0j, 0j), SL2Vector(0j, 1 + 0j, 0j), SL2Vector(0j, 0j, 1 + 0j))
+        columns = np.column_stack([Cocycle.coboundary(rep, e).coords() for e in units])
+        got = rep._coboundary[0]
+        assert got.shape == columns.shape == (3 * k, 3) and got.tobytes() == columns.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=end_a,
+        b=end_b,
+        relators=commuting_relators,
+        coords=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=6, max_size=6),
+    )
+    def test_fox_map_matches_60_digit_fold(self, a, b, relators, coords):
+        """extend_cocycle and is_cocycle's residual against mp_extend_cocycle, within a derived bound.
+
+        With u = 2^-53, a word of L letters and k generators: let R_j be the product of the
+        entrywise moduli of the first j letters' matrices (g, or [[d, -b], [-c, a]] for g^-1),
+        and rho_j its largest entry.  The walk's prefix P_j of n factors is a chain of 2x2
+        products, each entry two complex products (sqrt 5 u) and a sum (u), so its entries are
+        within (n - 1)(1 + sqrt 5) u rho_n of exact and at most rho_n in modulus.  An entry of
+        Ad(P) is a sum of at most two products of two entries (doubled, or a single square), so
+        it is at most 2 rho^2, moves by at most 4 rho eps for entry errors eps, and rounds by
+        7 u rho^2 (see test_hypcore's Ad oracle).  Each entry of the Fox matrix sums at most L
+        such terms, rounding by (L - 1) u 2 rho^2 per term, and the product with c sums 3k
+        complex products, in any order: the real and imaginary parts each sum 6k real products
+        whose moduli add to at most |J||c|, so within sqrt 2 (6k - 1) u |J||c|, with
+        |J||c| <= sum_j 2 rho_j^2 |z_j|_1.  Per coordinate, to first order, the error is at most
+
+            u sum_j rho_j^2 |z_j|_1 (4 (L - 1)(1 + sqrt 5) + 7 + 2 (L - 1) + 2 sqrt 2 (6k - 1)),
+
+        below E = (15 L + 17 k) u sum_j rho_j^2 |z_j|_1, where letter j's prefix is P_j for
+        g_i and P_(j+1) for g_i^-1, and z_j = z(g_i).  The Frobenius norm of [[x, y], [w, -x]]
+        then moves by at most 2 E and rounds by 4 u of itself; the bounds take 1.01 times that.
+        """
+        u = 2.0**-53
+        rep = MarkedRepresentation(holonomy_representation(EndParameter(a, b)), relators)
+        c = Cocycle((SL2Vector.from_coords(coords[:3]), SL2Vector.from_coords(coords[3:])))
+        gens = [g.entries() for g in rep.generators]
+        worst_got, worst_want, worst_bound = is_cocycle(rep, c)[1], 0.0, 0.0
+        for word in relators:
+            moduli, rho, total = np.eye(2), [1.0], 0.0
+            for letter in word:
+                g = np.abs(np.array(gens[abs(letter) - 1]).reshape(2, 2))
+                moduli = moduli @ (g if letter > 0 else g[::-1, ::-1])
+                rho.append(moduli.max())
+            for j, letter in enumerate(word):
+                total += rho[j if letter > 0 else j + 1] ** 2 * sum(map(abs, c.values[abs(letter) - 1].coords()))
+            bound = (15 * len(word) + 17 * len(gens)) * u * total
+            want = mp_extend_cocycle(gens, [v.coords() for v in c.values], word)
+            got = extend_cocycle(rep, c, word)
+            for x, y in zip(got.coords(), want):
+                assert float(abs(x - y)) <= 1.01 * bound
+            want_norm = float(abs(mpmath.sqrt(2 * abs(want[0]) ** 2 + abs(want[1]) ** 2 + abs(want[2]) ** 2)))
+            if want_norm >= worst_want:
+                worst_want = want_norm
+            worst_bound = max(worst_bound, 2 * bound + 4 * u * got.norm())
+        assert abs(worst_got - worst_want) <= 1.01 * worst_bound
 
 class TestSerialization:
     def test_presentation_round_trip(self):
