@@ -225,6 +225,7 @@ def cmd_sequence(args, cfg: RunConfig) -> int:
 
 
 def cmd_solve(args, cfg: RunConfig) -> int:
+    _count("--max-iter", cfg.newton_max_iter)  # a value from the config file too
     path = _load("path spec", args.path, _path, inline=True)
     x, y, w0 = finite_float(args.x), finite_float(args.y), _parse_complex(args.w0)
     try:
@@ -310,6 +311,7 @@ def cmd_cocycle(args, cfg: RunConfig) -> int:
 
 
 def cmd_bilipschitz(args, cfg: RunConfig) -> int:
+    _count("--samples", args.samples)
     s1 = _parse_end(args.a1, args.b1)
     s2 = _parse_end(args.a2, args.b2)
     region = _parse_region(args.region)

@@ -41,8 +41,10 @@ CRITICAL_TOL = 1e-12
 ARRAY_BLOCK = 2**16
 
 # Most values a CLI range or sweep may ask for (`sequence --n`,
-# `crosssection --eps-grid`, the points of `schwarzian --grid`); larger
-# requests are refused before any list or array of that size is built.
+# `crosssection --eps-grid`, the points of `schwarzian --grid`,
+# `bilipschitz --samples`, and `solve --max-iter`, from the flag or the config
+# file); larger requests are refused before any list or array of that size is
+# built, or any iteration run.
 MAX_CLI_VALUES = 10**6
 
 # Developing-chart variant used when none is requested explicitly.  The
