@@ -157,6 +157,9 @@ class NumericMap(ConformalMap):
     k! u (max|f| + |z| max|f'|) / h^k.  The rectangle (re0, re1, im0, im1) must lie
     in U, and step < im0 keeps each circle in U.  A spot check on a coarse grid tests
     local injectivity and sets `elementwise` by calling `func` once on it as an array.
+    A point where z + h or z + ih rounds to z is refused with ValueError: its samples
+    no longer lie on the circle.  On an array such an entry's jets are NaN, so an
+    array pass redoes it by the scalar path, which raises.
     """
 
     def __init__(self, func: Callable[[complex], complex], step: float, domain: tuple):
@@ -188,7 +191,15 @@ class NumericMap(ConformalMap):
 
     def jets(self, z):
         h, f = self.step, self.func
+        unresolved = (z + h == z) | (z + 1j * h == z)
+        scalar = isinstance(z, SCALAR_TYPES)
+        if scalar and unresolved:
+            raise ValueError(f"step {h!r} is below the resolution of z = {z!r}: z + step or z + i step rounds to z")
         p, m, q, n = f(z + h), f(z - h), f(z + 1j * h), f(z - 1j * h)
+        if not scalar and unresolved.any():
+            import numpy as np
+
+            p = np.where(unresolved, np.nan, p)
         yield ((p - m) - 1j * (q - n)) / (4 * h)
         yield ((p + m) - (q + n)) / (2 * h * h)
         yield 3 * ((p - m) + 1j * (q - n)) / (2 * h ** 3)

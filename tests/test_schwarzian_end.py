@@ -644,6 +644,22 @@ class TestNumericMap:
                 NumericMap(lambda z: z, step, (-1.0, 1.0, 0.5, 2.0))
         assert NumericMap(lambda z: z, math.nextafter(0.5, 0.0), (-1.0, 1.0, 0.5, 2.0)).step < 0.5
 
+    def test_point_below_the_step_resolution_is_refused(self):
+        # z + h rounds to z here, so the jets came from z +- ih alone: the Schwarzian read -6.0e4, exactly -7.3e-108
+        f = NumericMap(lambda z: z * z * z, 1e-2, (-2, 2, 0.31, 3.3))
+        z = 7.381813175911895e53 + 2.07e-8j
+        refusal = r"step 0.01 is below the resolution of z = \(7.381813175911895e\+53\+2.07e-08j\)"
+        for entry in (schwarzian, osculating_mobius):
+            with pytest.raises(ValueError, match=refusal):
+                entry(f, z)
+        with pytest.raises(ValueError, match=r"below the resolution of z = \(1\+1e\+20j\)"):
+            schwarzian(f, 1 + 1e20j)
+        # an array pass redoes such an entry by the scalar path, and so raises what it raises
+        assert f.elementwise
+        grid = GridSpec(z.real, z.real, 1, 0.5, 1.0, 2)
+        with pytest.raises(ValueError, match=r"step 0.01 is below the resolution of z = \(7.381813175911895e\+53\+0.5j\)"):
+            list(schwarzian_grid(f, grid))
+
     def test_func_calls_per_point(self):
         # f(z +- h) and f(z +- ih) serve all three jets, and osculating_mobius reads f(z) besides
         calls = []
