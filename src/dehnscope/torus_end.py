@@ -10,11 +10,13 @@ for a != 0, and rho(g1) = z + 1, rho(g2) = z + b at the cusp a = 0.  The
 and the filling coordinates of the end are the +-(x,y) solving
 a(x + by) = 2*pi*i, or infinity at the cusp.
 
-The affine normalization above has a pole along e^a = 1, a != 0
-(z0 = 1/(1 - e^a) leaves every compact set).  The end structures themselves
-vary continuously through it; on it (|1 - e^a| <= SINGULAR_LOCUS_TOL, decided
-in _affine_den) z0_of, phi, develop and holonomy share the limiting
-axis-centered frame: center 0, phi = -e^{xa+yab}, rho = z -> e^{a(m+bn)} z.
+The affine normalization above has a pole along e^a = 1, a = 2 pi i k with
+k != 0 (z0 = 1/(1 - e^a) leaves every compact set).  The end structures
+themselves vary continuously through it; on it (|1 - e^a| <= SINGULAR_LOCUS_TOL
+and k != 0, decided in _affine_den) z0_of, phi, develop and holonomy share the
+limiting axis-centered frame: center 0, phi = -e^{xa+yab}, rho = z -> e^{a(m+bn)} z.
+Near a = 0 the holonomy has a removable singularity, not a pole, and keeps the
+affine frame, with 1 - e^a formed as -2 e^{a/2} sinh(a/2).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, _h3_checked, _poinc
 
 
 class ZeroA(ValueError):
-    """Raised by cone-specific operations at the cusp parameter a = 0."""
+    """Raised by cone-specific operations at the cusp parameter a = 0, or at an a whose 1 - e^a rounds to 0."""
 
 
 class DegenerateRegion(ValueError):
@@ -164,11 +166,21 @@ def _quotient_distance(cusp1, x1, y1, cusp2, x2, y2):
 
 
 def _affine_den(a: complex) -> complex | None:
-    """1 - e^a in the affine frame, or None on the pole locus (axis-centered frame)."""
+    """1 - e^a in the affine frame, or None on the pole locus (axis-centered frame).
+
+    Where |Re a| <= 1 it is -2 e^{a/2} sinh(a/2), which does not cancel as e^a
+    nears 1; elsewhere |e^a| is at least e or at most 1/e, so 1 - e^a does not
+    cancel either, and overflows where e^a does.  The pole locus is a near
+    2 pi i k with k != 0 (|Im a| > pi); near a = 0 the frame stays affine.
+    """
     if a == 0:
         raise ZeroA("no cone frame at a = 0; the cusp chart applies instead")
-    den = 1.0 - cmath.exp(a)
-    return None if abs(den) <= SINGULAR_LOCUS_TOL else den
+    if abs(a.real) > 1.0:
+        return 1.0 - cmath.exp(a)
+    den = -2.0 * cmath.exp(a / 2.0) * cmath.sinh(a / 2.0)
+    if den == 0:
+        raise ZeroA(f"no cone frame at a = {a!r}: 1 - e^a rounds to 0")
+    return None if abs(den) <= SINGULAR_LOCUS_TOL and abs(a.imag) > math.pi else den
 
 
 def _frame(den: complex | None) -> tuple[complex, complex]:
@@ -250,9 +262,11 @@ def holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
     """Holonomy of g1^m g2^n.
 
     Away from the pole locus e^a = 1 this is the affine normalization
-    z -> e^c z + (1 - e^c)/(1 - e^a) with c = a(m + bn); at a = 0 it is
-    z -> z + m + nb.  On the pole locus (a != 0, e^a = 1) the affine form
-    has no limit and the axis-centered normalization z -> e^c z is returned.
+    z -> e^c z + (1 - e^c)/(1 - e^a) with c = a(m + bn), as
+    [[e^{c/2}, -2 sinh(c/2) / (1 - e^a)], [0, e^{-c/2}]]; at a = 0 it is
+    z -> z + m + nb.  On the pole locus (e^a = 1, a = 2 pi i k, k != 0) the
+    affine form has no limit and the axis-centered normalization z -> e^c z
+    is returned.
     """
     if s.a == 0:
         return MobiusTransform(1.0, m + n * s.b, 0.0, 1.0)
@@ -261,8 +275,7 @@ def holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:
     den = s._den
     if den is None:
         return MobiusTransform(ec2, 0.0, 0.0, 1.0 / ec2)
-    tau = (1.0 - cmath.exp(c)) / den
-    return MobiusTransform(ec2, tau / ec2, 0.0, 1.0 / ec2)
+    return MobiusTransform(ec2, -2.0 * cmath.sinh(c / 2.0) / den, 0.0, 1.0 / ec2)
 
 
 def _aligned_holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:

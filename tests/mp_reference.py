@@ -31,14 +31,15 @@ def mp_holonomy(a, b, m, n):
 
     z -> e^c z + (1 - e^c)/(1 - e^a) with c = a(m + bn), normalized to
     determinant 1 as [[e^{c/2}, tau e^{-c/2}], [0, e^{-c/2}]]; z -> z + m + nb
-    at a = 0.  Off the pole locus e^a = 1 only.
+    at a = 0.  Off the pole locus e^a = 1 only.  tau is formed as
+    expm1(c)/expm1(a), so it keeps DPS digits for |a| far below 10^-DPS too.
     """
     with mpmath.workdps(DPS):
         a, b = mpmath.mpc(a), mpmath.mpc(b)
         if a == 0:
             return mpmath.mpc(1), m + n * b, mpmath.mpc(0), mpmath.mpc(1)
         c = a * (m + b * n)
-        tau = (1 - mpmath.exp(c)) / (1 - mpmath.exp(a))
+        tau = mpmath.expm1(c) / mpmath.expm1(a)
         p = mpmath.exp(c / 2)
         return p, tau / p, mpmath.mpc(0), 1 / p
 
@@ -158,16 +159,21 @@ def mp_aligned_holonomy(a, b, m, n):
         return g * rho * mpmath.inverse(g)
 
 
-def mp_cusp_distance(a, b):
-    """cusp_distance(EndParameter(a, b), aligned=True) at DPS digits, for a != 0.
+def mp_cusp_distance(a, b, aligned=True):
+    """cusp_distance(EndParameter(a, b), aligned) at DPS digits, for a != 0 off the pole locus.
 
     The worst sign-insensitive Frobenius distance of the aligned generators
-    from the cusp generators z -> z + 1 and z -> z + b.
+    (mp_aligned_holonomy), or with aligned=False of the printed-frame
+    generators (mp_holonomy), from the cusp generators z -> z + 1 and z -> z + b.
     """
     with mpmath.workdps(DPS):
         worst = mpmath.mpf(0)
         for (m, n), shift in (((1, 0), 1), ((0, 1), mpmath.mpc(b))):
-            h = mp_aligned_holonomy(a, b, m, n)
+            if aligned:
+                h = mp_aligned_holonomy(a, b, m, n)
+            else:
+                a11, a12, a21, a22 = mp_holonomy(a, b, m, n)
+                h = mpmath.matrix([[a11, a12], [a21, a22]])
             cusp = mpmath.matrix([[1, shift], [0, 1]])
             gap = min(mpmath.mnorm(h - cusp, "f"), mpmath.mnorm(h + cusp, "f"))
             worst = max(worst, gap)

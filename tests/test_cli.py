@@ -18,7 +18,7 @@ import dehnscope
 from dehnscope.cli import main
 from dehnscope.filling_solver import solve_direct, unimodular_completion
 from dehnscope.torus_end import EndParameter, _chart
-from mp_reference import mp_cancellation, mp_develop, mp_khat
+from mp_reference import mp_cancellation, mp_cusp_distance, mp_develop, mp_holonomy, mp_khat
 
 
 def run(capsys, *argv):
@@ -69,6 +69,17 @@ class TestHolonomyCommand:
             assert captured.out == "" and "must be finite" in captured.err
 
 
+    def test_near_the_cusp_keeps_the_affine_frame(self, capsys):
+        # |1 - e^a| = 1e-13 used to send a to the axis frame, a12 = 0, classified as the identity
+        code, out = run(capsys, "holonomy", "--a", "1e-13,0", "--b", "0,1", "--m", "1", "--n", "0")
+        assert code == 0
+        data = json.loads(out)
+        got = [complex(*e) for e in data["matrix"]]
+        for g, w in zip(got, mp_holonomy(1e-13, 1j, 1, 0)):
+            assert abs(g - complex(w)) <= 1e-15
+        assert abs(got[1] - 0.99999999999995) <= 1e-15 and data["classification"] == {"kind": "parabolic"}
+
+
 class TestFillCommand:
     def test_smooth_filling(self, capsys):
         code, out = run(
@@ -94,6 +105,27 @@ class TestFillCommand:
 
 
 class TestSequenceCommand:
+    def test_far_rows_match_60_digit_reference(self, capsys):
+        """cusp_residual at n = 10^11 and 10^13 against mp_cusp_distance(aligned=False).
+
+        They used to read 1.73e-6 and 1.0, against 5.44e-11 and 5.44e-13.  Each entry of the
+        printed-frame holonomy is within 24 u (1 + |c| (1 + |coth(c/2)|)) relative (see
+        TestPrintedFrameOracle.test_holonomy_near_the_cusp), at most 72 u here, where |c| is
+        below 1e-10 and |c coth(c/2)| is about 2.  The differences from the cusp entries 1 and
+        b are exact (Sterbenz), so the distance moves by at most 72 u times the Frobenius norm
+        of the matrix, about sqrt 3 for b = i, plus 5 u of itself for its moduli, squares, sums
+        and square root; the bound takes 1.01 times that.
+        """
+        code, out = run(capsys, "sequence", "--b", "0,1", "--p", "1", "--q", "0", "--n",
+                        f"{10**11},{10**13}")
+        assert code == 0
+        u = 2.0**-53
+        for row, want in zip(json.loads(out), (5.4413980926931e-11, 5.4413980927025e-13)):
+            a = complex(row["a_re"], row["a_im"])
+            exact = float(mp_cusp_distance(a, 1j, aligned=False))
+            assert abs(exact - want) <= 1e-13 * want
+            assert abs(row["cusp_residual"] - exact) <= 1.01 * (72 * u * math.sqrt(3) + 5 * u * exact)
+
     def test_basis_past_int64(self, capsys):
         # the second coordinate 5 + 2n of the (1, n) class passes 2^63 here
         n = 2**62
@@ -321,14 +353,14 @@ def test_pole_of_mobius_map_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["holonomy", "--a", "1,0", "--b", "0,1", "--m", "1000", "--n", "0"],
+        ["holonomy", "--a", "1,0", "--b", "0,1", "--m", "1500", "--n", "0"],
         ["crosssection", "--a", "1,0", "--b", "0,1", "--x", "1", "--y", "0", "--eps", "1000"],
         ["fill", "--a", "1e-310,1e-310", "--b", "0,1"],
     ],
     ids=["holonomy-exp", "crosssection-cosh", "fill-coordinates"],
 )
 def test_overflow_exits_2(capsys, argv):
-    # e^1000, cosh(1000) and 2*pi*i/a overflow: a usage error, not a failed solve
+    # e^750, cosh(1000) and 2*pi*i/a overflow: a usage error, not a failed solve
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")

@@ -274,11 +274,18 @@ def bits(*values) -> bytes:
 
 
 def outcome(call, *args):
-    """The bytes of a call's residual, or its error's type and message."""
+    """The bytes of a call's value (a number or a tuple of numbers), or its error's type and message."""
     try:
-        return bits(call(*args))
+        value = call(*args)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+    return bits(*value) if isinstance(value, tuple) else bits(value)
+
+
+def developed(s, x, y, t, chart):
+    """develop's point as (z, t)."""
+    p = develop(s, x, y, t, chart)
+    return p.z, p.t
 
 
 #: a = 0, a = 2*pi*i*k + delta with delta = 0 or |delta| log-uniform in [1e-15, 1e-3], or a off the locus
@@ -310,10 +317,11 @@ class TestEquivarianceOnCoordinates:
     @example(a=0j, b=1j, points=[(0.3, -0.2, 1.5)], chart="printed", gen=2)
     @example(a=TWO_PI_I + 5e-14, b=0.3 + 1.2j, points=[(-0.0, -0.0, 1.0)], chart="corrected", gen=1)
     def test_bits_match_the_composition(self, a, b, points, chart, gen):
+        # an error counts as an outcome: below |a| ~ 1e-154 the printed chart's height underflows on both paths
         s = EndParameter(a, b)  # kept constants from the first point on
         for x, y, t in points:
-            got = equivariance_residual(s, gen, x, y, t, chart=chart)
-            assert bits(got) == bits(composed_residual(EndParameter(a, b), gen, x, y, t, chart))
+            got = outcome(equivariance_residual, s, gen, x, y, t, chart)
+            assert got == outcome(composed_residual, EndParameter(a, b), gen, x, y, t, chart)
 
     @pytest.mark.parametrize(
         "a, gen, point, chart",
@@ -346,15 +354,15 @@ class TestEquivarianceOnCoordinates:
     def test_kept_constants_change_no_bit(self, a, b, point):
         used, x, y, t = EndParameter(a, b), *point
         for gen in (1, 2):
-            equivariance_residual(used, gen, x, y, t)
+            outcome(equivariance_residual, used, gen, x, y, t)  # keeps what it computed, even where it raises
         for m in range(-2, 3):
             for n in range(-2, 3):
                 assert bits(*holonomy(used, m, n).entries()) == bits(*holonomy(EndParameter(a, b), m, n).entries())
         fresh = holonomy_representation(EndParameter(a, b))
         assert [bits(*g.entries()) for g in holonomy_representation(used)] == [bits(*g.entries()) for g in fresh]
         for chart in ("printed", "corrected"):
-            p, q = develop(used, x, y, t, chart), develop(EndParameter(a, b), x, y, t, chart)
-            assert bits(p.z, p.t) == bits(q.z, q.t)
+            p, q = (outcome(developed, s, x, y, t, chart) for s in (used, EndParameter(a, b)))
+            assert p == q
         if a != 0:
             assert bits(phi(used, x, y)) == bits(phi(EndParameter(a, b), x, y))
 
@@ -395,8 +403,8 @@ class TestKeptConstants:
         assert vars(s).keys() == {"a", "b", "_den", "_rho1"}
 
     def test_an_image_that_overflows_keeps_nothing(self):
-        # e^{a b} = e^{800 + i} overflows in rho(g2) only; rho(g1) is still computed, and rho(g2) raises again
-        s = EndParameter(1.0, 800.0 + 1j)
+        # e^{a b / 2} = e^{750 + i/2} overflows in rho(g2) only; rho(g1) is still computed, and rho(g2) raises again
+        s = EndParameter(1.0, 1500.0 + 1j)
         for _ in range(2):
             with pytest.raises(OverflowError):
                 s._rho2
@@ -461,6 +469,45 @@ class TestPrintedFrameOracle:
             rel = 16 * U * (1 + abs(a) * (abs(mn[0]) + abs(mn[1]) * abs(b))) * amplify
             for g, w in zip(got, want):
                 assert float(abs(g - w)) <= rel * float(abs(w))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(e=st.floats(-300.0, 0.0), phase=ALIGNED_PHASE, b=END_B, mn=ORACLE_MN)
+    @example(e=-13.0, phase=0.0, b=1j, mn=(1, 0))
+    def test_holonomy_near_the_cusp(self, e, phase, b, mn):
+        """holonomy for |a| = 10^e, down to 1e-300, against mp_holonomy.
+
+        The frame stays affine near a = 0, with 1 - e^a = -2 e^{a/2} sinh(a/2) and
+        a12 = -2 sinh(c/2) / (1 - e^a), c = a(m + bn).  With u = 2^-53: m + bn rounds by u
+        (b n is exact for |n| <= 2) and the product with a by sqrt 5 u, so c is within 3.3 u
+        relative; e^{c/2} then moves by |c/2| times that and sinh(c/2) by |(c/2) coth(c/2)|
+        times it.  a/2 is exact, and cmath's exp and sinh, the complex products and the
+        quotients each round by a few u.  Counting 4 u for each, every entry is within
+        24 u (1 + |c| (1 + |coth(c/2)|)) of the reference, relative.
+        """
+        a = 10.0**e * cmath.exp(1j * phase)
+        got = holonomy(EndParameter(a, b), *mn).entries()
+        want = mp_holonomy(a, b, *mn)
+        with mpmath.workdps(DPS):
+            c = mpmath.mpc(a) * (mn[0] + mpmath.mpc(b) * mn[1])
+            rel = 24 * U * (1 + float(abs(c) * (1 + abs(mpmath.coth(c / 2)))))
+            for g, w in zip(got, want):
+                assert float(abs(g - w)) <= rel * float(abs(w))
+
+    @pytest.mark.parametrize("a", [5e-324, 5e-324j, complex(-5e-324, 5e-324)])
+    def test_denominator_rounding_to_zero_is_named(self, a):
+        # 1 - e^a = -2 e^{a/2} sinh(a/2) is 0 in floating point once a/2 underflows; it was divided by
+        with pytest.raises(ZeroA, match="1 - e\\^a rounds to 0"):
+            holonomy(EndParameter(a, 1j), 1, 0)
+        with pytest.raises(ZeroA):
+            z0_of(a)
+
+    def test_only_the_nonzero_multiples_of_2_pi_i_are_the_pole_locus(self):
+        # near a = 0 the singularity is removable: the affine frame, whose z0 = 1/(1 - e^a) is about -1/a
+        for a in (1e-13, 3e-15j, -1e-200 + 1e-200j):
+            assert abs(z0_of(a) * a + 1) <= 1e-12
+            assert holonomy(EndParameter(a, 1j), 1, 0).distance(MobiusTransform(1.0, 1.0, 0.0, 1.0)) <= 1e-12
+        for a in (TWO_PI_I, -TWO_PI_I + 3e-13, 2 * TWO_PI_I - 5e-14j):
+            assert z0_of(a) == 0
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(a=ORACLE_A, b=END_B, point=CHART_POINT, chart=st.sampled_from(["printed", "corrected"]))
