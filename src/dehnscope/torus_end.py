@@ -172,6 +172,7 @@ def _affine_den(a: complex) -> complex | None:
     nears 1; elsewhere |e^a| is at least e or at most 1/e, so 1 - e^a does not
     cancel either, and overflows where e^a does.  The pole locus is a near
     2 pi i k with k != 0 (|Im a| > pi); near a = 0 the frame stays affine.
+    ZeroA at a = 0, and where 1 - e^a rounds to 0 (a/2 underflows).
     """
     if a == 0:
         raise ZeroA("no cone frame at a = 0; the cusp chart applies instead")

@@ -637,13 +637,8 @@ class TestConfig:
              "--eps-grid"),
             (["schwarzian", "--f", "square", "--grid=0:1:1000001,1:2:1", "--format", "csv"], "--grid"),
             (["schwarzian", "--f", "square", "--depth", "--grid=0:1:1,1:2:1000001"], "--grid"),
-            (["bilipschitz", "--a1", "0.1,0.6", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
-              "--region", "0:1,0:1,1:2", "--samples", "1000001"], "--samples"),
-            (["solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3", "--max-iter", "1000001"],
-             "--max-iter"),
         ],
-        ids=["sequence-n", "crosssection-eps-grid", "schwarzian-grid", "schwarzian-depth", "bilipschitz-samples",
-             "solve-max-iter"],
+        ids=["sequence-n", "crosssection-eps-grid", "schwarzian-grid", "schwarzian-depth"],
     )
     def test_oversized_request_exits_2_naming_flag(self, capsys, argv, flag):
         # one value past the cap, refused before any list of that size is built
@@ -651,27 +646,30 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == "" and f"{flag} asks for 1000001 values" in captured.err
 
-    @pytest.mark.parametrize("config", [False, True], ids=["flag", "config-file"])
-    def test_oversized_samples_and_iterations_start_no_work(self, capsys, tmp_path, monkeypatch, config):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bilipschitz", "--a1", "0.1,0.6", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
+              "--region", "0:1,0:1,1:2", "--samples", "1000001"], "--samples"),
+            (["solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3", "--max-iter", "1000001"],
+             "--max-iter"),
+            (["--config", "{cfg}", "solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3"],
+             "--max-iter"),
+        ],
+        ids=["bilipschitz-samples", "solve-max-iter", "config-newton-max-iter"],
+    )
+    def test_oversized_samples_and_iterations_start_no_work(self, capsys, tmp_path, monkeypatch, argv, flag):
         # both used to run: a million and one samples, or Newton steps, were not bounded
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the cap was checked")
 
         monkeypatch.setattr("dehnscope.torus_end.estimate_bilipschitz", refuse)
         monkeypatch.setattr("dehnscope.filling_solver.solve_on_path", refuse)
-        solve = ["solve", "--path", TestSolveCommand.PATH, "--x", "1", "--y", "1", "--w0", "0,3"]
-        if config:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"newton_max_iter": 10**6 + 1}))
-            solve = ["--config", str(cfg), *solve]
-        else:
-            solve += ["--max-iter", str(10**6 + 1)]
-        bilip = ["bilipschitz", "--a1", "0.1,0.6", "--b1", "0,1", "--a2", "0,0", "--b2", "0,1",
-                 "--region", "0:1,0:1,1:2", "--samples", str(10**6 + 1)]
-        for argv, flag in ((solve, "--max-iter"), (bilip, "--samples")):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and f"{flag} asks for 1000001 values" in captured.err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"newton_max_iter": 10**6 + 1}))
+        assert main([a.replace("{cfg}", str(cfg)) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} asks for 1000001 values" in captured.err
 
     def test_huge_grid_is_refused_before_allocation(self, capsys):
         # the two axes alone would take 72.8 TiB
