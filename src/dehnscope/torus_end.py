@@ -16,7 +16,9 @@ themselves vary continuously through it; on it (|1 - e^a| <= SINGULAR_LOCUS_TOL
 and k != 0, decided in _affine_den) z0_of, phi, develop and holonomy share the
 limiting axis-centered frame: center 0, phi = -e^{xa+yab}, rho = z -> e^{a(m+bn)} z.
 Near a = 0 the holonomy has a removable singularity, not a pole, and keeps the
-affine frame, with 1 - e^a formed as -2 e^{a/2} sinh(a/2).
+affine frame, with 1 - e^a formed as -2 e^{a/2} sinh(a/2), down to
+|1 - e^a| = AFFINE_DEN_MIN; below it (|a| under about 1e-301) z0 and phi,
+of size 1/|a|, would leave the float range, and the axis frame is kept too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .hypcore import SCALAR_TYPES, H3Point, MobiusTransform, _h3_checked, _poinc
 
 
 class ZeroA(ValueError):
-    """Raised by cone-specific operations at the cusp parameter a = 0, or at an a whose 1 - e^a rounds to 0."""
+    """Raised by cone-specific operations at the cusp parameter a = 0."""
 
 
 class DegenerateRegion(ValueError):
@@ -165,23 +167,27 @@ def _quotient_distance(cusp1, x1, y1, cusp2, x2, y2):
     return np.where(cusp1 | cusp2, np.where(cusp1 & cusp2, 0.0, np.inf), d)
 
 
+#: smallest |1 - e^a| kept in the affine frame: z0 = 1/(1 - e^a) stays below 2^1000
+AFFINE_DEN_MIN = 2.0**-1000
+
+
 def _affine_den(a: complex) -> complex | None:
-    """1 - e^a in the affine frame, or None on the pole locus (axis-centered frame).
+    """1 - e^a in the affine frame, or None where the axis-centered frame is used.
 
     Where |Re a| <= 1 it is -2 e^{a/2} sinh(a/2), which does not cancel as e^a
     nears 1; elsewhere |e^a| is at least e or at most 1/e, so 1 - e^a does not
-    cancel either, and overflows where e^a does.  The pole locus is a near
-    2 pi i k with k != 0 (|Im a| > pi); near a = 0 the frame stays affine.
-    ZeroA at a = 0, and where 1 - e^a rounds to 0 (a/2 underflows).
+    cancel either, and overflows where e^a does.  The axis frame is used on the
+    pole locus, a near 2 pi i k with k != 0 (|Im a| > pi), and below
+    AFFINE_DEN_MIN, where the affine frame leaves the float range; elsewhere
+    near a = 0 the frame stays affine.
     """
     if a == 0:
         raise ZeroA("no cone frame at a = 0; the cusp chart applies instead")
     if abs(a.real) > 1.0:
         return 1.0 - cmath.exp(a)
     den = -2.0 * cmath.exp(a / 2.0) * cmath.sinh(a / 2.0)
-    if den == 0:
-        raise ZeroA(f"no cone frame at a = {a!r}: 1 - e^a rounds to 0")
-    return None if abs(den) <= SINGULAR_LOCUS_TOL and abs(a.imag) > math.pi else den
+    q = abs(den)
+    return None if q < AFFINE_DEN_MIN or (q <= SINGULAR_LOCUS_TOL and abs(a.imag) > math.pi) else den
 
 
 def _frame(den: complex | None) -> tuple[complex, complex]:
@@ -238,6 +244,11 @@ def _developed(s: EndParameter, x: float, y: float, t: float, chart: str):
     return _chart(s, x, y, t, chart)
 
 
+def _where(condition, x, y):
+    """np.where on a number."""
+    return x if condition else y
+
+
 def _chart(s: EndParameter, x, y, t, chart: str):
     """develop as (z, height), on real numbers or on arrays of sample coordinates."""
     if s.a == 0:
@@ -245,13 +256,17 @@ def _chart(s: EndParameter, x, y, t, chart: str):
     z0, c = _frame(s._den)
     ph = _phi(s, c, x, y)
     if isinstance(ph, SCALAR_TYPES):
-        ap, sqrt = abs(ph), math.sqrt
+        ap, sqrt, where = abs(ph), math.sqrt, _where
     else:
         import numpy as np
 
-        ap, sqrt = modulus(ph), np.sqrt
+        ap, sqrt, where = modulus(ph), np.sqrt, np.where
     if chart == "printed":
-        den = sqrt(t * t + ap * ap)
+        # |phi| is about 1/|a| near a = 0: where its square would overflow, t and |phi|
+        # are scaled by 2^-600 (exact), which leaves ap/den and t ap/den as they were
+        scale = where(ap > 2.0**500, 2.0**-600, 1.0)
+        ts, ap = t * scale, ap * scale
+        den = sqrt(ts * ts + ap * ap)
         return z0 + ph * (ap / den), t * ap / den
     if chart == "corrected":
         den = sqrt(1.0 + t * t)
