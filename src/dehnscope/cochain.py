@@ -96,13 +96,12 @@ class MarkedRepresentation:
     def _coboundary(self) -> tuple:
         """(matrix, singular values) of the map v -> (v - Ad rho(g_i) v)_i, both read-only.
 
-        The matrix is (3k, 3), the blocks I - Ad rho(g_i) stacked; column alpha is
-        Cocycle.coboundary(self, e_alpha).coords().
+        The matrix is (3k, 3); column alpha is Cocycle.coboundary(self, e_alpha).coords().
         """
         import numpy as np
 
-        blocks = [np.eye(3) - adjoint_matrix(g) for g in self.generators]
-        mat = np.array(blocks, dtype=complex).reshape(3 * len(blocks), 3)
+        units = (SL2Vector(1 + 0j, 0j, 0j), SL2Vector(0j, 1 + 0j, 0j), SL2Vector(0j, 0j, 1 + 0j))
+        mat = np.column_stack([Cocycle.coboundary(self, e).coords() for e in units])
         sv = _singular_values(mat)
         mat.setflags(write=False)  # every caller shares these two arrays
         sv.setflags(write=False)

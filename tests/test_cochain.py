@@ -568,8 +568,8 @@ class TestStoredWork:
         k=st.integers(0, 5),
         exponent=st.floats(0.0, 3.0),
     )
-    def test_coboundary_matrix_is_the_unit_vector_columns(self, seed, k, exponent):
-        # column alpha of the stacked I - Ad rho(g_i) is, bit for bit, Cocycle.coboundary of the unit vector e_alpha
+    def test_coboundary_matrix_is_the_stacked_adjoint_blocks(self, seed, k, exponent):
+        # the columns Cocycle.coboundary(e_alpha) are, bit for bit, the stacked I - adjoint_matrix(rho(g_i))
         rng = np.random.default_rng(seed)
         gens = []
         while len(gens) < k:
@@ -577,10 +577,9 @@ class TestStoredWork:
             if abs(e[0] * e[3] - e[1] * e[2]) > 1e-3 * max(map(abs, e)) ** 2:
                 gens.append(MobiusTransform.from_entries(*e))
         rep = MarkedRepresentation(tuple(gens), ())
-        units = (SL2Vector(1 + 0j, 0j, 0j), SL2Vector(0j, 1 + 0j, 0j), SL2Vector(0j, 0j, 1 + 0j))
-        columns = np.column_stack([Cocycle.coboundary(rep, e).coords() for e in units])
+        blocks = np.array([np.eye(3) - adjoint_matrix(g) for g in gens], dtype=complex).reshape(3 * k, 3)
         got = rep._coboundary[0]
-        assert got.shape == columns.shape == (3 * k, 3) and got.tobytes() == columns.tobytes()
+        assert got.shape == blocks.shape == (3 * k, 3) and got.tobytes() == blocks.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
