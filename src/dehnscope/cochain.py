@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import COCYCLE_TOL, RANK_RTOL, positive_finite
-from .hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, right_translate
+from .hypcore import MobiusTransform, SL2Vector, adjoint_rows, right_translate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,6 +27,8 @@ if TYPE_CHECKING:
 
 #: the start of every walk and the target of the relator check; MobiusTransform is immutable, so one is shared
 _IDENTITY = MobiusTransform.identity()
+#: rows of the identity on sl(2,C) coordinates, as complex numbers so that e - x keeps the sign of a zero as numpy's does
+_UNIT_ROWS = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
 
 class BadWord(ValueError):
     """Raised for a word letter that is not an integer +-(i+1) naming a generator."""
@@ -96,12 +98,15 @@ class MarkedRepresentation:
     def _coboundary(self) -> tuple:
         """(matrix, singular values) of the map v -> (v - Ad rho(g_i) v)_i, both read-only.
 
-        The matrix is (3k, 3); column alpha is Cocycle.coboundary(self, e_alpha).coords().
+        The matrix is (3k, 3), the blocks I - Ad rho(g_i) stacked, each row e - r for a
+        unit row e and the row r of hypcore.adjoint_rows, all handed to numpy at once.
         """
         import numpy as np
 
-        units = (SL2Vector(1 + 0j, 0j, 0j), SL2Vector(0j, 1 + 0j, 0j), SL2Vector(0j, 0j, 1 + 0j))
-        mat = np.column_stack([Cocycle.coboundary(self, e).coords() for e in units])
+        rows = [
+            [e - x for e, x in zip(unit, ad)] for g in self.generators for unit, ad in zip(_UNIT_ROWS, adjoint_rows(g))
+        ]
+        mat = np.array(rows, dtype=complex).reshape(-1, 3)
         sv = _singular_values(mat)
         mat.setflags(write=False)  # every caller shares these two arrays
         sv.setflags(write=False)
@@ -123,7 +128,9 @@ class Cocycle:
 
     @staticmethod
     def coboundary(rep: MarkedRepresentation, v: SL2Vector) -> "Cocycle":
-        return Cocycle(tuple(v - adjoint(g, v) for g in rep.generators))
+        """z(g_i) = v - Ad rho(g_i) v, read from the representation's kept coboundary matrix."""
+        values = _apply(rep._coboundary[0], v.coords()).reshape(-1, 3).tolist()
+        return Cocycle(tuple(map(SL2Vector.from_coords, values)))
 
     def coords(self) -> np.ndarray:
         """Stacked coordinate vector in C^{3k}."""
@@ -141,28 +148,37 @@ def _fox_matrix(rep: MarkedRepresentation, words, walks) -> np.ndarray:
     """The Fox rule: the (3 len(words), 3k) matrix of z -> (extend_cocycle(rep, z, w))_w.
 
     Letter j of a word adds, in word order, +Ad(walk[j]) to the block of g_i, or
-    -Ad(walk[j+1]) for g_i^-1, as walk[j] g_i^-1 = walk[j+1].
+    -Ad(walk[j+1]) for g_i^-1, as walk[j] g_i^-1 = walk[j+1].  The entries are Python
+    complex sums from 0j of the rows of hypcore.adjoint_rows, handed to numpy at once.
     """
     import numpy as np
 
-    mat = np.zeros((3 * len(words), 3 * len(rep.generators)), dtype=complex)
-    for r, (word, walk) in enumerate(zip(words, walks)):
-        rows = mat[3 * r : 3 * r + 3]
+    width = 3 * len(rep.generators)
+    rows = []
+    for word, walk in zip(words, walks):
+        block = [[0j] * width for _ in range(3)]
         for letter, before, after in zip(word, walk, walk[1:]):
-            block = rows[:, 3 * abs(letter) - 3 : 3 * abs(letter)]
+            col = 3 * abs(letter) - 3
             if letter > 0:
-                block += adjoint_matrix(before)
+                for row, (x, y, w) in zip(block, adjoint_rows(before)):
+                    row[col] += x
+                    row[col + 1] += y
+                    row[col + 2] += w
             else:
-                block -= adjoint_matrix(after)
-    return mat
+                for row, (x, y, w) in zip(block, adjoint_rows(after)):
+                    row[col] -= x
+                    row[col + 1] -= y
+                    row[col + 2] -= w
+        rows += block
+    return np.array(rows, dtype=complex).reshape(3 * len(words), width)
 
 
-def _apply(mat: np.ndarray, c: Cocycle) -> np.ndarray:
-    """mat @ c.coords(); a non-finite value gives NaN or inf without a warning, as Python arithmetic does."""
+def _apply(mat: np.ndarray, coords) -> np.ndarray:
+    """mat @ coords; a non-finite value gives NaN or inf without a warning, as Python arithmetic does."""
     import numpy as np
 
     with np.errstate(invalid="ignore", over="ignore"):
-        return mat @ c.coords()
+        return mat @ coords
 
 
 def extend_cocycle(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int]) -> SL2Vector:
@@ -173,7 +189,7 @@ def extend_cocycle(rep: MarkedRepresentation, c: Cocycle, word: Sequence[int]) -
     """
     _check_generator_count(rep, c)
     word = tuple(map(rep._letter, word))
-    return SL2Vector.from_coords(_apply(_fox_matrix(rep, (word,), (rep._walk(word),)), c))
+    return SL2Vector.from_coords(_apply(_fox_matrix(rep, (word,), (rep._walk(word),)), c.coords()))
 
 
 def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
@@ -185,7 +201,7 @@ def is_cocycle(rep: MarkedRepresentation, c: Cocycle, tol: float = COCYCLE_TOL):
     """
     positive_finite("tol", tol, allow_zero=True)
     _check_generator_count(rep, c)
-    residuals = (SL2Vector.from_coords(v).norm() for v in _apply(rep._relator, c).reshape(-1, 3))
+    residuals = (SL2Vector.from_coords(v).norm() for v in _apply(rep._relator, c.coords()).reshape(-1, 3))
     worst = max(residuals, default=0.0, key=lambda r: (math.isnan(r), r))  # a NaN ranks above every number
     return worst <= tol, worst
 
@@ -246,7 +262,7 @@ def class_rank(rep: MarkedRepresentation, cocycles: Sequence[Cocycle], rtol: flo
     for c in cocycles:
         _check_generator_count(rep, c)
     b_mat, b_sv = rep._coboundary
-    joint = np.hstack([b_mat, np.array([c.coords() for c in cocycles]).T])
+    joint = np.concatenate((b_mat, np.array([c.coords() for c in cocycles]).T), axis=1)
     return _rank(_singular_values(joint), rtol) - _rank(b_sv, rtol)
 
 

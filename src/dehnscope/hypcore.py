@@ -143,8 +143,20 @@ class SL2Vector:
         return self.x, self.y, self.w
 
     def norm(self) -> float:
-        """Frobenius norm of [[x, y], [w, -x]], so x counts twice."""
-        return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2 + abs(self.w) ** 2 + abs(self.x) ** 2)
+        """Frobenius norm of [[x, y], [w, -x]], so x counts twice.
+
+        Where the sum of squares overflows (float ** and abs of a complex number raise
+        there), the norm is math.hypot of the eight parts: finite up to the float range,
+        inf past it.
+        """
+        x, y, w = self.x, self.y, self.w
+        try:
+            total = abs(x) ** 2 + abs(y) ** 2 + abs(w) ** 2 + abs(x) ** 2
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            return math.hypot(x.real, x.imag, x.real, x.imag, y.real, y.imag, w.real, w.imag)
+        return math.sqrt(total)
 
     def __add__(self, other: "SL2Vector") -> "SL2Vector":
         return SL2Vector(self.x + other.x, self.y + other.y, self.w + other.w)

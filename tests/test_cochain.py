@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from dehnscope.cochain import (
 )
 from dehnscope.hypcore import MobiusTransform, SL2Vector, adjoint, adjoint_matrix, adjoint_rows
 from dehnscope.torus_end import EndParameter, holonomy_representation, z0_of
-from mp_reference import mp_extend_cocycle
+from mp_reference import DPS, mp_adjoint, mp_extend_cocycle
 
 Z2_RELATOR = ((1, 2, -1, -2),)
 
@@ -190,6 +191,15 @@ class TestIsCocycle:
         c = Cocycle((SL2Vector(bad, 0j, 0j), SL2Vector.zero()))
         ok, residual = is_cocycle(z2_rep(), c)
         assert not ok and not math.isfinite(residual)
+
+    def test_value_near_the_float_range_gives_a_finite_residual(self):
+        # SL2Vector.norm squared the moduli with **, so this raised an unnamed OverflowError
+        rep = z2_rep()
+        unit = Cocycle((SL2Vector(1 + 0j, 0j, 0j), SL2Vector.zero()))
+        ok, residual = is_cocycle(rep, Cocycle((SL2Vector(1e308 + 0j, 0j, 0j), SL2Vector.zero())))
+        assert not ok and math.isfinite(residual)
+        assert abs(residual - 1e308 * is_cocycle(rep, unit)[1]) <= 1e-15 * residual
+        assert math.isfinite(extend_cocycle(rep, Cocycle((SL2Vector(1e308 + 0j, 0j, 0j), SL2Vector.zero())), Z2_RELATOR[0]).norm())
 
     def test_coboundaries(self):
         rng = np.random.default_rng(4)
@@ -533,7 +543,7 @@ class TestStoredWork:
         coords=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=9, max_size=9),
     )
     def test_coboundary_matrix_is_the_row_formula(self, gens, coords):
-        # the kept matrix, built from Cocycle.coboundary, and everything read from it, against the row formula
+        # the kept matrix, and everything read from it, against the row formula
         rep = MarkedRepresentation(gens, ())  # the coboundary map does not read the relators
         ref = MarkedRepresentation(rep.generators, rep.relators)
         mat = self.row_formula(rep)
@@ -580,6 +590,69 @@ class TestStoredWork:
         blocks = np.array([np.eye(3) - adjoint_matrix(g) for g in gens], dtype=complex).reshape(3 * k, 3)
         got = rep._coboundary[0]
         assert got.shape == blocks.shape == (3 * k, 3) and got.tobytes() == blocks.tobytes()
+
+    def test_one_coboundary_matrix_per_representation(self, monkeypatch):
+        # h1_dimension, class_rank, solve_coboundary and every Cocycle.coboundary call read one kept matrix
+        built = []
+        build = MarkedRepresentation.__dict__["_coboundary"].func
+
+        def counting_build(self):
+            built.append(self)
+            return build(self)
+
+        counting = cached_property(counting_build)
+        counting.__set_name__(MarkedRepresentation, "_coboundary")
+        monkeypatch.setattr(MarkedRepresentation, "_coboundary", counting)
+        rep, other = z2_rep(), z2_rep(0.8 + 0.1j, 0.5 + 1.5j)
+        v = SL2Vector.from_coords((0.3, 1j, -0.5))
+        z = Cocycle.coboundary(rep, v)
+        assert built == [rep]
+        assert h1_dimension(rep) == (4, 2, 2) and class_rank(rep, [z]) == 0
+        assert all(Cocycle.coboundary(rep, v) == z for _ in range(3))
+        assert solve_coboundary(rep, z)[1] < 1e-12
+        assert built == [rep]
+        assert h1_dimension(other) == (4, 2, 2)
+        Cocycle.coboundary(other, v)
+        assert built == [rep, other]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        gens=st.one_of(
+            st.builds(lambda a, b: holonomy_representation(EndParameter(a, b)), end_a, end_b),
+            st.builds(
+                lambda seed, k: tuple(random_mobius(np.random.default_rng(seed)) for _ in range(k)),
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 3),
+            ),
+        ),
+        coords=st.lists(st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=3, max_size=3),
+    )
+    def test_coboundary_matches_60_digit_oracle(self, gens, coords):
+        """Cocycle.coboundary(rep, v) against v - mp_adjoint(g_i, v), within a derived bound.
+
+        With u = 2^-53 and mu = max |g_ij| of a generator: an entry of adjoint_rows(g) is at
+        most 2 mu^2 and within 7 u mu^2 of exact (see test_hypcore's Ad oracle), so an entry
+        e - r of the coboundary matrix is at most 1 + 2 mu^2 and within u (1 + 9 mu^2) of
+        exact, the subtraction rounding by u of its result.  Each coordinate of the product
+        with v sums three complex products, in any order and with or without fused
+        multiply-adds: its real and imaginary parts each sum six real products whose moduli
+        add to at most sum_j |B_j| |v_j|, so each part is within 6 u of that, and the complex
+        coordinate within 6 sqrt 2 u of it.  Per coordinate, to first order, the error is
+        at most u (1 + 9 mu^2 + 6 sqrt 2 (1 + 2 mu^2)) (|x| + |y| + |w|); the bound takes
+        1.01 times that.  (mu^2 >= 1/2 at determinant 1, so this is below 45 u mu^2 |v|_1.)
+        """
+        u = 2.0**-53
+        rep = MarkedRepresentation(gens, ())
+        v = SL2Vector.from_coords(coords)
+        got = Cocycle.coboundary(rep, v)
+        assert len(got.values) == len(rep.generators)
+        for g, value in zip(rep.generators, got.values):
+            mu2 = max(map(abs, g.entries())) ** 2
+            bound = u * (1 + 9 * mu2 + 6 * math.sqrt(2) * (1 + 2 * mu2)) * sum(map(abs, v.coords()))
+            with mpmath.workdps(DPS):
+                want = [mpmath.mpc(x) - y for x, y in zip(v.coords(), mp_adjoint(g.entries(), v.coords()))]
+            for x, y in zip(value.coords(), want):
+                assert float(abs(x - y)) <= 1.01 * bound
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -29,7 +29,7 @@ from dehnscope.hypcore import (
 )
 from dehnscope.schwarzian_end import MobiusMap
 from dehnscope.torus_end import EndParameter, holonomy
-from mp_reference import mp_adjoint, mp_complex_length, mp_hyp_distance
+from mp_reference import DPS, mp_adjoint, mp_complex_length, mp_hyp_distance
 
 
 def random_mobius(rng) -> MobiusTransform:
@@ -632,6 +632,42 @@ class TestSL2Vector:
         assert SL2Vector.from_matrix(sl2_array(v).tolist()) == v
         assert SL2Vector.from_matrix(sl2_array(v)) == v
         assert abs(v.norm() - np.linalg.norm(sl2_array(v))) <= 4 * np.spacing(v.norm())
+
+    def test_norm_past_the_range_of_the_squares(self):
+        # abs(x) ** 2 raised OverflowError for the first, and the sum of finite squares gave inf for the second
+        with mpmath.workdps(DPS):
+            cases = ((SL2Vector(1e200 + 0j, 0j, 0j), mpmath.sqrt(2) * 1e200), (SL2Vector(1.3e154 + 0j, 1.3e154 + 0j, 0j), mpmath.sqrt(3) * 1.3e154))
+        for v, want in cases:
+            assert abs(v.norm() - want) <= 2.0**-52 * want
+        assert SL2Vector(complex(1e308, 1e308), 0j, 0j).norm() == math.inf
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parts=st.lists(st.one_of(_part, st.floats(allow_nan=False, allow_infinity=False)), min_size=6, max_size=6))
+    @example(parts=[1e200, 0.0, 0.0, 0.0, 0.0, 0.0])
+    @example(parts=[1.3e154, 0.0, 1.3e154, 0.0, 0.0, 0.0])
+    @example(parts=[1e308, 1e308, 0.0, 0.0, 1e308, 0.0])
+    def test_norm_keeps_its_bits_in_range_and_is_the_norm_past_it(self, parts):
+        """Where sqrt(2|x|^2 + |y|^2 + |w|^2) is finite in floats, norm() is it bit for bit.
+
+        Elsewhere the true norm is at least 2^511 (a square or the sum overflowed), so math.hypot
+        of the parts meets no subnormal and is within an ulp of the 60-digit norm, or inf past
+        the float range.
+        """
+        x, y, w = (complex(parts[i], parts[i + 1]) for i in (0, 2, 4))
+        v = SL2Vector(x, y, w)
+        try:
+            formula = math.sqrt(abs(x) ** 2 + abs(y) ** 2 + abs(w) ** 2 + abs(x) ** 2)
+        except OverflowError:
+            formula = math.inf
+        if formula < math.inf:
+            assert struct.pack("<d", v.norm()) == struct.pack("<d", formula)
+            return
+        with mpmath.workdps(DPS):
+            want = mpmath.sqrt(sum(mpmath.mpf(p) ** 2 for p in (*parts[:2], *parts)))
+        if float(want) == math.inf:
+            assert v.norm() == math.inf
+        else:
+            assert abs(v.norm() - want) <= 2.0**-52 * want
 
     def test_values_are_python_numbers(self):
         # numpy stays inside the array builders: no scalar value holds a numpy type
