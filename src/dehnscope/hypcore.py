@@ -6,8 +6,10 @@ action on sl(2,C).
 
 Conventions: matrices are normalized to determinant 1 and compared up to
 global sign.  All 2x2 arithmetic is written on the four entries of a
-MobiusTransform, taking moduli with Python abs, and Ad on the coordinates
-(x, y, w) of [[x, y], [w, -x]] in sl(2,C).
+MobiusTransform, taking every norm as one math.hypot of real and imaginary
+parts (no square is formed, so none overflows or underflows short of the
+float range), and Ad on the coordinates (x, y, w) of [[x, y], [w, -x]] in
+sl(2,C).
 """
 
 from __future__ import annotations
@@ -76,16 +78,18 @@ class MobiusTransform:
         return self.a11 + self.a22
 
     def frobenius_gaps(self, other: "MobiusTransform") -> tuple[float, float]:
-        """Squared Frobenius norms (|A - B|^2, |A + B|^2) of the two sign choices, summed in entry order."""
+        """Frobenius norms (|A - B|, |A + B|) of the two sign choices, each a math.hypot of eight real parts."""
         a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
         b11, b12, b21, b22 = other.a11, other.a12, other.a21, other.a22
-        minus = abs(a11 - b11) ** 2 + abs(a12 - b12) ** 2 + abs(a21 - b21) ** 2 + abs(a22 - b22) ** 2
-        plus = abs(a11 + b11) ** 2 + abs(a12 + b12) ** 2 + abs(a21 + b21) ** 2 + abs(a22 + b22) ** 2
+        d11, d12, d21, d22 = a11 - b11, a12 - b12, a21 - b21, a22 - b22
+        s11, s12, s21, s22 = a11 + b11, a12 + b12, a21 + b21, a22 + b22
+        minus = math.hypot(d11.real, d11.imag, d12.real, d12.imag, d21.real, d21.imag, d22.real, d22.imag)
+        plus = math.hypot(s11.real, s11.imag, s12.real, s12.imag, s21.real, s21.imag, s22.real, s22.imag)
         return minus, plus
 
     def distance(self, other: "MobiusTransform") -> float:
         """Sign-insensitive Frobenius distance, a metric on PSL(2,C) matrices."""
-        return math.sqrt(min(self.frobenius_gaps(other)))
+        return min(self.frobenius_gaps(other))
 
 
 @dataclass(frozen=True)
@@ -143,20 +147,13 @@ class SL2Vector:
         return self.x, self.y, self.w
 
     def norm(self) -> float:
-        """Frobenius norm of [[x, y], [w, -x]], so x counts twice.
+        """Frobenius norm of [[x, y], [w, -x]], so x counts twice: math.hypot of the eight real parts.
 
-        Where the sum of squares overflows (float ** and abs of a complex number raise
-        there), the norm is math.hypot of the eight parts: finite up to the float range,
-        inf past it.
+        No square is formed, so it is finite up to the float range and inf past it,
+        and does not underflow below the range of the squares.
         """
         x, y, w = self.x, self.y, self.w
-        try:
-            total = abs(x) ** 2 + abs(y) ** 2 + abs(w) ** 2 + abs(x) ** 2
-        except OverflowError:
-            total = math.inf
-        if total == math.inf:
-            return math.hypot(x.real, x.imag, x.real, x.imag, y.real, y.imag, w.real, w.imag)
-        return math.sqrt(total)
+        return math.hypot(x.real, x.imag, x.real, x.imag, y.real, y.imag, w.real, w.imag)
 
     def __add__(self, other: "SL2Vector") -> "SL2Vector":
         return SL2Vector(self.x + other.x, self.y + other.y, self.w + other.w)
@@ -225,22 +222,20 @@ def hyp_distance(p: H3Point, q: H3Point) -> float:
     near d = 0; the two roots are taken apart, so t_p t_q, which can underflow, is never formed.
     Where their product is subnormal, and so short of bits, the differences and heights
     are scaled by 2^1000 first: a dilation is an isometry, and exact in binary.
-    Where the chord, its denominator or their quotient overflows, the coordinate
-    differences are taken in quarters (so their moduli stay finite) and, where the
-    quotient x still overflows, 2 asinh x = 2 log 2x.
+    The chord is one math.hypot of the three coordinate differences.  Where it, its
+    denominator or their quotient overflows, the differences are taken in quarters
+    (so they stay finite) and, where the quotient x still overflows, 2 asinh x = 2 log 2x.
     """
     dz, dt = p.z - q.z, p.t - q.t
     root = 2.0 * math.sqrt(p.t) * math.sqrt(q.t)
     if root < 2.0**-1022:
         dz, dt = dz * 2.0**1000, dt * 2.0**1000
         root = 2.0 * math.sqrt(p.t * 2.0**1000) * math.sqrt(q.t * 2.0**1000)
-    try:
-        x = math.hypot(abs(dz), dt) / root
-    except OverflowError:  # abs of a complex number raises where its modulus overflows
-        x = math.inf
+    x = math.hypot(dz.real, dz.imag, dt) / root
     if x < math.inf and root < math.inf:
         return 2.0 * math.asinh(x)
-    quarter = math.hypot(abs(p.z / 4.0 - q.z / 4.0), (p.t - q.t) / 4.0)
+    dz = p.z / 4.0 - q.z / 4.0
+    quarter = math.hypot(dz.real, dz.imag, (p.t - q.t) / 4.0)
     x = quarter / math.sqrt(p.t) / (0.5 * math.sqrt(q.t))
     if x < math.inf:
         return 2.0 * math.asinh(x)

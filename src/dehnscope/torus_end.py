@@ -244,9 +244,9 @@ def _developed(s: EndParameter, x: float, y: float, t: float, chart: str):
     return _chart(s, x, y, t, chart)
 
 
-def _where(condition, x, y):
-    """np.where on a number."""
-    return x if condition else y
+def _hypot(x: float, y: float) -> float:
+    """C's hypot on two numbers, as np.hypot takes it on arrays; math.hypot can differ in the last bit."""
+    return abs(complex(x, y))
 
 
 def _chart(s: EndParameter, x, y, t, chart: str):
@@ -256,18 +256,15 @@ def _chart(s: EndParameter, x, y, t, chart: str):
     z0, c = _frame(s._den)
     ph = _phi(s, c, x, y)
     if isinstance(ph, SCALAR_TYPES):
-        ap, sqrt, where = abs(ph), math.sqrt, _where
+        ap, sqrt, hypot = abs(ph), math.sqrt, _hypot
     else:
         import numpy as np
 
-        ap, sqrt, where = modulus(ph), np.sqrt, np.where
+        ap, sqrt, hypot = modulus(ph), np.sqrt, np.hypot
     if chart == "printed":
-        # |phi| is about 1/|a| near a = 0: where its square would overflow, t and |phi|
-        # are scaled by 2^-600 (exact), which leaves ap/den and t ap/den as they were
-        scale = where(ap > 2.0**500, 2.0**-600, 1.0)
-        ts, ap = t * scale, ap * scale
-        den = sqrt(ts * ts + ap * ap)
-        return z0 + ph * (ap / den), t * ap / den
+        # |phi| is about 1/|a| near a = 0, so its square is never formed
+        r = ap / hypot(t, ap)
+        return z0 + ph * r, t * r
     if chart == "corrected":
         den = sqrt(1.0 + t * t)
         return z0 + ph / den, t * ap / den

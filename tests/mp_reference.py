@@ -75,6 +75,19 @@ def mp_hyp_distance(p, q):
         return 2 * mpmath.asinh(chord / (2 * mpmath.sqrt(tp * tq)))
 
 
+def mp_frobenius_norm(entries):
+    """Frobenius norm sqrt(sum |e|^2) of complex entries at DPS digits; no square leaves mpmath's exponent range."""
+    with mpmath.workdps(DPS):
+        return mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(e)) ** 2 for e in entries))
+
+
+def mp_frobenius_gaps(a, b):
+    """(|A - B|, |A + B|) at DPS digits for two 2x2 matrices given as their four entries."""
+    with mpmath.workdps(DPS):
+        pairs = [(mpmath.mpc(x), mpmath.mpc(y)) for x, y in zip(a, b)]
+        return mp_frobenius_norm([x - y for x, y in pairs]), mp_frobenius_norm([x + y for x, y in pairs])
+
+
 def mp_khat(developed):
     """The biLipschitz estimate of two developed sample sequences, at the working precision.
 

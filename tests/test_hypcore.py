@@ -29,7 +29,7 @@ from dehnscope.hypcore import (
 )
 from dehnscope.schwarzian_end import MobiusMap
 from dehnscope.torus_end import EndParameter, holonomy
-from mp_reference import DPS, mp_adjoint, mp_complex_length, mp_hyp_distance
+from mp_reference import DPS, mp_adjoint, mp_complex_length, mp_frobenius_gaps, mp_frobenius_norm, mp_hyp_distance
 
 
 def random_mobius(rng) -> MobiusTransform:
@@ -99,6 +99,16 @@ lengths = st.one_of(
         st.floats(-math.pi, math.pi),
         _entry,
     ),
+)
+
+#: u = 2^-53, and the smallest subnormal, the absolute rounding step below the normal range
+U = 2.0**-53
+TINY = 2.0**-1074
+#: real parts of either sign log-uniform in magnitude from 1e-300 to 1e300, subnormals, and signed zeros
+_wide_part = st.one_of(
+    st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-300, 299)),
+    st.floats(-2.0**-1022, 2.0**-1022),
+    st.sampled_from([0.0, -0.0]),
 )
 
 #: the 16 real parts of two raw matrices, with up to two of them replaced by a signed zero or a non-finite value
@@ -408,13 +418,14 @@ class TestHypDistance:
     def test_matches_60_digit_oracle(self, p, q, near):
         """hyp_distance against mp_hyp_distance, with the bound derived from the roundings of its formula.
 
-        d = 2 asinh(x^) with x^ = hypot(dz, dt) / (2 sqrt(t_p) sqrt(t_q)), u = 2^-53.  The
-        subtraction z_p - z_q rounds each part by u and abs is within 1 ulp, so dz is within
-        3u; dt = t_p - t_q is within u, and hypot adds 1 ulp: the chord is within 5u.  The
-        roots round by u/2 each and their product by u, so x^ is within 8u of x = sinh(d/2),
-        relative.  asinh' = 1 / cosh, so that moves d/2 by at most 8u tanh(d/2) <= 8u d/2,
-        and math.asinh within 2 ulps adds 4u d/2: d is within 12u d, plus a few subnormal
-        steps where the chord or x^ underflows.  The bound is relative down to d = 0.
+        d = 2 asinh(x^) with x^ = hypot(Re dz, Im dz, dt) / (2 sqrt(t_p) sqrt(t_q)), u = 2^-53.
+        The subtractions z_p - z_q and t_p - t_q round each of the three parts by u, and
+        math.hypot adds 1 ulp (2u): the chord is within 3u.  The roots round by u/2 each and
+        their product by u, so x^ is within 6u of x = sinh(d/2), relative.  asinh' = 1 / cosh,
+        so that moves d/2 by at most 6u tanh(d/2) <= 6u d/2, and math.asinh within 2 ulps adds
+        4u d/2: d is within 10u d, plus a few subnormal steps where the chord or x^ underflows.
+        The tests of this class share the 12u bound of the quarter and log paths below.  The
+        bound is relative down to d = 0.
         """
         if near:  # q one step of p's coordinates away, so d is near u
             q = (complex(math.nextafter(p[0].real, math.inf), p[0].imag), math.nextafter(p[1], 0.0))
@@ -437,7 +448,8 @@ class TestHypDistance:
     def test_overflow_takes_quarters_and_logs(self, p, q):
         """Where nothing overflows hyp_distance keeps its bits; where something does, it is within 12u d.
 
-        The fast formula is 2 asinh(hypot(|z_p - z_q|, t_p - t_q) / root), root = 2 sqrt(t_p) sqrt(t_q).
+        The fast formula is 2 asinh(hypot(Re dz, Im dz, t_p - t_q) / root), dz = z_p - z_q and
+        root = 2 sqrt(t_p) sqrt(t_q); an overflowing dz has an infinite part, so the formula is inf.
         A subnormal root is not taken as it is (test_subnormal_root_is_scaled), so it goes
         to the 60-digit comparison too.
         Otherwise the differences are taken in quarters, exact outside the subnormal range,
@@ -449,10 +461,8 @@ class TestHypDistance:
         partial sums of at most 2914.  That totals under 12400u, which is 8.8u of d.
         """
         root = 2.0 * math.sqrt(p[1]) * math.sqrt(q[1])
-        try:
-            fast = 2.0 * math.asinh(math.hypot(abs(p[0] - q[0]), p[1] - q[1]) / root)
-        except OverflowError:  # abs(z_p - z_q) raised this
-            fast = math.inf
+        dz = p[0] - q[0]
+        fast = 2.0 * math.asinh(math.hypot(dz.real, dz.imag, p[1] - q[1]) / root)
         got = hyp_distance(H3Point(*p), H3Point(*q))
         if math.isfinite(fast) and 2.0**-1022 <= root < math.inf:
             assert struct.pack("<d", got) == struct.pack("<d", fast)
@@ -576,13 +586,44 @@ class TestNormalization:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(parts=_raw_parts)
-    def test_frobenius_gaps_match_the_sum_form_bit_for_bit(self, parts):
-        # the explicit four-term sums add in the order sum() used (left to right from 0 before
-        # Python 3.12, which compensates float sums), so the relator check keeps its bits
+    def test_frobenius_gaps_match_60_digit_oracle(self, parts):
+        """Both gaps within 4u of mp_frobenius_gaps, relative; a non-finite entry gives no finite gap.
+
+        Each of the 16 real parts of A -+ B is one IEEE sum, within u of its exact value
+        (exact where it is subnormal), so the norm of the rounded parts is within u of the
+        exact norm g.  math.hypot is within 1 ulp, at most 2u of its result, so a gap is
+        within 2u (1 + 2u)(1 + u) g + u g, under 4u g, plus a subnormal step; u = 2^-53.
+        A NaN or infinite gap fails the relator check's `<= 1e-9` and classify's `< tol`.
+        """
         m, n = (MobiusTransform(*(complex(re, im) for re, im in zip(p[::2], p[1::2]))) for p in (parts[:8], parts[8:]))
-        pairs = tuple(zip(m.entries(), n.entries()))
-        reference = sum(abs(x - y) ** 2 for x, y in pairs), sum(abs(x + y) ** 2 for x, y in pairs)
-        assert struct.pack("<2d", *m.frobenius_gaps(n)) == struct.pack("<2d", *reference)
+        got = m.frobenius_gaps(n)
+        if not all(map(math.isfinite, parts)):
+            assert not any(map(math.isfinite, got))
+            return
+        for g, want in zip(got, mp_frobenius_gaps(m.entries(), n.entries())):
+            assert abs(g - want) <= 4 * U * want + TINY
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parts=st.lists(_wide_part, min_size=16, max_size=16))
+    @example(parts=[1e160, 0.0] + [0.0] * 4 + [1e-160, 0.0] + [1.0, 0.0] + [0.0] * 4 + [1.0, 0.0])  # raised OverflowError
+    @example(parts=[1.0, 0.0, 1e-170, 0.0] + [0.0] * 2 + [1.0, 0.0] * 2 + [0.0] * 4 + [1.0, 0.0])  # read 0.0
+    def test_distance_matches_60_digit_oracle_across_the_float_range(self, parts):
+        """distance within 4u of the 60-digit min(|A - B|, |A + B|) for entries from 1e-300 to 1e300 and subnormal ones.
+
+        The bound is test_frobenius_gaps_match_60_digit_oracle's: no part of A -+ B leaves
+        the float range, and math.hypot forms no square, so nothing overflows or underflows.
+        """
+        m, n = (MobiusTransform(*(complex(re, im) for re, im in zip(p[::2], p[1::2]))) for p in (parts[:8], parts[8:]))
+        want = min(mp_frobenius_gaps(m.entries(), n.entries()))
+        assert abs(m.distance(n) - want) <= 4 * U * want + TINY
+
+    def test_norms_across_the_float_range(self):
+        # the squared sums raised OverflowError for the first and read 0.0 for the other two
+        far = MobiusTransform.from_entries(1e160, 0, 0, 1e-160).distance(MobiusTransform.identity())
+        want = mp_frobenius_gaps((1e160, 0, 0, 1e-160), (1, 0, 0, 1))[0]
+        assert far == 1e160 and abs(far - want) <= math.ulp(far)
+        assert SL2Vector(0j, 0j, 1e-170j).norm() == 1e-170
+        assert MobiusTransform.identity().distance(MobiusTransform.from_entries(1, 1e-170, 0, 1)) == 1e-170
 
     @pytest.mark.parametrize(
         "entries",
@@ -628,10 +669,11 @@ class TestSL2Vector:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(v=sl2_vectors)
+    @example(v=SL2Vector(0j, 0j, 4.75e-306j))  # np.linalg.norm, the reference before, reads 0.0 here
     def test_from_matrix_round_trip_and_norm(self, v):
         assert SL2Vector.from_matrix(sl2_array(v).tolist()) == v
         assert SL2Vector.from_matrix(sl2_array(v)) == v
-        assert abs(v.norm() - np.linalg.norm(sl2_array(v))) <= 4 * np.spacing(v.norm())
+        assert abs(v.norm() - mp_frobenius_norm(v.coords() + (v.x,))) <= 4 * np.spacing(v.norm())
 
     def test_norm_past_the_range_of_the_squares(self):
         # abs(x) ** 2 raised OverflowError for the first, and the sum of finite squares gave inf for the second
@@ -642,32 +684,25 @@ class TestSL2Vector:
         assert SL2Vector(complex(1e308, 1e308), 0j, 0j).norm() == math.inf
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(parts=st.lists(st.one_of(_part, st.floats(allow_nan=False, allow_infinity=False)), min_size=6, max_size=6))
+    @given(parts=st.lists(st.one_of(_part, _wide_part, st.floats(allow_nan=False, allow_infinity=False)), min_size=6, max_size=6))
     @example(parts=[1e200, 0.0, 0.0, 0.0, 0.0, 0.0])
     @example(parts=[1.3e154, 0.0, 1.3e154, 0.0, 0.0, 0.0])
     @example(parts=[1e308, 1e308, 0.0, 0.0, 1e308, 0.0])
-    def test_norm_keeps_its_bits_in_range_and_is_the_norm_past_it(self, parts):
-        """Where sqrt(2|x|^2 + |y|^2 + |w|^2) is finite in floats, norm() is it bit for bit.
+    @example(parts=[0.0, 0.0, 0.0, 0.0, 0.0, 1e-170])  # the squares underflowed: 0.0 before
+    @example(parts=[5e-324, 0.0, 0.0, 0.0, 0.0, 0.0])
+    def test_norm_matches_60_digit_oracle(self, parts):
+        """norm() is within 1 ulp of the 60-digit sqrt(2|x|^2 + |y|^2 + |w|^2), or inf past the float range.
 
-        Elsewhere the true norm is at least 2^511 (a square or the sum overflowed), so math.hypot
-        of the parts meets no subnormal and is within an ulp of the 60-digit norm, or inf past
-        the float range.
+        The parts are exact, and math.hypot of them is within 1 ulp of their norm, which is at
+        most 2u of it, u = 2^-53, or one subnormal step below the normal range (hypot scales
+        subnormal parts exactly and rounds once on the way back).
         """
         x, y, w = (complex(parts[i], parts[i + 1]) for i in (0, 2, 4))
-        v = SL2Vector(x, y, w)
-        try:
-            formula = math.sqrt(abs(x) ** 2 + abs(y) ** 2 + abs(w) ** 2 + abs(x) ** 2)
-        except OverflowError:
-            formula = math.inf
-        if formula < math.inf:
-            assert struct.pack("<d", v.norm()) == struct.pack("<d", formula)
-            return
-        with mpmath.workdps(DPS):
-            want = mpmath.sqrt(sum(mpmath.mpf(p) ** 2 for p in (*parts[:2], *parts)))
+        want = mp_frobenius_norm((x, y, w, x))
         if float(want) == math.inf:
-            assert v.norm() == math.inf
+            assert SL2Vector(x, y, w).norm() == math.inf
         else:
-            assert abs(v.norm() - want) <= 2.0**-52 * want
+            assert abs(SL2Vector(x, y, w).norm() - want) <= 2 * U * want + TINY
 
     def test_values_are_python_numbers(self):
         # numpy stays inside the array builders: no scalar value holds a numpy type

@@ -168,8 +168,8 @@ class TestArrayBranch:
         ph = -c * np.exp(x * s.a + y * s.a * s.b)
         np.testing.assert_array_equal(phi(s, x, y), ph)
         ap = np.hypot(ph.real, ph.imag)
-        den = np.sqrt(t * t + ap * ap)
-        np.testing.assert_array_equal(_chart(s, x, y, t, "printed"), (z0 + ph * (ap / den), t * ap / den))
+        r = ap / np.hypot(t, ap)
+        np.testing.assert_array_equal(_chart(s, x, y, t, "printed"), (z0 + ph * r, t * r))
         den = np.sqrt(1.0 + t * t)
         np.testing.assert_array_equal(_chart(s, x, y, t, "corrected"), (z0 + ph / den, t * ap / den))
 

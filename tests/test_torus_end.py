@@ -496,7 +496,7 @@ class TestPrintedFrameOracle:
 
     @pytest.mark.parametrize("a", [1e-13, 1e-154j, 1e-160, 2.8e-301j, 9.4e-302, -1e-200 + 1e-200j])
     def test_charts_near_the_cusp_stay_finite(self, a):
-        # the affine frame's |phi| is about 1/|a|: the printed chart scales it before squaring
+        # the affine frame's |phi| is about 1/|a|: the printed chart never squares it
         s = EndParameter(a, 0.3 + 1.2j)
         region = EndRegion(0.0, 1.0, 0.0, 1.0, 1.0, 3.0)
         for chart in ("printed", "corrected"):
