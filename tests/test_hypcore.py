@@ -146,6 +146,18 @@ class TestApplyH3:
         p = apply_h3(MobiusTransform(1.0, 1.0, 0.0, 1.0), H3Point(0.0, 2.0))
         assert abs(p.z - 1.0) < 1e-15 and p.t == 2.0
 
+    def test_image_past_the_range_of_the_squares(self):
+        # |a21 z + a22|^2 overflowed here, so apply_h3 raised OverflowError for a point of H^3;
+        # the image is subnormal, so each coordinate is within a subnormal step of the 60-digit one
+        m, z, t = MobiusTransform.from_entries(1e-160, 0, 1e160, 1e160), 0.5j, 1.0
+        with mpmath.workdps(DPS):
+            a11, a12, a21, a22 = map(mpmath.mpc, m.entries())
+            w = a21 * z + a22
+            den = abs(w) ** 2 + abs(a21) ** 2 * t * t
+            want_z, want_t = ((a11 * z + a12) * mpmath.conj(w) + a11 * mpmath.conj(a21) * t * t) / den, t / den
+        p = apply_h3(m, H3Point(z, t))
+        assert abs(p.z - want_z) <= 2 * TINY and abs(p.t - want_t) <= TINY
+
     def test_isometry_invariant(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
