@@ -930,10 +930,11 @@ class TestGridRows:
 
         Both evaluate the same jets and the same formula, the grid in numpy's arithmetic and
         schwarzian in CPython's, so each is within schwarzian_bound of the exact value and they
-        are within twice it of each other.  numpy's complex powers are cexp(w clog z), whose
-        error has the form of CPython's in jet_bounds; its integer powers of a Mobius
-        denominator take the same products.  Measured, the entries move by at most 20u of
-        |f'''/f'| + 1.5 |f''/f'|^2 (README, Numerical notes).
+        are within twice it of each other.  numpy takes complex powers from the C library's
+        cpow, an exp of a log, whose error has the form of CPython's in jet_bounds; its integer
+        powers of a Mobius denominator take the same products.  Measured, the entries move by
+        at most 20u of |f'''/f'| + 1.5 |f''/f'|^2 (README, Numerical notes); on a grid of each
+        of five maps they used under 3% of the bound.
         """
         f, spec = catalog_map(spec)
         re0, width, im0, height = box
