@@ -44,9 +44,10 @@ class DegenerateRegion(ValueError):
 class EndParameter:
     """The pair s = (a, b): holonomy exponent a and boundary-torus modulus b.
 
-    1 - e^a and the generator images are cached properties: each is computed
-    on first use and kept in the instance dict, outside ==, hash and repr.
-    One that raises keeps nothing, so none can raise for another.
+    1 - e^a, the frame (z0, c) and the generator images are cached
+    properties: each is computed on first use and kept in the instance dict,
+    outside ==, hash and repr.  One that raises keeps nothing, so none can
+    raise for another.
     """
 
     a: complex
@@ -65,6 +66,12 @@ class EndParameter:
     def _den(self) -> complex | None:
         """_affine_den(a): 1 - e^a, or None on the pole locus."""
         return _affine_den(self.a)
+
+    @cached_property
+    def _frame(self) -> tuple[complex, complex]:
+        """(z0, c) with phi = -c e^{xa + yab}: c = z0 = 1/(1 - e^a), or z0 = 0 and c = 1 on the pole locus."""
+        den = self._den
+        return (0j, 1.0) if den is None else (1.0 / den,) * 2
 
     @cached_property
     def _rho1(self) -> MobiusTransform:
@@ -190,47 +197,37 @@ def _affine_den(a: complex) -> complex | None:
     return None if q < AFFINE_DEN_MIN or (q <= SINGULAR_LOCUS_TOL and abs(a.imag) > math.pi) else den
 
 
-def _frame(den: complex | None) -> tuple[complex, complex]:
-    """(z0, c) with phi = -c e^{xa + yab}, given den = _affine_den(a).
-
-    c = z0 = 1/(1 - e^a), or z0 = 0 and c = 1 on the pole locus (den None).
-    """
-    return (0j, 1.0) if den is None else (1.0 / den,) * 2
-
-
 def z0_of(a: complex) -> complex:
-    """Finite fixed point of the holonomy: 1/(1 - e^a), or 0 on the pole locus."""
-    return _frame(_affine_den(a))[0]
+    """Finite fixed point of the holonomy, EndParameter's z0: 1/(1 - e^a), or 0 on the pole locus."""
+    return EndParameter(a, 1j)._frame[0]
 
 
 def phi(s: EndParameter, x, y):
     """phi(x, y) = -z0 e^{xa + yab} with z0 = 1/(1 - e^a), or -e^{xa + yab} on the pole locus.
 
-    x and y are real numbers, or arrays of them for an array of values.
+    x and y are real numbers, or arrays of them for an array of values;
+    cmath.exp on numbers, np.exp (the same bits) on arrays.
     """
-    return _phi(s, _frame(s._den)[1], x, y)
-
-
-def _phi(s: EndParameter, c, x, y):
-    """phi given the factor c of _frame; cmath.exp on numbers, np.exp (the same bits) on arrays."""
     w = x * s.a + y * s.a * s.b
     if isinstance(w, SCALAR_TYPES):
-        return -c * cmath.exp(w)
+        return -s._frame[1] * cmath.exp(w)
     import numpy as np
 
-    return -c * np.exp(w)
+    return -s._frame[1] * np.exp(w)
 
 
 def develop(s: EndParameter, x: float, y: float, t: float, chart: str = DEFAULT_CHART) -> H3Point:
     """Chart of the universal cover into H^3.
 
-    For a = 0 both variants are the exact cusp chart (x + by, t).  For a != 0:
+    For a = 0 both variants are the exact cusp chart (x + by, t).  For a != 0
+    both are one formula, the point at Euclidean distance |phi| from the cone
+    point (z0, 0) on the ray over phi that rises at slope t/u:
 
-      printed:    (z0, 0) + |phi| (phi, t) / sqrt(t^2 + |phi|^2)
-      corrected:  (z0, 0) + (phi, t |phi|) / sqrt(1 + t^2)
+      (z0 + phi u / h, t |phi| / h),   h = hypot(t, u),
 
-    Both place the image at Euclidean distance |phi| from (z0, 0), in the
-    frame of holonomy (z0 = 0 on the pole locus).  Only the corrected variant
+    with u = |phi| for the printed chart and u = 1 for the corrected one, in
+    the frame of holonomy (z0 = 0 on the pole locus).  No square is formed,
+    so both stay finite up to the float range.  Only the corrected variant
     is deck equivariant when |e^a| != 1 (the printed height picks up |e^a| on
     one side only); the printed one converges to the cusp chart as a -> 0.
     """
@@ -253,22 +250,21 @@ def _chart(s: EndParameter, x, y, t, chart: str):
     """develop as (z, height), on real numbers or on arrays of sample coordinates."""
     if s.a == 0:
         return x + s.b * y, 1.0 * t  # a float height even for an integer t
-    z0, c = _frame(s._den)
-    ph = _phi(s, c, x, y)
+    ph = phi(s, x, y)
     if isinstance(ph, SCALAR_TYPES):
-        ap, sqrt, hypot = abs(ph), math.sqrt, _hypot
+        ap, hypot = abs(ph), _hypot
     else:
         import numpy as np
 
-        ap, sqrt, hypot = modulus(ph), np.sqrt, np.hypot
+        ap, hypot = modulus(ph), np.hypot
     if chart == "printed":
-        # |phi| is about 1/|a| near a = 0, so its square is never formed
-        r = ap / hypot(t, ap)
-        return z0 + ph * r, t * r
-    if chart == "corrected":
-        den = sqrt(1.0 + t * t)
-        return z0 + ph / den, t * ap / den
-    raise ValueError(f"unknown chart variant {chart!r}")
+        u = ap  # about 1/|a| near a = 0: hypot forms no square of it
+    elif chart == "corrected":
+        u = 1.0
+    else:
+        raise ValueError(f"unknown chart variant {chart!r}")
+    h = hypot(t, u)
+    return s._frame[0] + ph * (u / h), t * (ap / h)
 
 
 def holonomy(s: EndParameter, m: int, n: int) -> MobiusTransform:

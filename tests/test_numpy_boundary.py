@@ -29,7 +29,7 @@ from dehnscope.schwarzian_end import (
     schwarzian_grid,
     schwarzian_norm,
 )
-from dehnscope.torus_end import EndParameter, _affine_den, _chart, _frame, develop, phi
+from dehnscope.torus_end import EndParameter, _chart, develop, phi
 
 PACKAGE = Path(dehnscope.__file__).parent
 
@@ -164,14 +164,15 @@ class TestArrayBranch:
     def test_phi_and_chart(self, a, b, pts):
         s = EndParameter(a, b)
         x, y, t = np.array(pts).T
-        z0, c = _frame(_affine_den(a))
+        z0, c = s._frame
         ph = -c * np.exp(x * s.a + y * s.a * s.b)
         np.testing.assert_array_equal(phi(s, x, y), ph)
         ap = np.hypot(ph.real, ph.imag)
         r = ap / np.hypot(t, ap)
         np.testing.assert_array_equal(_chart(s, x, y, t, "printed"), (z0 + ph * r, t * r))
-        den = np.sqrt(1.0 + t * t)
-        np.testing.assert_array_equal(_chart(s, x, y, t, "corrected"), (z0 + ph / den, t * ap / den))
+        # one formula: the printed chart's ray at u = |phi|, the corrected chart's at u = 1
+        h = np.hypot(t, 1.0)
+        np.testing.assert_array_equal(_chart(s, x, y, t, "corrected"), (z0 + ph * (1.0 / h), t * (ap / h)))
 
     def test_maps_and_norm(self):
         # the pole i of z -> z / (i - z) is an entry: arrays are not checked for it

@@ -392,7 +392,7 @@ class TestKeptConstants:
         holonomy(s, 2, -1)
         assert vars(s).keys() == {"a", "b", "_den"}
         equivariance_residual(s, 1, 0.3, 0.4, 1.5)
-        assert vars(s).keys() == {"a", "b", "_den", "_rho1"}
+        assert vars(s).keys() == {"a", "b", "_den", "_frame", "_rho1"}
 
     def test_an_image_that_overflows_keeps_nothing(self):
         # e^{a b / 2} = e^{750 + i/2} overflows in rho(g2) only; rho(g1) is still computed, and rho(g2) raises again
@@ -516,6 +516,11 @@ class TestPrintedFrameOracle:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(a=ORACLE_A, b=END_B, point=CHART_POINT, chart=st.sampled_from(["printed", "corrected"]))
+    # past t = 1.3e154 the corrected chart's sqrt(1 + t^2) overflowed and the height read 0
+    @example(a=0.3 + 0.7j, b=0.2 + 1.1j, point=(0.3, 0.2, 1e160), chart="corrected")
+    @example(a=0.3 + 0.7j, b=0.2 + 1.1j, point=(0.3, 0.2, 1e300), chart="corrected")
+    @example(a=0.3 + 0.7j, b=0.2 + 1.1j, point=(0.3, 0.2, 1e160), chart="printed")
+    @example(a=0.3 + 0.7j, b=0.2 + 1.1j, point=(0.3, 0.2, 1e300), chart="printed")
     def test_develop(self, a, b, point, chart):
         s, (x, y, t) = EndParameter(a, b), point
         equivariance_residual(s, 1, x, y, t)
