@@ -198,8 +198,9 @@ def apply_h3(m: MobiusTransform, p: H3Point) -> H3Point:
     z' = ((a11 z + a12) conj(a21 z + a22) + a11 conj(a21) t^2) / D,
     t' = t / D,  D = |a21 z + a22|^2 + |a21|^2 t^2.
 
-    D is n^2 for n = math.hypot of the parts of a21 z + a22 and a21 t, and both
-    are divided by n twice, so no square leaves the float range on the way.
+    D is n^2 for n = math.hypot of the parts of a21 z + a22 and a21 t.  Both are
+    divided by n before the products, and the numerator and t by n once more,
+    so no square or product leaves the float range on the way.
     """
     return H3Point(*_poincare(m, p.z, p.t))
 
@@ -209,7 +210,8 @@ def _poincare(m: MobiusTransform, z: complex, t: float) -> tuple:
     a11, a21 = m.a11, m.a21
     w, at = a21 * z + m.a22, a21 * t
     n = math.hypot(w.real, w.imag, at.real, at.imag)
-    return ((a11 * z + m.a12) * w.conjugate() + a11 * at.conjugate() * t) / n / n, t / n / n
+    w, at = w / n, at / n
+    return ((a11 * z + m.a12) * w.conjugate() + a11 * at.conjugate() * t) / n, t / n / n
 
 
 def modulus(w: np.ndarray) -> np.ndarray:

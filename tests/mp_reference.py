@@ -44,6 +44,21 @@ def mp_holonomy(a, b, m, n):
         return p, tau / p, mpmath.mpc(0), 1 / p
 
 
+def mp_apply_h3(entries, z, t):
+    """The Poincare extension of the matrix with entries (a11, a12, a21, a22) at (z, t), at DPS digits.
+
+    z' = ((a11 z + a12) conj(a21 z + a22) + a11 conj(a21) t^2) / D and t' = t / D,
+    with D = |a21 z + a22|^2 + |a21|^2 t^2, as written for determinant 1; the
+    entries are taken as they are, so a rounded determinant is not corrected.
+    """
+    with mpmath.workdps(DPS):
+        a11, a12, a21, a22 = map(mpmath.mpc, entries)
+        z, t = mpmath.mpc(z), mpmath.mpf(t)
+        w = a21 * z + a22
+        den = abs(w) ** 2 + abs(a21) ** 2 * t**2
+        return ((a11 * z + a12) * mpmath.conj(w) + a11 * mpmath.conj(a21) * t**2) / den, t / den
+
+
 def mp_complex_length(entries):
     """Complex translation length of the PSL(2,C) element with entries (a11, a12, a21, a22), at DPS digits.
 

@@ -29,7 +29,7 @@ from dehnscope.hypcore import (
 )
 from dehnscope.schwarzian_end import MobiusMap
 from dehnscope.torus_end import EndParameter, holonomy
-from mp_reference import DPS, mp_adjoint, mp_complex_length, mp_frobenius_gaps, mp_frobenius_norm, mp_hyp_distance
+from mp_reference import DPS, mp_adjoint, mp_apply_h3, mp_complex_length, mp_frobenius_gaps, mp_frobenius_norm, mp_hyp_distance
 
 
 def random_mobius(rng) -> MobiusTransform:
@@ -157,6 +157,44 @@ class TestApplyH3:
             want_z, want_t = ((a11 * z + a12) * mpmath.conj(w) + a11 * mpmath.conj(a21) * t * t) / den, t / den
         p = apply_h3(m, H3Point(z, t))
         assert abs(p.z - want_z) <= 2 * TINY and abs(p.t - want_t) <= TINY
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        m=mobius,
+        scales=st.tuples(st.floats(-75.0, 75.0), st.floats(-75.0, 75.0), st.floats(-math.pi, math.pi)),
+        z=st.builds(lambda e, th: 10.0**e * cmath.exp(1j * th), st.floats(-150.0, 150.0), st.floats(-math.pi, math.pi)),
+        t=st.floats(-150.0, 150.0).map(lambda e: 10.0**e),
+    )
+    # the numerator formed a11 conj(a21 t) t first, which overflowed although the image is finite
+    @example(m=MobiusTransform.from_entries(1, 0, 1e-100, 1), scales=(0.0, 0.0, 0.0), z=0.5j, t=1e205)
+    @example(m=MobiusTransform.from_entries(1e-160, 0, 1e160, 1e160), scales=(0.0, 0.0, 0.0), z=0.5j, t=1.0)
+    def test_matches_the_reference_across_the_float_range(self, m, scales, z, t):
+        """apply_h3 against mp_apply_h3, with entries and heights from about 1e-150 to 1e150.
+
+        The entries are those of m scaled by diag(mu, 1/mu) on the left and diag(lam, 1/lam)
+        on the right, |mu| and |lam| = 10^scales[:2].  Write S_P = |a11||z| + |a12| + |a11| t,
+        S_W = |a21||z| + |a22| + |a21| t and n = |(a21 z + a22, a21 t)| <= S_W.  With u = 2^-53,
+        a11 z + a12 is within 3.3 u S_P, a21 z + a22 within 3.3 u S_W and n within 5.3 u S_W
+        (hypot adds u), so each of the factors (a21 z + a22)/n and a21 t/n, of size at most 1,
+        is within 10 u S_W/n.  The numerator, of size at most S_P, is then within 16.2 u S_P S_W/n,
+        and the last division adds the error of n: z' is within 22.5 u S_P S_W/n^2, and t' = t/n/n
+        within 12.6 u S_W/n relative.  The bounds take 32 u and 16 u, and a subnormal image adds
+        its rounding step TINY to each coordinate.  The draws whose image is not a point of H^3
+        in the float range, or whose bound is not a float, are set aside.
+        """
+        mu, lam = 10.0 ** scales[0], 10.0 ** scales[1] * cmath.exp(1j * scales[2])
+        m = MobiusTransform(mu * lam * m.a11, mu / lam * m.a12, lam / mu * m.a21, m.a22 / (mu * lam))
+        want_z, want_t = mp_apply_h3(m.entries(), z, t)
+        with mpmath.workdps(DPS):
+            a11, a12, a21, a22 = (abs(mpmath.mpc(e)) for e in m.entries())
+            r = abs(mpmath.mpc(z))
+            s_p, s_w = a11 * r + a12 + a11 * t, a21 * r + a22 + a21 * t
+            n = mpmath.hypot(abs(mpmath.mpc(m.a21) * z + m.a22), a21 * t)
+            scale = s_p * s_w / n**2
+        assume(16 * TINY <= want_t <= 1e300 and abs(want_z) <= 1e300 and scale <= 1e300)
+        p = apply_h3(m, H3Point(z, t))
+        assert abs(p.z - want_z) <= 32 * U * float(scale) + 2 * TINY
+        assert abs(p.t - want_t) <= 16 * U * float(want_t * s_w / n) + TINY
 
     def test_isometry_invariant(self):
         rng = np.random.default_rng(11)
